@@ -173,31 +173,101 @@ def cluster_all(dets: list[Detection], theta_iou: float = 0.5) -> list[Clustered
     return clusters
 
 
-def _greedy_match(items, gts: list[GroundTruth], tau: float) -> list[bool]:
-    """Confidence-descending greedy matching at IoU >= tau with class
-    agreement, per image; returns a TP flag per item (items order kept)."""
-    order = sorted(range(len(items)),
-                   key=lambda i: -items[i].confidence)
-    matched_gt: set[int] = set()
-    is_tp = [False] * len(items)
-    for i in order:
-        item = items[i]
-        best_j, best_iou = None, 0.0
-        for j, gt in enumerate(gts):
-            if j in matched_gt or gt.class_id != item.class_id \
-                    or gt.image_id != item.image_id:
+def _item_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes [N, 4], probabilities [N, C] and image ids [N] of detections
+    or fused observations, read once."""
+    n = len(items)
+    boxes = np.array([(it.box.x1, it.box.y1, it.box.x2, it.box.y2)
+                      for it in items], dtype=np.float64).reshape(n, 4)
+    probs = np.array([it.mean_probs if hasattr(it, "mean_probs") else it.probs
+                      for it in items], dtype=np.float64)
+    image_ids = np.array([it.image_id for it in items], dtype=np.int64)
+    return boxes, probs, image_ids
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise ``iou`` of [K, 4] and [G, 4] boxes.  The float operations
+    and their order are those of ``iou``, so every entry equals it exactly."""
+    iw = (np.minimum(a[:, None, 2], b[None, :, 2])
+          - np.maximum(a[:, None, 0], b[None, :, 0]))
+    ih = (np.minimum(a[:, None, 3], b[None, :, 3])
+          - np.maximum(a[:, None, 1], b[None, :, 1]))
+    inter = iw * ih
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlap = inter / (area_a[:, None] + area_b[None, :] - inter)
+    return np.where((iw <= 0) | (ih <= 0), 0.0, overlap)
+
+
+def _groups(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """Indices of each distinct key, ascending within a group."""
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(order, starts[1:])))
+
+
+def _match(boxes: np.ndarray, probs: np.ndarray, image_ids: np.ndarray,
+           gts: list[GroundTruth], taus) -> np.ndarray:
+    """Greedy TP flags [len(taus), N] of N items against the ground truths.
+
+    Items go in stable confidence-descending order.  Each takes the
+    unmatched ground truth of its image and class with the highest IoU,
+    provided that IoU is >= tau and > 0; on a tie the lowest ground-truth
+    index wins.  Items of different classes never compete for a ground
+    truth, so all classes are matched in one walk.  Each image's IoU matrix
+    is built once and serves every threshold.
+    """
+    flags = np.zeros((len(taus), len(probs)), dtype=bool)
+    if not len(probs) or not gts:
+        return flags
+    classes = np.argmax(probs, axis=1)
+    rank = np.empty(len(probs), dtype=np.int64)
+    rank[np.argsort(-probs.max(axis=1), kind="stable")] = np.arange(len(probs))
+    gt_boxes = np.array([(g.box.x1, g.box.y1, g.box.x2, g.box.y2) for g in gts],
+                        dtype=np.float64)
+    gt_classes = np.array([g.class_id for g in gts])
+    gt_groups = _groups(np.array([g.image_id for g in gts]))
+    # candidate (item, ground truth, IoU) pairs: same image and class, IoU > 0
+    pair_item, pair_gt, pair_iou = [], [], []
+    for image_id, ii in _groups(image_ids).items():
+        jj = gt_groups.get(image_id)
+        if jj is None:
+            continue
+        overlap = _iou_matrix(boxes[ii], gt_boxes[jj])
+        r, c = np.nonzero((classes[ii, None] == gt_classes[None, jj])
+                          & (overlap > 0))
+        pair_item.append(ii[r])
+        pair_gt.append(jj[c])
+        pair_iou.append(overlap[r, c])
+    if not pair_item:
+        return flags
+    pair_item, pair_gt, pair_iou = (np.concatenate(p) for p in
+                                    (pair_item, pair_gt, pair_iou))
+    # by item rank, then best overlap first, then lowest ground-truth index
+    order = np.lexsort((pair_gt, -pair_iou, rank[pair_item]))
+    pairs = list(zip(pair_item[order].tolist(), pair_gt[order].tolist(),
+                     pair_iou[order].tolist()))
+    for k, tau in enumerate(taus):
+        taken: set[int] = set()
+        hits = []
+        decided = -1
+        for item, j, overlap in pairs:
+            if item == decided:
                 continue
-            overlap = iou(item.box, gt.box)
-            if overlap >= tau and overlap > best_iou:
-                best_j, best_iou = j, overlap
-        if best_j is not None:
-            matched_gt.add(best_j)
-            is_tp[i] = True
-    return is_tp
+            if overlap < tau:
+                decided = item  # its remaining candidates overlap less
+            elif j not in taken:
+                taken.add(j)
+                hits.append(item)
+                decided = item
+        flags[k, hits] = True
+    return flags
 
 
 def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated AP from confidence-ordered TP flags."""
+    """101-point interpolated AP from confidence-ordered TP flags: the mean
+    over recall levels r of the best precision at any recall >= r."""
     if n_gt == 0:
         return 0.0
     if len(tp_flags) == 0:
@@ -206,10 +276,12 @@ def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     fp_cum = np.cumsum(1 - tp_flags)
     recall = tp_cum / n_gt
     precision = tp_cum / (tp_cum + fp_cum)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    first = np.searchsorted(recall, RECALL_LEVELS, side="left")
     ap = 0.0
-    for r in RECALL_LEVELS:
-        reachable = precision[recall >= r]
-        ap += reachable.max() if reachable.size else 0.0
+    # a plain left-to-right sum; np.sum and sum() round differently
+    for value in envelope[first[first < len(recall)]].tolist():
+        ap += value
     return ap / len(RECALL_LEVELS)
 
 
@@ -219,21 +291,31 @@ def map_50_95(items, gts: list[GroundTruth], conf_threshold: float = 0.0) -> flo
     Detections below the confidence threshold are dropped first.  AP is
     averaged over every class with at least one ground truth and over the
     ten thresholds; detections of classes without ground truths are ignored.
+    Matching is greedy in confidence-descending order: a detection takes the
+    unmatched ground truth of its image and class with the highest IoU,
+    which must be >= the threshold and > 0; on a tie the lowest
+    ground-truth index wins.
     """
     if not gts:
         raise ValueError("no ground truths")
     if not 0.0 <= conf_threshold <= 1.0:
         raise ValueError("conf_threshold must be in [0, 1]")
-    items = [it for it in items if it.confidence >= conf_threshold]
-    classes = sorted({gt.class_id for gt in gts})
+    items = list(items)
+    if not items:
+        return 0.0
+    boxes, probs, image_ids = _item_arrays(items)
+    keep = probs.max(axis=1) >= conf_threshold
+    boxes, probs, image_ids = boxes[keep], probs[keep], image_ids[keep]
+    flags = _match(boxes, probs, image_ids, gts, IOU_THRESHOLDS)
+    ranked = np.argsort(-probs.max(axis=1), kind="stable")
+    ranked_classes = np.argmax(probs, axis=1)[ranked]
+    gt_classes = [gt.class_id for gt in gts]
+    classes = sorted(set(gt_classes))
     ap_total = 0.0
     for cls in classes:
-        cls_gts = [gt for gt in gts if gt.class_id == cls]
-        cls_items = sorted((it for it in items if it.class_id == cls),
-                           key=lambda it: -it.confidence)
-        for tau in IOU_THRESHOLDS:
-            flags = np.array(_greedy_match(cls_items, cls_gts, tau), dtype=np.float64)
-            ap_total += average_precision(flags, len(cls_gts))
+        cls_flags = flags[:, ranked[ranked_classes == cls]].astype(np.float64)
+        for tau_flags in cls_flags:
+            ap_total += average_precision(tau_flags, gt_classes.count(cls))
     return ap_total / (len(classes) * len(IOU_THRESHOLDS))
 
 
@@ -242,23 +324,24 @@ def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
     """Score fused observations as TP/FP for the calibration metrics.
 
     Greedy confidence-descending matching at IoU >= tau with class
-    agreement; matched observations are correct and carry the matched
-    ground-truth class as true label.  Uncertainty is the mode-appropriate
-    entropy of the mean probabilities.
+    agreement: an observation takes the unmatched ground truth of its image
+    and class with the highest IoU, which must also be > 0; on a tie the
+    lowest ground-truth index wins.  Matched observations are correct and
+    carry the matched ground-truth class as true label.  Uncertainty is the
+    mode-appropriate entropy of the mean probabilities.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
     items = list(items)
-    is_tp = _greedy_match(items, gts, tau)
-    preds = []
-    for item, tp in zip(items, is_tp):
-        probs = np.asarray(item.mean_probs if hasattr(item, "mean_probs")
-                           else item.probs, dtype=np.float64)
-        preds.append(ScoredPrediction(
-            probs=probs, confidence=float(probs.max()), correct=tp,
-            uncertainty=entropy_for_mode(probs, mode),
-            true_label=item.class_id if tp else None))
-    return preds
+    if not items:
+        return []
+    boxes, probs, image_ids = _item_arrays(items)
+    is_tp = _match(boxes, probs, image_ids, gts, (tau,))[0]
+    return [ScoredPrediction(probs=p, confidence=float(p.max()), correct=tp,
+                             uncertainty=entropy_for_mode(p, mode),
+                             true_label=cls if tp else None)
+            for p, tp, cls in zip(probs, is_tp.tolist(),
+                                  np.argmax(probs, axis=1).tolist())]
 
 
 @dataclass

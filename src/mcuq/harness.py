@@ -22,6 +22,7 @@ import numpy as np
 from . import metrics as M
 from .datasets import ShiftSpec, corrupt, make_blobs, make_box_scenes, make_moons
 from .detection import (
+    ClusteredObservation,
     NoiseSpec,
     cluster_all,
     label_tp_fp,
@@ -217,23 +218,32 @@ def _detection_noise(base: NoiseSpec, drop_rate: float) -> NoiseSpec:
                      image_size=base.image_size)
 
 
-def _detection_point(cfg: ExperimentConfig, gts, noise: NoiseSpec,
-                     n_classes: int, point: ConfigPoint
-                     ) -> tuple[EvalReport, list[ScoredPrediction]]:
+def _fuse_detections(cfg: ExperimentConfig, gts, noise: NoiseSpec,
+                     n_classes: int, method: str, drop_rate: float,
+                     preset: str, T: int) -> list[ClusteredObservation]:
+    """T synthetic passes of one detector cell, fused by BSAS.  The
+    confidence threshold only filters the result, so every threshold of a
+    cell and T shares one fusion."""
+    pass_seed = _cell_seed(cfg, "detector", method, repr(float(drop_rate)),
+                           preset)
+    dets = synth_detector(gts, _detection_noise(noise, drop_rate), T=T,
+                          seed=pass_seed, n_classes=n_classes,
+                          mode=cfg.arch.get("output_mode", "softmax"))
+    return cluster_all(dets, theta_iou=cfg.theta_iou)
+
+
+def _detection_report(cfg: ExperimentConfig, gts,
+                      clusters: list[ClusteredObservation],
+                      conf_threshold: float
+                      ) -> tuple[EvalReport, list[ScoredPrediction]]:
     mode = cfg.arch.get("output_mode", "softmax")
-    pass_seed = _cell_seed(cfg, "detector", point.method,
-                           repr(float(point.drop_rate)), point.adapted_blocks)
-    dets = synth_detector(gts, _detection_noise(noise, point.drop_rate),
-                          T=point.T, seed=pass_seed, n_classes=n_classes,
-                          mode=mode)
-    clusters = cluster_all(dets, theta_iou=cfg.theta_iou)
-    kept = [c for c in clusters if c.confidence >= point.conf_threshold]
+    kept = [c for c in clusters if c.confidence >= conf_threshold]
     preds = label_tp_fp(kept, gts, tau=cfg.match_tau, mode=mode)
     # calibration over every observation; Brier over true positives, which
     # are the only ones with a defined label
     tp_preds = [p for p in preds if p.correct]
     report = EvalReport(
-        map_50_95=map_50_95(kept, gts, conf_threshold=point.conf_threshold),
+        map_50_95=map_50_95(kept, gts, conf_threshold=conf_threshold),
         brier=M.brier(tp_preds),
         ece=M.ece(preds, n_bins=cfg.ece_bins),
         auarc=M.auarc(preds),
@@ -259,7 +269,10 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None,
     classification evaluates every test sample."""
     if cfg.task == "detection":
         gts, noise = detection_ctx
-        return _detection_point(cfg, gts, noise, n_classes, point)
+        clusters = _fuse_detections(cfg, gts, noise, n_classes, point.method,
+                                    point.drop_rate, point.adapted_blocks,
+                                    point.T)
+        return _detection_report(cfg, gts, clusters, point.conf_threshold)
     spec = _mc_spec(cfg, point.method, point.drop_rate, point.adapted_blocks,
                     net.n_blocks)
     eval_seed = _cell_seed(cfg, "eval", point.method,
@@ -291,11 +304,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     if cfg.task == "classification":
         train_data, test_data, n_classes = _load_task_data(cfg)
-        detection_ctx = None
     else:
         gts, noise, n_classes = _load_task_data(cfg)
         train_data = test_data = None
-        detection_ctx = (gts, noise)
 
     for method in cfg.methods:
         for drop_rate in cfg.drop_rates:
@@ -319,18 +330,31 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                         failures.append((cell_name, str(exc)))
                         continue
                 for T in cfg.Ts:
+                    clusters = fusion_error = None
+                    if cfg.task == "detection":
+                        try:
+                            clusters = _fuse_detections(
+                                cfg, gts, noise, n_classes, method, drop_rate,
+                                preset, T)
+                        except Exception as exc:
+                            fusion_error = str(exc)
                     for conf_threshold in cfg.conf_thresholds:
                         point = ConfigPoint(method=method, drop_rate=drop_rate,
                                             T=T, conf_threshold=conf_threshold,
                                             adapted_blocks=preset)
+                        row_name = f"{cell_name}/T={T}/conf={conf_threshold}"
+                        if fusion_error is not None:
+                            failures.append((row_name, fusion_error))
+                            continue
                         try:
-                            report, preds = evaluate_point(
-                                cfg, net, test_data, n_classes, point,
-                                detection_ctx=detection_ctx)
+                            if cfg.task == "classification":
+                                report, preds = evaluate_point(
+                                    cfg, net, test_data, n_classes, point)
+                            else:
+                                report, preds = _detection_report(
+                                    cfg, gts, clusters, conf_threshold)
                         except Exception as exc:
-                            failures.append(
-                                (f"{cell_name}/T={T}/conf={conf_threshold}",
-                                 str(exc)))
+                            failures.append((row_name, str(exc)))
                             continue
                         report.config_echo = point
                         points.append((point, report))
@@ -456,6 +480,12 @@ def emit_curves(points: list[tuple[ConfigPoint, EvalReport]],
 
 
 def _atomic(write_fn, path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
+    """Write through a temp file in the same directory, then rename it into
+    place.  The temp name is unique per call, so concurrent writers never
+    share it, and a failed write leaves nothing behind."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcuq.detection import (
+    IOU_THRESHOLDS,
+    RECALL_LEVELS,
     Box,
     Detection,
     GroundTruth,
     NoiseSpec,
+    _item_arrays,
+    _match,
+    average_precision,
     bsas_cluster,
     cluster_all,
     iou,
@@ -234,6 +241,145 @@ def greedy_match_oracle(items, gts, tau):
         else:
             flags[idx] = False
     return [flags[i] for i in range(len(items))]
+
+
+# Loop oracles: the matcher, AP and mAP the array-based code replaced.
+# They rescan every ground truth per item and threshold, which is slow but
+# plainly follows the definitions.
+
+def loop_greedy_match(items, gts, tau):
+    """Confidence-descending greedy matching at IoU >= tau with class
+    agreement, per image; returns a TP flag per item (items order kept)."""
+    order = sorted(range(len(items)), key=lambda i: -items[i].confidence)
+    matched_gt = set()
+    is_tp = [False] * len(items)
+    for i in order:
+        item = items[i]
+        best_j, best_iou = None, 0.0
+        for j, g in enumerate(gts):
+            if j in matched_gt or g.class_id != item.class_id \
+                    or g.image_id != item.image_id:
+                continue
+            overlap = iou(item.box, g.box)
+            if overlap >= tau and overlap > best_iou:
+                best_j, best_iou = j, overlap
+        if best_j is not None:
+            matched_gt.add(best_j)
+            is_tp[i] = True
+    return is_tp
+
+
+def loop_average_precision(tp_flags, n_gt):
+    """101-point interpolated AP from confidence-ordered TP flags."""
+    if n_gt == 0 or len(tp_flags) == 0:
+        return 0.0
+    tp_cum = np.cumsum(tp_flags)
+    fp_cum = np.cumsum(1 - tp_flags)
+    recall = tp_cum / n_gt
+    precision = tp_cum / (tp_cum + fp_cum)
+    ap = 0.0
+    for r in RECALL_LEVELS:
+        reachable = precision[recall >= r]
+        ap += reachable.max() if reachable.size else 0.0
+    return ap / len(RECALL_LEVELS)
+
+
+def loop_map_50_95(items, gts, conf_threshold=0.0):
+    items = [it for it in items if it.confidence >= conf_threshold]
+    classes = sorted({g.class_id for g in gts})
+    ap_total = 0.0
+    for cls in classes:
+        cls_gts = [g for g in gts if g.class_id == cls]
+        cls_items = sorted((it for it in items if it.class_id == cls),
+                           key=lambda it: -it.confidence)
+        for tau in IOU_THRESHOLDS:
+            flags = np.array(loop_greedy_match(cls_items, cls_gts, tau),
+                             dtype=np.float64)
+            ap_total += loop_average_precision(flags, len(cls_gts))
+    return ap_total / (len(classes) * len(IOU_THRESHOLDS))
+
+
+# Integer corners on a small grid make exact-duplicate boxes (IoU ties),
+# touching and disjoint boxes (IoU 0) common; a few probability vectors make
+# equal confidences common, including an argmax tie between two classes.
+GRID_BOXES = st.tuples(st.integers(0, 12), st.integers(0, 12),
+                       st.integers(1, 8), st.integers(1, 8)).map(
+    lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3]))
+PROB_VECTORS = [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6),
+                (0.5, 0.3, 0.2), (0.3, 0.5, 0.2), (0.9, 0.05, 0.05),
+                (0.05, 0.05, 0.9), (0.4, 0.4, 0.2)]
+MATCH_TAUS = (0.0, 0.5, 0.95, 1.0)
+
+
+@st.composite
+def scenes(draw):
+    """Ground truths and detections over up to three images, drawn from one
+    shared pool of boxes."""
+    pool = draw(st.lists(GRID_BOXES, min_size=1, max_size=6))
+    box = st.sampled_from(pool)
+    image = st.integers(0, 2)
+    gts = draw(st.lists(st.builds(gt, box, class_id=st.integers(0, 2),
+                                  image_id=image), max_size=6))
+    items = draw(st.lists(st.builds(det, box, st.sampled_from(PROB_VECTORS),
+                                    image_id=image), max_size=10))
+    return items, gts
+
+
+class TestArrayMatcherAgainstLoopOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(scenes())
+    def test_flags_equal_at_every_threshold(self, scene):
+        items, gts = scene
+        taus = MATCH_TAUS + IOU_THRESHOLDS
+        flags = _match(*_item_arrays(items), gts, taus)
+        assert flags.shape == (len(taus), len(items))
+        for k, tau in enumerate(taus):
+            assert flags[k].tolist() == loop_greedy_match(items, gts, tau)
+        for tau in MATCH_TAUS:
+            got = [p.correct for p in label_tp_fp(items, gts, tau=tau)]
+            assert got == loop_greedy_match(items, gts, tau)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(scenes(), st.sampled_from([0.0, 0.5, 0.6, 1.0]))
+    def test_map_exactly_equal(self, scene, conf_threshold):
+        items, gts = scene
+        if not gts:
+            return
+        assert map_50_95(items, gts, conf_threshold) \
+            == loop_map_50_95(items, gts, conf_threshold)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.booleans(), max_size=30), st.integers(0, 12))
+    def test_average_precision_exactly_equal(self, flags, n_gt):
+        flags = np.array(flags, dtype=np.float64)
+        assert average_precision(flags, n_gt) \
+            == loop_average_precision(flags, n_gt)
+
+    def test_equal_confidence_keeps_input_order(self):
+        # both detections duplicate the one ground truth at confidence 0.6:
+        # the earlier one in the input takes it
+        g = [gt((0, 0, 10, 10), class_id=0)]
+        d = [det((0, 0, 10, 10), [0.6, 0.2, 0.2]),
+             det((0, 0, 10, 10), [0.6, 0.3, 0.1])]
+        assert [p.correct for p in label_tp_fp(d, g)] == [True, False]
+
+    def test_iou_tie_goes_to_lowest_ground_truth_index(self):
+        # the first detection overlaps both ground truths at IoU 0.6 exactly;
+        # the second duplicates the box at (5, 0) and overlaps the other at
+        # 1/3, so it is a TP only if the first took the other one
+        first = det((2.5, 0, 12.5, 10), [0.9, 0.1])
+        second = det((5, 0, 15, 10), [0.8, 0.2])
+        left, right = gt((0, 0, 10, 10)), gt((5, 0, 15, 10))
+        for gts, want in (([left, right], [True, True]),
+                          ([right, left], [True, False])):
+            flags = _match(*_item_arrays([first, second]), gts, (0.5,))
+            assert flags[0].tolist() == want
+            assert loop_greedy_match([first, second], gts, 0.5) == want
+
+    def test_zero_iou_never_matches_even_at_tau_zero(self):
+        g = [gt((0, 0, 10, 10), class_id=0)]
+        d = [det((10, 0, 20, 10), [0.9, 0.1])]  # touching edge: IoU 0
+        assert _match(*_item_arrays(d), g, (0.0,)).tolist() == [[False]]
 
 
 class TestLabelTpFp:

@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from mcuq import harness
 from mcuq.datasets import ShiftSpec
 from mcuq.harness import (
     ExperimentConfig,
+    _atomic,
     emit_curves,
     rerun_row,
     resolve_preset,
@@ -160,6 +162,70 @@ class TestDetectionSweep:
         by_rate = {p.drop_rate: r.map_50_95 for p, r in result.points
                    if p.method == "MCSD"}
         assert by_rate[0.2] <= by_rate[0.05]
+
+
+    def test_one_fusion_serves_every_confidence_threshold(self, tmp_path,
+                                                          monkeypatch):
+        cfg = ExperimentConfig.from_dict(dict(
+            task="detection",
+            dataset={"kind": "boxes-detection", "n_images": 5,
+                     "boxes_per_image": 3, "n_classes": 3,
+                     "box_jitter": 1.0, "miss_prob": 0.05,
+                     "halluc_rate": 0.3, "sharpness": 0.9},
+            methods=["MCD"], drop_rates=[0.05, 0.15], Ts=[4, 8],
+            conf_thresholds=[0.0, 0.5, 0.7], adapted_presets=["all"],
+            out_dir=str(tmp_path / "det"), seed=9))
+        calls = []
+        fuse = harness.cluster_all
+
+        def counting_fuse(*args, **kwargs):
+            calls.append(args)
+            return fuse(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "cluster_all", counting_fuse)
+        result = run_sweep(cfg)
+        assert result.failures == []
+        assert len(result.points) == 12
+        assert len(calls) == 4  # one per (drop rate, T)
+        # each row equals its standalone rerun, which fuses on its own
+        for point, report in result.points:
+            again = rerun_row(cfg, point)
+            for name in ("map_50_95", "brier", "ece", "auarc", "mean_entropy"):
+                assert getattr(again, name) == getattr(report, name)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        (tmp_path / "kept.csv").write_text("old\n")
+
+        def failing(path):
+            path.write_text("partial")
+            raise RuntimeError("disk full")
+
+        for name in ("new.csv", "kept.csv"):
+            with pytest.raises(RuntimeError):
+                _atomic(failing, tmp_path / name)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+        assert (tmp_path / "kept.csv").read_text() == "old\n"
+
+    def test_overlapping_writers_use_distinct_temp_files(self, tmp_path):
+        target = tmp_path / "out.csv"
+        temps = []
+
+        def inner(path):
+            temps.append(path)
+            path.write_text("inner")
+
+        def outer(path):
+            temps.append(path)
+            path.write_text("outer")
+            _atomic(inner, target)  # a second writer while the first is open
+
+        _atomic(outer, target)
+        assert temps[0] != temps[1]
+        assert all(t.parent == tmp_path for t in temps)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "outer"
 
 
 class TestTaskVariants:
