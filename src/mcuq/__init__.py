@@ -29,10 +29,6 @@ from .stochastic import (
     MODE_TRAINING,
     MaskSample,
     StochasticSpec,
-    apply_block_drop,
-    apply_deterministic_scaled,
-    apply_path_drop,
-    apply_unit_drop,
     sample_mask,
 )
 from .mc_inference import PredictiveSummary, deterministic_predict, mc_predict

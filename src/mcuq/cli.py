@@ -18,7 +18,7 @@ from .harness import (
     run_shift,
     run_sweep,
     train_cell,
-    _load_task_data,
+    load_task_data,
     evaluate_point,
 )
 from .metrics import ConfigPoint, ipp_distance, ipp_select, load_reports
@@ -134,7 +134,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("error: train applies to the classification task",
                   file=sys.stderr)
             return 1
-        train_data, _, n_classes = _load_task_data(cfg)
+        train_data, _, n_classes = load_task_data(cfg)
         point = _first_point(cfg)
         net, trace, spec = train_cell(cfg, point.method, point.drop_rate,
                                       point.adapted_blocks, train_data,
@@ -151,10 +151,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         net, _ = load_checkpoint(args.checkpoint)
         point = _first_point(cfg)
         if cfg.task == "classification":
-            _, test_data, n_classes = _load_task_data(cfg)
+            _, test_data, n_classes = load_task_data(cfg)
             report, _ = evaluate_point(cfg, net, test_data, n_classes, point)
         else:
-            gts, noise, n_classes = _load_task_data(cfg)
+            gts, noise, n_classes = load_task_data(cfg)
             report, _ = evaluate_point(cfg, None, None, n_classes, point,
                                        detection_ctx=(gts, noise))
         print(f"performance={report.map_50_95:.4f} brier={report.brier:.4f} "

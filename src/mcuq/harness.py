@@ -63,6 +63,10 @@ def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
                      f"choose from {PRESETS}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     task: str = "classification"
@@ -99,6 +103,15 @@ class ExperimentConfig:
         for p in self.adapted_presets:
             if p not in PRESETS:
                 raise ValueError(f"unknown preset {p!r}")
+        for r in self.drop_rates:
+            if not (isinstance(r, (int, float)) and 0.0 <= r < 1.0):
+                raise ValueError(f"drop_rates: {r!r} is not in [0, 1)")
+        for T in self.Ts:
+            if not (_is_int(T) and T >= 1):
+                raise ValueError(f"Ts: {T!r} is not a positive integer")
+        if not (_is_int(self.block_size) and self.block_size >= 1):
+            raise ValueError(
+                f"block_size: {self.block_size!r} is not a positive integer")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -116,7 +129,7 @@ def _cell_seed(cfg: ExperimentConfig, *tags) -> int:
     return int(substream(cfg.seed, *tags).integers(2 ** 62))
 
 
-def _load_task_data(cfg: ExperimentConfig):
+def load_task_data(cfg: ExperimentConfig):
     """Build the task dataset from the config's generator parameters."""
     ds = dict(cfg.dataset)
     kind = ds.pop("kind", "blobs-classification")
@@ -303,9 +316,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     last_preds: list[ScoredPrediction] = []
 
     if cfg.task == "classification":
-        train_data, test_data, n_classes = _load_task_data(cfg)
+        train_data, test_data, n_classes = load_task_data(cfg)
     else:
-        gts, noise, n_classes = _load_task_data(cfg)
+        gts, noise, n_classes = load_task_data(cfg)
         train_data = test_data = None
 
     for method in cfg.methods:
@@ -378,12 +391,12 @@ def rerun_row(cfg: ExperimentConfig, point: ConfigPoint) -> EvalReport:
     """Re-run a single emitted row standalone; training and evaluation use
     the same derived seeds, so the metrics reproduce exactly."""
     if cfg.task == "classification":
-        train_data, test_data, n_classes = _load_task_data(cfg)
+        train_data, test_data, n_classes = load_task_data(cfg)
         net, _, _ = train_cell(cfg, point.method, point.drop_rate,
                                point.adapted_blocks, train_data, n_classes)
         report, _ = evaluate_point(cfg, net, test_data, n_classes, point)
         return report
-    gts, noise, n_classes = _load_task_data(cfg)
+    gts, noise, n_classes = load_task_data(cfg)
     report, _ = evaluate_point(cfg, None, None, n_classes, point,
                                detection_ctx=(gts, noise))
     return report
@@ -399,7 +412,7 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec,
     """
     if cfg.task != "classification":
         raise ValueError("shift runs are defined for the classification task")
-    train_data, test_data, n_classes = _load_task_data(cfg)
+    train_data, test_data, n_classes = load_task_data(cfg)
     method = cfg.methods[0]
     drop_rate = cfg.drop_rates[0]
     preset = cfg.adapted_presets[0]
@@ -436,13 +449,11 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec,
 
 def emit_curves(points: list[tuple[ConfigPoint, EvalReport]],
                 predictions: list[ScoredPrediction],
-                out_dir: str | Path,
-                shift_rows: list[tuple[str, float, float]] | None = None
-                ) -> list[Path]:
+                out_dir: str | Path) -> list[Path]:
     """Plot-data files: pareto_points.csv (every configuration with an
-    on_front flag), arc_curve.csv (rejection fraction vs retained accuracy
-    for the given predictions; run_sweep passes its most recent successful
-    evaluation) and, when shift rows are given, shift_curve.csv."""
+    on_front flag) and arc_curve.csv (rejection fraction vs retained
+    accuracy for the given predictions; run_sweep passes its most recent
+    successful evaluation).  Shift curves are written by run_shift."""
     if not points or not predictions:
         raise ValueError("emit_curves needs non-empty points and predictions")
     out_dir = Path(out_dir)
@@ -467,15 +478,6 @@ def emit_curves(points: list[tuple[ConfigPoint, EvalReport]],
     files = [out_dir / "pareto_points.csv", out_dir / "arc_curve.csv"]
     _atomic(write_pareto, files[0])
     _atomic(write_arc, files[1])
-    if shift_rows is not None:
-        def write_shift(path):
-            with open(path, "w", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(["level", "performance", "mean_entropy"])
-                for name, perf, ent in shift_rows:
-                    w.writerow([name, repr(float(perf)), repr(float(ent))])
-        files.append(out_dir / "shift_curve.csv")
-        _atomic(write_shift, files[2])
     return files
 
 

@@ -2,15 +2,14 @@
 
 The predictive distribution is approximated by T stochastic forward passes,
 each with an independently sampled mask, averaged in probability space.
-Pass t draws from the (base_seed, t) substream, so passes are independent,
-order-free, and safe to run concurrently with results identical to
-sequential execution.
+Pass t draws from the (base_seed, t) substream, so passes are independent
+and order-free: any subset, run in any order, reproduces its passes bit for
+bit.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,8 +55,7 @@ def _probs(net: ResidualNet, logits: np.ndarray) -> np.ndarray:
 
 
 def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
-                      T: int, base_seed: int,
-                      workers: int = 1) -> np.ndarray:
+                      T: int, base_seed: int) -> np.ndarray:
     """Raw logits of T stochastic passes, shape [T, batch, C]."""
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -66,31 +64,25 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
 
-    def one_pass(t: int) -> np.ndarray:
-        rng = pass_stream(base_seed, t)
-        masks = sample_mask(spec, net.width, batch, rng)
+    passes = []
+    for t in range(T):
+        masks = sample_mask(spec, net.width, batch, pass_stream(base_seed, t))
         try:
-            return forward(net, x, masks=masks)
+            passes.append(forward(net, x, masks=masks))
         except Exception as exc:
             raise RuntimeError(f"MC pass {t} failed: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            passes = list(pool.map(one_pass, range(T)))
-    else:
-        passes = [one_pass(t) for t in range(T)]
     return np.stack(passes, axis=0)
 
 
 def mc_predict(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
-               T: int, base_seed: int, workers: int = 1) -> PredictiveSummary:
+               T: int, base_seed: int) -> PredictiveSummary:
     """T-pass Monte Carlo predictive summary.
 
     Probabilities are taken per pass (softmax or per-class sigmoid of the
     logits) and averaged afterwards; sigmoid entries are never renormalized
     across classes.
     """
-    logits = mc_forward_logits(net, x, spec, T, base_seed, workers=workers)
+    logits = mc_forward_logits(net, x, spec, T, base_seed)
     per_pass = np.stack([_probs(net, logits[t]) for t in range(T)], axis=0)
     return PredictiveSummary(mean_probs=per_pass.mean(axis=0),
                              per_pass_probs=per_pass, T=T,

@@ -21,17 +21,11 @@ import numpy as np
 
 from .rng import substream
 from .stochastic import (
-    KIND_BLOCK,
-    KIND_PATH,
-    KIND_UNIT,
     MODE_TRAINING,
     MaskSample,
+    ShapeMismatchError,
     StochasticSpec,
-    apply_block_drop,
-    apply_deterministic_scaled,
-    apply_path_drop,
-    apply_unit_drop,
-    expand_span_mask,
+    multipliers,
     sample_mask,
 )
 
@@ -40,15 +34,6 @@ ACT_IDENTITY = "identity"
 
 MODE_SOFTMAX = "softmax"
 MODE_SIGMOID = "sigmoid"
-
-
-class ShapeMismatchError(ValueError):
-    """Incompatible array shapes; carries the offending block index
-    (None when the mismatch is at the stem or head)."""
-
-    def __init__(self, message: str, block_index: int | None = None):
-        super().__init__(message)
-        self.block_index = block_index
 
 
 class TrainingDivergedError(RuntimeError):
@@ -202,23 +187,6 @@ def _activate_grad(net: ResidualNet, pre: np.ndarray) -> np.ndarray:
     return np.ones_like(pre)
 
 
-def _block_mask_vector(masks: MaskSample, block: ResidualBlock,
-                       width: int) -> np.ndarray:
-    """Per-unit multiplier (mask times rescale) for unit/block drop."""
-    m = masks.per_block[block.index]
-    if masks.kind == KIND_UNIT:
-        if m.shape[-1] != width:
-            raise ShapeMismatchError(
-                f"block {block.index}: unit mask length {m.shape[-1]} != width {width}",
-                block_index=block.index)
-        return m / masks.keep_prob
-    unit = expand_span_mask(m, masks.block_size, width)
-    kept = unit.sum()
-    if kept == 0:
-        raise ValueError(f"block {block.index}: all spans dropped")
-    return unit * (width / kept)
-
-
 def _forward_cached(net: ResidualNet, x: np.ndarray,
                     masks: MaskSample | None = None,
                     scale_spec: StochasticSpec | None = None):
@@ -227,49 +195,30 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatchError(
             f"stem expects input width {net.in_dim}, got shape {x.shape}")
-    batch = x.shape[0]
     if masks is not None:
         for l in masks.per_block:
             if not 1 <= l <= net.n_blocks:
                 raise ShapeMismatchError(
                     f"mask refers to block {l} outside [1..{net.n_blocks}]",
                     block_index=l)
-        if masks.kind == KIND_PATH:
-            for l, m in masks.per_block.items():
-                if m.shape[0] != batch:
-                    raise ShapeMismatchError(
-                        f"block {l}: path mask has {m.shape[0]} rows, batch is {batch}",
-                        block_index=l)
 
     cache = {"x": x, "blocks": []}
     h = x @ net.stem_w.value + net.stem_b.value
-    cache["stem_out"] = h
     for blk in net.blocks:
-        c = {"in": h}
+        unit_mult = row_mult = None
+        if masks is not None:
+            unit_mult, row_mult = multipliers(masks, blk.index, net.width,
+                                              x.shape[0])
+        if row_mult is None and scale_spec is not None \
+                and blk.index in scale_spec.adapted_blocks:
+            row_mult = scale_spec.keep_prob  # deterministic scaled rule
         pre = h @ blk.w1.value + blk.b1.value
         act = _activate(net, pre)
-        unit_mult = None
-        if masks is not None and masks.kind in (KIND_UNIT, KIND_BLOCK) \
-                and blk.index in masks.per_block:
-            unit_mult = _block_mask_vector(masks, blk, net.width)
-            hidden = act * unit_mult
-        else:
-            hidden = act
+        hidden = act if unit_mult is None else act * unit_mult
         branch = hidden @ blk.w2.value + blk.b2.value
-        if masks is not None and masks.kind == KIND_PATH \
-                and blk.index in masks.per_block:
-            row_mult = masks.per_block[blk.index].reshape(-1, 1) / masks.keep_prob
-            out = h + row_mult * branch
-        elif scale_spec is not None and blk.index in scale_spec.adapted_blocks:
-            row_mult = None
-            out = apply_deterministic_scaled(branch, h, scale_spec.keep_prob)
-            c["scale"] = scale_spec.keep_prob
-        else:
-            row_mult = None
-            out = h + branch
-        c.update(pre=pre, act=act, unit_mult=unit_mult, hidden=hidden,
-                 row_mult=row_mult)
-        cache["blocks"].append(c)
+        out = h + branch if row_mult is None else h + row_mult * branch
+        cache["blocks"].append({"in": h, "pre": pre, "hidden": hidden,
+                                "unit_mult": unit_mult, "row_mult": row_mult})
         h = out
     logits = h @ net.head_w.value + net.head_b.value
     cache["head_in"] = h
@@ -369,12 +318,7 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, targets,
     g = dlogits @ net.head_w.value.T
 
     for blk, c in zip(reversed(net.blocks), reversed(cache["blocks"])):
-        if c["row_mult"] is not None:
-            dbranch = g * c["row_mult"]
-        elif "scale" in c:
-            dbranch = g * c["scale"]
-        else:
-            dbranch = g
+        dbranch = g if c["row_mult"] is None else g * c["row_mult"]
         grads[blk.w2.id] = c["hidden"].T @ dbranch
         grads[blk.b2.id] = dbranch.sum(axis=0)
         dhidden = dbranch @ blk.w2.value.T
@@ -472,15 +416,33 @@ def save_checkpoint(net: ResidualNet, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
+    """Rebuild a net from ``save_checkpoint`` output.
+
+    The stored parameter ids must equal the net's, and each stored shape
+    and data length must equal the shape ``arch`` implies; every value must
+    be finite.  Errors name the offending parameter id.
+    """
     payload = json.loads(Path(path).read_text())
     arch = payload["config"]["arch"]
     net = init_net(in_dim=arch["in_dim"], width=arch["width"],
                    n_blocks=arch["n_blocks"], n_classes=arch["n_classes"],
                    output_mode=arch["output_mode"],
                    activation=arch["activation"], seed=0)
+    ids = {p.id for p in net.parameters()}
+    for section in ("shapes", "data"):
+        if set(payload[section]) != ids:
+            raise ValueError(
+                f"checkpoint {section}: unknown parameters "
+                f"{sorted(set(payload[section]) - ids)}, missing "
+                f"{sorted(ids - set(payload[section]))}")
     for p in net.parameters():
         shape = tuple(payload["shapes"][p.id])
         flat = np.asarray(payload["data"][p.id], dtype=np.float64)
+        if shape != p.value.shape or flat.shape != (p.value.size,):
+            raise ShapeMismatchError(
+                f"checkpoint parameter {p.id}: stored shape {list(shape)} "
+                f"with {flat.size} values, arch implies {list(p.value.shape)}")
+        check_finite(flat, f"checkpoint parameter {p.id}")
         p.value[...] = flat.reshape(shape)
     return net, payload["config"]
 

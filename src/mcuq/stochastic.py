@@ -13,6 +13,9 @@ training and while sampling predictions:
 
 ``path-drop`` additionally supports a deterministic mode in which the
 residual branch is scaled by the survival probability instead of sampled.
+
+``sample_mask`` draws the {0,1} masks; ``multipliers`` turns them into the
+rescaled factors that the network's forward and backward passes both use.
 """
 
 from __future__ import annotations
@@ -32,6 +35,15 @@ MODE_SCALED = "deterministic-scaled"
 MODES = (MODE_TRAINING, MODE_MC, MODE_SCALED)
 
 _MAX_REDRAWS = 100
+
+
+class ShapeMismatchError(ValueError):
+    """Incompatible array shapes; carries the offending block index
+    (None when the mismatch is at the stem or head)."""
+
+    def __init__(self, message: str, block_index: int | None = None):
+        super().__init__(message)
+        self.block_index = block_index
 
 
 @dataclass
@@ -100,7 +112,6 @@ class MaskSample:
     per_block: dict[int, np.ndarray]
     keep_prob: float
     block_size: int = 1
-    seed: int | None = None
 
 
 def n_spans(width: int, block_size: int) -> int:
@@ -141,56 +152,48 @@ def sample_mask(spec: StochasticSpec, hidden_width: int, batch_size: int,
                       block_size=spec.block_size)
 
 
-def apply_unit_drop(activations: np.ndarray, mask: np.ndarray,
-                    keep_prob: float) -> np.ndarray:
-    """Inverted dropout: zero masked units and rescale survivors by 1/keep."""
-    if keep_prob <= 0.0:
+def multipliers(masks: MaskSample, index: int, width: int, batch: int
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Rescaled mask multipliers ``(unit_mult, row_mult)`` for block ``index``.
+
+    The network computes ``hidden = act * unit_mult`` and
+    ``out = h + row_mult * branch``, and its backward pass reuses both, so
+    this is the only place a mechanism zeroes and rescales:
+
+    * unit drop: ``unit_mult = m / keep_prob`` (inverted dropout);
+    * block drop: ``unit_mult`` is the per-unit span mask times
+      ``width / kept``, so survivors carry the full feature magnitude even
+      when spans have unequal sizes;
+    * path drop: ``row_mult = m / keep_prob`` as a column, one entry per row.
+
+    Unit and path multipliers take only the values 0 and 1/keep_prob, so
+    each block is an unbiased estimator of its fully active self.  Both are
+    None for a block the masks do not adapt.
+    """
+    m = masks.per_block.get(index)
+    if m is None:
+        return None, None
+    if masks.keep_prob <= 0.0:
         raise ValueError("keep_prob must be positive")
-    if mask.shape[-1] != activations.shape[-1]:
-        raise ValueError(
-            f"mask length {mask.shape[-1]} != hidden width {activations.shape[-1]}")
-    return activations * mask / keep_prob
-
-
-def expand_span_mask(span_mask: np.ndarray, block_size: int,
-                     width: int) -> np.ndarray:
-    """Expand a per-span mask to a per-unit mask of length ``width``."""
-    unit = np.repeat(span_mask, block_size)[:width]
-    return np.ascontiguousarray(unit)
-
-
-def apply_block_drop(activations: np.ndarray, span_mask: np.ndarray,
-                     block_size: int) -> np.ndarray:
-    """Zero dropped spans and rescale survivors by total/kept unit counts.
-
-    Count-based rescaling keeps the per-sample feature magnitude exactly
-    normalized even when spans have unequal sizes.
-    """
-    width = activations.shape[-1]
-    unit_mask = expand_span_mask(span_mask, block_size, width)
-    kept = unit_mask.sum()
-    if kept == 0:
-        raise ValueError("all spans dropped; sample should have been redrawn")
-    return activations * unit_mask * (width / kept)
-
-
-def apply_path_drop(residual: np.ndarray, identity: np.ndarray,
-                    per_sample_mask: np.ndarray, p_keep: float) -> np.ndarray:
-    """Per-row stochastic skip: identity + mask * residual / p_keep.
-
-    Dividing by the survival probability makes the expectation over masks
-    equal the fully active block, per row.
-    """
-    if p_keep <= 0.0:
-        raise ValueError("p_keep must be positive")
-    if residual.shape != identity.shape:
-        raise ValueError(
-            f"residual shape {residual.shape} != identity shape {identity.shape}")
-    mask = np.asarray(per_sample_mask, dtype=np.float64).reshape(-1, 1)
-    return identity + mask * residual / p_keep
-
-
-def apply_deterministic_scaled(residual: np.ndarray, identity: np.ndarray,
-                               p_keep: float) -> np.ndarray:
-    """Deterministic inference rule: identity + p_keep * residual."""
-    return identity + p_keep * residual
+    if masks.kind == KIND_UNIT:
+        if m.shape[-1] != width:
+            raise ShapeMismatchError(
+                f"block {index}: unit mask length {m.shape[-1]} != width {width}",
+                block_index=index)
+        return m / masks.keep_prob, None
+    if masks.kind == KIND_BLOCK:
+        spans = n_spans(width, masks.block_size)
+        if m.shape != (spans,):
+            raise ShapeMismatchError(
+                f"block {index}: span mask shape {m.shape}, expected ({spans},)",
+                block_index=index)
+        unit = np.repeat(m, masks.block_size)[:width]  # last span may be short
+        kept = unit.sum()
+        if kept == 0:
+            raise ValueError(f"block {index}: all spans dropped")
+        return unit * (width / kept), None
+    if m.shape[0] != batch:
+        raise ShapeMismatchError(
+            f"block {index}: path mask has {m.shape[0]} rows, batch is {batch}",
+            block_index=index)
+    return None, m.reshape(-1, 1) / masks.keep_prob

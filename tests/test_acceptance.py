@@ -38,7 +38,7 @@ from mcuq.stochastic import (
     KIND_PATH,
     MODE_MC,
     StochasticSpec,
-    apply_path_drop,
+    multipliers,
     sample_mask,
 )
 
@@ -91,7 +91,8 @@ class TestCriterion2PerBlockUnbiasedness:
                                   adapted_blocks={1}, mode=MODE_MC)
             masks = sample_mask(spec, 4, n,
                                 substream(201, "unbias", int(p_drop * 100)))
-            out = apply_path_drop(res, ident, masks.per_block[1], 1.0 - p_drop)
+            _, row_mult = multipliers(masks, 1, 4, n)
+            out = ident + row_mult * res  # the forward pass's block output
             dev = np.abs(out.mean(axis=0) - target) / np.abs(res[0])
             worst = max(worst, dev.max())
         elapsed = time.time() - started

@@ -66,6 +66,23 @@ class TestConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    @pytest.mark.parametrize("field,value,bad", [
+        ("drop_rates", [0.1, 1.5], "1.5"),
+        ("drop_rates", [-0.1], "-0.1"),
+        ("drop_rates", [1.0], "1.0"),
+        ("drop_rates", ["0.1"], "'0.1'"),
+        ("Ts", [0], "0"),
+        ("Ts", [5, -3], "-3"),
+        ("Ts", [2.5], "2.5"),
+        ("Ts", [True], "True"),
+        ("block_size", 0, "0"),
+        ("block_size", 2.0, "2.0"),
+    ])
+    def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
+        with pytest.raises(ValueError) as err:
+            small_cfg(tmp_path, **{field: value})
+        assert f"{field}: {bad}" in str(err.value)
+
 
 class TestSweep:
     def test_single_cell_grid_yields_one_row(self, tmp_path):
@@ -297,7 +314,9 @@ class TestShift:
         assert [r[0] for r in rows] == ["level0", "level1", "level2"]
         lines = (tmp_path / "out" / "shift.csv").read_text().splitlines()
         assert lines[0] == "level,performance,mean_entropy"
-        assert len(lines) == 4
+        # full-precision repr floats, e.g. "level0,0.95,0.1"
+        assert lines[1:] == [f"{name},{float(perf)!r},{float(ent)!r}"
+                             for name, perf, ent in rows]
 
 
 class TestEmitCurves:
@@ -329,14 +348,3 @@ class TestEmitCurves:
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_curves([], [], out_dir=tmp_path)
-
-    def test_shift_rows_become_shift_curve(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        result = run_sweep(cfg)
-        rows = [("level0", 0.95, 0.1), ("level1", 0.80, 0.3)]
-        files = emit_curves(result.points, result.last_predictions,
-                            out_dir=tmp_path / "curves", shift_rows=rows)
-        shift_file = [p for p in files if p.name == "shift_curve.csv"][0]
-        lines = shift_file.read_text().splitlines()
-        assert lines[0] == "level,performance,mean_entropy"
-        assert lines[1] == "level0,0.95,0.1"

@@ -101,13 +101,6 @@ class TestMcPredict:
 
 
 class TestExecutionOrderInvariance:
-    def test_concurrent_equals_sequential(self, small_net, x):
-        spec = mc_spec(KIND_PATH, 0.3, {1, 2})
-        seq = mc_predict(small_net, x, spec, T=12, base_seed=8)
-        par = mc_predict(small_net, x, spec, T=12, base_seed=8, workers=4)
-        assert np.array_equal(seq.per_pass_probs, par.per_pass_probs)
-        assert np.array_equal(seq.mean_probs, par.mean_probs)
-
     def test_indexed_streams_place_passes_by_index(self, small_net, x):
         # running the passes in shuffled execution order and placing results
         # by pass index reproduces the summary bit for bit

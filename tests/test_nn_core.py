@@ -1,7 +1,12 @@
 import copy
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcuq.nn_core import (
     ResidualNet,
@@ -375,6 +380,67 @@ class TestCheckpointAndTrace:
         assert again.output_mode == "sigmoid"
         assert config["note"] == "unit"
         assert config["arch"]["n_blocks"] == 2
+
+    @staticmethod
+    def _tampered(tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_net(2, 16, 2, 3, seed=8), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        def edit(payload):
+            payload["shapes"]["block9.fc1.w"] = [1]
+            payload["data"]["block9.fc1.w"] = [0.0]
+        with pytest.raises(ValueError, match="block9.fc1.w"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        def edit(payload):
+            del payload["shapes"]["head.b"], payload["data"]["head.b"]
+        with pytest.raises(ValueError, match="head.b"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    def test_shape_must_match_arch(self, tmp_path):
+        # a [1]-shaped bias must not broadcast into all 16 units
+        def edit(payload):
+            payload["shapes"]["block1.fc1.b"] = [1]
+            payload["data"]["block1.fc1.b"] = [0.5]
+        with pytest.raises(ShapeMismatchError, match="block1.fc1.b"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    def test_data_length_must_match_shape(self, tmp_path):
+        def edit(payload):
+            payload["data"]["stem.b"] = payload["data"]["stem.b"][:-1]
+        with pytest.raises(ShapeMismatchError, match="stem.b"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        def edit(payload):
+            payload["data"]["block2.fc2.w"][3] = float("nan")
+        with pytest.raises(FloatingPointError, match="block2.fc2.w"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    @settings(max_examples=30, deadline=None)
+    @given(in_dim=st.integers(1, 4), width=st.integers(1, 8),
+           n_blocks=st.integers(1, 3), n_classes=st.integers(1, 4),
+           output_mode=st.sampled_from(["softmax", "sigmoid"]),
+           activation=st.sampled_from(["relu", "identity"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_roundtrip_gives_identical_logits(self, in_dim, width, n_blocks,
+                                              n_classes, output_mode,
+                                              activation, seed):
+        net = init_net(in_dim, width, n_blocks, n_classes,
+                       output_mode=output_mode, activation=activation,
+                       seed=seed)
+        x = substream(seed, "x").normal(size=(5, in_dim))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_checkpoint(net, path)
+            again, _ = load_checkpoint(path)
+        assert forward(again, x).tobytes() == forward(net, x).tobytes()
 
     def test_loss_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
