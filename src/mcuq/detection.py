@@ -114,6 +114,16 @@ class BsasTraceEntry:
     mean_box_at_insert: Box
 
 
+def _argmax(values: list[float]) -> int:
+    """Index of the largest value: on a tie the first index wins and the
+    first NaN wins outright, as with ``np.argmax``."""
+    best, top = 0, values[0]
+    for i, v in enumerate(values):
+        if v > top or (v != v and top == top):
+            best, top = i, v
+    return best
+
+
 def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5,
                  return_trace: bool = False):
     """Sequential single-pass fusion of one image's detections.
@@ -123,40 +133,67 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5,
     IoU >= theta_iou and whose mean-probability argmax matches its own;
     otherwise it founds a new cluster.  Cluster means update incrementally,
     so identical input order always yields identical clusters.
+
+    The loop runs on plain floats: each cluster keeps its mean box (with
+    its area), mean probabilities and class id, each mean updated as
+    ``(m*k + x)/(k+1)``, and IoU is computed inline with the float
+    operations of ``iou``.  Boxes and observations are built once, at the
+    end.
     """
     image_ids = {d.image_id for d in dets}
     if len(image_ids) > 1:
         raise ValueError(f"detections span several images: {sorted(image_ids)}")
     order = sorted(range(len(dets)), key=lambda i: (dets[i].pass_index, i))
-    clusters: list[ClusteredObservation] = []
+    members: list[list[Detection]] = []
+    boxes: list[tuple[float, float, float, float, float]] = []  # corners, area
+    means: list[list[float]] = []
+    classes: list[int] = []
     trace: list[BsasTraceEntry] = []
     for pos, i in enumerate(order):
         det = dets[i]
-        placed = None
-        overlap = 1.0
-        for ci, cluster in enumerate(clusters):
-            overlap_ci = iou(cluster.mean_box, det.box)
-            if overlap_ci >= theta_iou and cluster.class_id == det.class_id:
-                placed, overlap = ci, overlap_ci
+        x1, y1, x2, y2 = det.box.x1, det.box.y1, det.box.x2, det.box.y2
+        area = (x2 - x1) * (y2 - y1)
+        probs = np.asarray(det.probs, dtype=np.float64).tolist()
+        class_id = _argmax(probs)
+        for ci, (cx1, cy1, cx2, cy2, carea) in enumerate(boxes):
+            # iou(mean box, det.box): max/min keep the mean's value on a tie
+            iw = ((x2 if x2 < cx2 else cx2) - (x1 if x1 > cx1 else cx1))
+            ih = ((y2 if y2 < cy2 else cy2) - (y1 if y1 > cy1 else cy1))
+            if iw <= 0 or ih <= 0:
+                overlap = 0.0
+            else:
+                inter = iw * ih
+                overlap = inter / (carea + area - inter)
+            if overlap >= theta_iou and classes[ci] == class_id:
                 break
-        if placed is None:
-            cluster = ClusteredObservation(members=[det], mean_box=det.box,
-                                           mean_probs=np.asarray(det.probs, dtype=np.float64).copy(),
-                                           image_id=det.image_id)
-            clusters.append(cluster)
-            entry = BsasTraceEntry(pos, len(clusters) - 1, True, 1.0, det.box)
         else:
-            cluster = clusters[placed]
-            entry = BsasTraceEntry(pos, placed, False, overlap, cluster.mean_box)
-            k = cluster.support
-            cluster.members.append(det)
-            cluster.mean_probs = (cluster.mean_probs * k + det.probs) / (k + 1)
-            cluster.mean_box = Box(
-                x1=(cluster.mean_box.x1 * k + det.box.x1) / (k + 1),
-                y1=(cluster.mean_box.y1 * k + det.box.y1) / (k + 1),
-                x2=(cluster.mean_box.x2 * k + det.box.x2) / (k + 1),
-                y2=(cluster.mean_box.y2 * k + det.box.y2) / (k + 1))
-        trace.append(entry)
+            members.append([det])
+            boxes.append((x1, y1, x2, y2, area))
+            means.append(probs)
+            classes.append(class_id)
+            if return_trace:
+                trace.append(BsasTraceEntry(pos, len(members) - 1, True, 1.0,
+                                            det.box))
+            continue
+        k = len(members[ci])
+        if return_trace:
+            at_insert = (members[ci][0].box if k == 1
+                         else Box(cx1, cy1, cx2, cy2))
+            trace.append(BsasTraceEntry(pos, ci, False, overlap, at_insert))
+        members[ci].append(det)
+        nx1, ny1 = (cx1 * k + x1) / (k + 1), (cy1 * k + y1) / (k + 1)
+        nx2, ny2 = (cx2 * k + x2) / (k + 1), (cy2 * k + y2) / (k + 1)
+        if not (nx1 < nx2 and ny1 < ny2):
+            raise ValueError(f"degenerate box {(nx1, ny1, nx2, ny2)}")
+        boxes[ci] = (nx1, ny1, nx2, ny2, (nx2 - nx1) * (ny2 - ny1))
+        means[ci] = [(m * k + p) / (k + 1) for m, p in zip(means[ci], probs)]
+        classes[ci] = _argmax(means[ci])
+    clusters = [ClusteredObservation(
+        members=group,
+        mean_box=group[0].box if len(group) == 1 else Box(*box[:4]),
+        mean_probs=np.array(mean, dtype=np.float64),
+        image_id=group[0].image_id)
+        for group, box, mean in zip(members, boxes, means)]
     if return_trace:
         return clusters, trace
     return clusters

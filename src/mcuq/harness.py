@@ -23,6 +23,7 @@ from . import metrics as M
 from .datasets import ShiftSpec, corrupt, make_blobs, make_box_scenes, make_moons
 from .detection import (
     ClusteredObservation,
+    Detection,
     NoiseSpec,
     cluster_all,
     label_tp_fp,
@@ -67,6 +68,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     task: str = "classification"
@@ -104,14 +109,25 @@ class ExperimentConfig:
             if p not in PRESETS:
                 raise ValueError(f"unknown preset {p!r}")
         for r in self.drop_rates:
-            if not (isinstance(r, (int, float)) and 0.0 <= r < 1.0):
+            if not (_is_real(r) and 0.0 <= r < 1.0):
                 raise ValueError(f"drop_rates: {r!r} is not in [0, 1)")
         for T in self.Ts:
             if not (_is_int(T) and T >= 1):
                 raise ValueError(f"Ts: {T!r} is not a positive integer")
-        if not (_is_int(self.block_size) and self.block_size >= 1):
-            raise ValueError(
-                f"block_size: {self.block_size!r} is not a positive integer")
+        for name in ("block_size", "ece_bins"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name}: {value!r} is not a positive integer")
+        fraction = self.test_fraction
+        if not (_is_real(fraction) and 0.0 < fraction < 1.0):
+            raise ValueError(f"test_fraction: {fraction!r} is not in (0, 1)")
+        for c in self.conf_thresholds:
+            if not (_is_real(c) and 0.0 <= c <= 1.0):
+                raise ValueError(f"conf_thresholds: {c!r} is not in [0, 1]")
+        for name in ("theta_iou", "match_tau"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name}: {value!r} is not in [0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -231,18 +247,17 @@ def _detection_noise(base: NoiseSpec, drop_rate: float) -> NoiseSpec:
                      image_size=base.image_size)
 
 
-def _fuse_detections(cfg: ExperimentConfig, gts, noise: NoiseSpec,
+def _detector_passes(cfg: ExperimentConfig, gts, noise: NoiseSpec,
                      n_classes: int, method: str, drop_rate: float,
-                     preset: str, T: int) -> list[ClusteredObservation]:
-    """T synthetic passes of one detector cell, fused by BSAS.  The
-    confidence threshold only filters the result, so every threshold of a
-    cell and T shares one fusion."""
+                     preset: str, T: int) -> list[Detection]:
+    """T synthetic passes of one detector cell.  Pass t draws from its own
+    stream, so the passes with ``pass_index < T'`` of this run are exactly
+    a T'-pass run, detection for detection."""
     pass_seed = _cell_seed(cfg, "detector", method, repr(float(drop_rate)),
                            preset)
-    dets = synth_detector(gts, _detection_noise(noise, drop_rate), T=T,
+    return synth_detector(gts, _detection_noise(noise, drop_rate), T=T,
                           seed=pass_seed, n_classes=n_classes,
                           mode=cfg.arch.get("output_mode", "softmax"))
-    return cluster_all(dets, theta_iou=cfg.theta_iou)
 
 
 def _detection_report(cfg: ExperimentConfig, gts,
@@ -282,9 +297,10 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None,
     classification evaluates every test sample."""
     if cfg.task == "detection":
         gts, noise = detection_ctx
-        clusters = _fuse_detections(cfg, gts, noise, n_classes, point.method,
-                                    point.drop_rate, point.adapted_blocks,
-                                    point.T)
+        dets = _detector_passes(cfg, gts, noise, n_classes, point.method,
+                                point.drop_rate, point.adapted_blocks,
+                                point.T)
+        clusters = cluster_all(dets, theta_iou=cfg.theta_iou)
         return _detection_report(cfg, gts, clusters, point.conf_threshold)
     spec = _mc_spec(cfg, point.method, point.drop_rate, point.adapted_blocks,
                     net.n_blocks)
@@ -307,6 +323,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     reports.csv (all rows), pareto_front.csv (the non-dominated subset) and
     pareto_points.csv / arc_curve.csv plot data.  Cell failures are
     recorded and the sweep continues.
+
+    A detection cell runs the synthetic detector once, at the largest T;
+    each T fuses the passes with ``pass_index < T`` once, and every
+    confidence threshold filters those clusters.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -342,13 +362,25 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                     except Exception as exc:
                         failures.append((cell_name, str(exc)))
                         continue
+                detector_error = None
+                if cfg.task == "detection":
+                    # one detector run at the largest T serves every T;
+                    # drop the previous cell's passes and clusters first
+                    dets = clusters = None
+                    try:
+                        dets = _detector_passes(cfg, gts, noise, n_classes,
+                                                method, drop_rate, preset,
+                                                max(cfg.Ts))
+                    except Exception as exc:
+                        detector_error = str(exc)
                 for T in cfg.Ts:
-                    clusters = fusion_error = None
-                    if cfg.task == "detection":
+                    clusters = None
+                    fusion_error = detector_error
+                    if cfg.task == "detection" and fusion_error is None:
                         try:
-                            clusters = _fuse_detections(
-                                cfg, gts, noise, n_classes, method, drop_rate,
-                                preset, T)
+                            clusters = cluster_all(
+                                [d for d in dets if d.pass_index < T],
+                                theta_iou=cfg.theta_iou)
                         except Exception as exc:
                             fusion_error = str(exc)
                     for conf_threshold in cfg.conf_thresholds:

@@ -237,20 +237,28 @@ def save_reports(points: list[tuple[ConfigPoint, EvalReport]],
             w.writerow(report_row(cfg, report))
 
 
+_REPORT_TYPES = dict(zip(REPORT_COLUMNS, (str, float, int, float, str, float,
+                                          float, float, float, float)))
+
+
 def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
+    """Rows of a reports CSV.  A missing or unparsable cell raises
+    ValueError naming the column, the data row (from 1) and the value."""
     points = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            cfg = ConfigPoint(method=row["method"],
-                              drop_rate=float(row["drop_rate"]),
-                              T=int(row["T"]),
-                              conf_threshold=float(row["conf_threshold"]),
-                              adapted_blocks=row["adapted_blocks"])
-            rep = EvalReport(map_50_95=float(row["map_50_95"]),
-                             brier=float(row["brier"]), ece=float(row["ece"]),
-                             auarc=float(row["auarc"]),
-                             mean_entropy=float(row["mean_entropy"]),
+        for n, row in enumerate(csv.DictReader(f), start=1):
+            values = {}
+            for name, convert in _REPORT_TYPES.items():
+                raw = row.get(name)
+                try:
+                    if raw is None:
+                        raise ValueError
+                    values[name] = convert(raw)
+                except ValueError:
+                    raise ValueError(f"{path}: data row {n}, column {name!r}: "
+                                     f"bad value {raw!r}") from None
+            cfg = ConfigPoint(**{k: values[k] for k in REPORT_COLUMNS[:5]})
+            rep = EvalReport(**{k: values[k] for k in REPORT_COLUMNS[5:]},
                              config_echo=cfg)
             points.append((cfg, rep))
     return points

@@ -7,6 +7,8 @@ from mcuq.detection import (
     IOU_THRESHOLDS,
     RECALL_LEVELS,
     Box,
+    BsasTraceEntry,
+    ClusteredObservation,
     Detection,
     GroundTruth,
     NoiseSpec,
@@ -146,6 +148,123 @@ class TestBsas:
                 det((0, 0, 5, 5), [0.8, 0.2], image_id=0)]
         clusters = cluster_all(dets)
         assert [c.image_id for c in clusters] == [0, 1]
+
+
+def loop_bsas_cluster(dets, theta_iou=0.5):
+    """Loop oracle: the BSAS loop the plain-float one replaced.  It calls
+    ``iou`` on validated boxes and reads class ids through ``np.argmax``;
+    returns (clusters, trace) for one image's detections."""
+    order = sorted(range(len(dets)), key=lambda i: (dets[i].pass_index, i))
+    clusters, trace = [], []
+    for pos, i in enumerate(order):
+        det = dets[i]
+        placed = None
+        overlap = 1.0
+        for ci, cluster in enumerate(clusters):
+            overlap_ci = iou(cluster.mean_box, det.box)
+            if overlap_ci >= theta_iou and cluster.class_id == det.class_id:
+                placed, overlap = ci, overlap_ci
+                break
+        if placed is None:
+            cluster = ClusteredObservation(
+                members=[det], mean_box=det.box,
+                mean_probs=np.asarray(det.probs, dtype=np.float64).copy(),
+                image_id=det.image_id)
+            clusters.append(cluster)
+            entry = BsasTraceEntry(pos, len(clusters) - 1, True, 1.0, det.box)
+        else:
+            cluster = clusters[placed]
+            entry = BsasTraceEntry(pos, placed, False, overlap,
+                                   cluster.mean_box)
+            k = cluster.support
+            cluster.members.append(det)
+            cluster.mean_probs = (cluster.mean_probs * k + det.probs) / (k + 1)
+            cluster.mean_box = Box(
+                x1=(cluster.mean_box.x1 * k + det.box.x1) / (k + 1),
+                y1=(cluster.mean_box.y1 * k + det.box.y1) / (k + 1),
+                x2=(cluster.mean_box.x2 * k + det.box.x2) / (k + 1),
+                y2=(cluster.mean_box.y2 * k + det.box.y2) / (k + 1))
+        trace.append(entry)
+    return clusters, trace
+
+
+def assert_same_clusters(got, want):
+    """Members equal by identity and order, means exactly equal."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g.members) == len(w.members)
+        assert all(a is b for a, b in zip(g.members, w.members))
+        assert g.mean_box == w.mean_box
+        assert g.mean_probs.dtype == np.float64
+        assert np.array_equal(g.mean_probs, w.mean_probs)
+        assert g.image_id == w.image_id
+
+
+# Boxes on a small integer grid (exact duplicates, touching and disjoint
+# boxes are common, and running means leave the grid) and probability
+# vectors with argmax ties between classes 0 and 1, 1 and 2, and all three.
+BSAS_BOXES = st.tuples(st.integers(0, 10), st.integers(0, 10),
+                       st.integers(1, 6), st.integers(1, 6)).map(
+    lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3]))
+BSAS_PROBS = [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.4, 0.4, 0.2),
+              (0.2, 0.4, 0.4), (1 / 3, 1 / 3, 1 / 3), (0.9, 0.05, 0.05),
+              (0.05, 0.05, 0.9), (0.5, 0.3, 0.2)]
+BSAS_THETAS = (0.0, 0.3, 0.5, 1.0)
+
+
+@st.composite
+def pass_scenes(draw, n_images=1):
+    """Detections of several passes, drawn from one shared pool of boxes."""
+    pool = draw(st.lists(BSAS_BOXES, min_size=1, max_size=5))
+    return draw(st.lists(
+        st.builds(det, st.sampled_from(pool), st.sampled_from(BSAS_PROBS),
+                  pass_index=st.integers(0, 3),
+                  image_id=st.integers(0, n_images - 1)),
+        max_size=16))
+
+
+class TestBsasAgainstLoopOracle:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(pass_scenes(), st.sampled_from(BSAS_THETAS))
+    def test_clusters_and_trace_equal(self, dets, theta_iou):
+        want, want_trace = loop_bsas_cluster(dets, theta_iou)
+        got, trace = bsas_cluster(dets, theta_iou, return_trace=True)
+        assert_same_clusters(got, want)
+        assert trace == want_trace
+        assert_same_clusters(bsas_cluster(dets, theta_iou), want)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pass_scenes(n_images=3), st.sampled_from(BSAS_THETAS))
+    def test_cluster_all_equals_oracle_per_image(self, dets, theta_iou):
+        want = []
+        for image_id in sorted({d.image_id for d in dets}):
+            want += loop_bsas_cluster(
+                [d for d in dets if d.image_id == image_id], theta_iou)[0]
+        assert_same_clusters(cluster_all(dets, theta_iou), want)
+
+    def test_zero_theta_joins_a_disjoint_cluster_of_its_class(self):
+        first = det((0, 0, 1, 1), [0.9, 0.1], pass_index=0)
+        same_class = det((5, 5, 6, 6), [0.8, 0.2], pass_index=1)
+        other_class = det((5, 5, 6, 6), [0.2, 0.8], pass_index=1)
+        clusters, trace = bsas_cluster([first, same_class], theta_iou=0.0,
+                                       return_trace=True)
+        assert [c.members for c in clusters] == [[first, same_class]]
+        assert trace[1] == BsasTraceEntry(1, 0, False, 0.0, first.box)
+        assert len(bsas_cluster([first, other_class], theta_iou=0.0)) == 2
+        assert len(bsas_cluster([first, same_class], theta_iou=0.3)) == 2
+
+    def test_argmax_tie_takes_the_first_class(self):
+        # a tie between classes 0 and 1, in a founder and then in a running
+        # mean, reads as class 0: a class-0 detection joins, a class-1 one
+        # founds a new cluster
+        a = det((0, 0, 4, 4), [0.4, 0.4, 0.2], pass_index=0)
+        b = det((0, 0, 4, 4), [0.45, 0.45, 0.1], pass_index=1)
+        c0 = det((0, 0, 4, 4), [0.7, 0.2, 0.1], pass_index=2)
+        c1 = det((0, 0, 4, 4), [0.2, 0.7, 0.1], pass_index=2)
+        assert [c.support for c in bsas_cluster([a, c0])] == [2]
+        assert [c.support for c in bsas_cluster([a, c1])] == [1, 1]
+        assert [c.support for c in bsas_cluster([a, b, c0])] == [3]
+        assert [c.support for c in bsas_cluster([a, b, c1])] == [2, 1]
 
 
 # hand-computed three-detection / two-ground-truth instance:
@@ -468,6 +587,27 @@ class TestSynthDetector:
         for da, db in zip(a, b):
             assert da.box == db.box
             assert np.array_equal(da.probs, db.probs)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2 ** 32),
+           st.sampled_from(["softmax", "sigmoid"]),
+           st.sampled_from([0.0, 1.5]), st.sampled_from([0.0, 0.3]),
+           st.sampled_from([0.0, 0.8]))
+    def test_pass_prefix_equals_a_shorter_run(self, T, extra, seed, mode,
+                                              jitter, miss, halluc):
+        scene = self.SCENE + [gt((5, 60, 25, 90), class_id=2, image_id=1)]
+        noise = NoiseSpec(box_jitter=jitter, miss_prob=miss,
+                          halluc_rate=halluc)
+        longer = synth_detector(scene, noise, T=T + extra, seed=seed,
+                                n_classes=3, mode=mode)
+        prefix = [d for d in longer if d.pass_index < T]
+        short = synth_detector(scene, noise, T=T, seed=seed, n_classes=3,
+                               mode=mode)
+        assert len(prefix) == len(short)
+        for a, b in zip(prefix, short):
+            assert a.box == b.box
+            assert np.array_equal(a.probs, b.probs)
+            assert (a.pass_index, a.image_id) == (b.pass_index, b.image_id)
 
     def test_perfect_detector_end_to_end_map_is_one(self):
         noise = NoiseSpec(box_jitter=0.0, miss_prob=0.0, halluc_rate=0.0)

@@ -77,6 +77,16 @@ class TestConfig:
         ("Ts", [True], "True"),
         ("block_size", 0, "0"),
         ("block_size", 2.0, "2.0"),
+        ("ece_bins", 0, "0"),
+        ("ece_bins", 10.0, "10.0"),
+        ("test_fraction", 0.0, "0.0"),
+        ("test_fraction", 1.0, "1.0"),
+        ("conf_thresholds", [0.0, 1.5], "1.5"),
+        ("conf_thresholds", [-0.1], "-0.1"),
+        ("theta_iou", -1, "-1"),
+        ("theta_iou", 1.5, "1.5"),
+        ("match_tau", 2.0, "2.0"),
+        ("match_tau", "0.5", "'0.5'"),
     ])
     def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
         with pytest.raises(ValueError) as err:
@@ -209,6 +219,29 @@ class TestDetectionSweep:
             again = rerun_row(cfg, point)
             for name in ("map_50_95", "brier", "ece", "auarc", "mean_entropy"):
                 assert getattr(again, name) == getattr(report, name)
+
+    def test_one_detector_run_per_cell(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(dict(
+            task="detection",
+            dataset={"kind": "boxes-detection", "n_images": 4,
+                     "boxes_per_image": 2, "n_classes": 3,
+                     "box_jitter": 1.0, "miss_prob": 0.05,
+                     "halluc_rate": 0.3, "sharpness": 0.9},
+            methods=["MCD", "MCSD"], drop_rates=[0.05, 0.15], Ts=[4, 8, 2],
+            conf_thresholds=[0.0, 0.5], adapted_presets=["all"],
+            out_dir=str(tmp_path / "det"), seed=9))
+        calls = []
+        detect = harness.synth_detector
+
+        def counting_detect(*args, **kwargs):
+            calls.append(kwargs["T"])
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "synth_detector", counting_detect)
+        result = run_sweep(cfg)
+        assert result.failures == []
+        assert len(result.points) == 24
+        assert calls == [8] * 4  # one per (method, rate, preset), at max T
 
 
 class TestAtomicWrite:

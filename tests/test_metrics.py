@@ -352,3 +352,28 @@ class TestReportCsv:
         header = path.read_text().splitlines()[0]
         assert header == ("method,drop_rate,T,conf_threshold,adapted_blocks,"
                           "map_50_95,brier,ece,auarc,mean_entropy")
+
+    @pytest.mark.parametrize("column,cell,shown", [
+        ("T", "x5", "'x5'"), ("drop_rate", "", "''"), ("ece", None, "None")])
+    def test_bad_cell_names_column_row_and_value(self, tmp_path, column,
+                                                 cell, shown):
+        pts = [(ConfigPoint("MCD", 0.1, 5, 0.0, "all"),
+                EvalReport(0.6, 0.2, 0.15, 0.7, 0.9))] * 3
+        path = tmp_path / "reports.csv"
+        save_reports(pts, path)
+        lines = path.read_text().splitlines()
+        k = lines[0].split(",").index(column)
+        if cell is None:  # drop the whole column
+            lines = [",".join(c for i, c in enumerate(line.split(","))
+                              if i != k) for line in lines]
+            row = 1
+        else:
+            fields = lines[2].split(",")
+            fields[k] = cell
+            lines[2] = ",".join(fields)
+            row = 2
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_reports(path)
+        assert f"data row {row}, column {column!r}: bad value {shown}" \
+            in str(err.value)
