@@ -181,13 +181,15 @@ def load_task_data(cfg: ExperimentConfig):
 
 def score_classification(mean_probs: np.ndarray, labels: np.ndarray,
                          mode: str) -> list[ScoredPrediction]:
-    preds = []
-    for row, label in zip(mean_probs, labels):
-        preds.append(ScoredPrediction(
-            probs=row, confidence=float(row.max()),
-            correct=bool(int(np.argmax(row)) == int(label)),
-            uncertainty=entropy_for_mode(row, mode), true_label=int(label)))
-    return preds
+    mean_probs = np.asarray(mean_probs)
+    labels = np.asarray(labels).astype(np.int64)
+    confidence = mean_probs.max(axis=1).tolist()
+    correct = (mean_probs.argmax(axis=1) == labels).tolist()
+    return [ScoredPrediction(probs=row, confidence=conf, correct=hit,
+                             uncertainty=entropy_for_mode(row, mode),
+                             true_label=label)
+            for row, conf, hit, label in zip(mean_probs, confidence, correct,
+                                             labels.tolist())]
 
 
 def classification_report(mean_probs: np.ndarray, labels: np.ndarray,
@@ -196,13 +198,14 @@ def classification_report(mean_probs: np.ndarray, labels: np.ndarray,
     """Metrics for one set of mean predictive probabilities.  The
     performance slot carries plain accuracy for classification."""
     preds = score_classification(mean_probs, labels, mode)
-    accuracy = float(np.mean([p.correct for p in preds]))
+    correct = np.array([p.correct for p in preds])
+    uncertainty = np.array([p.uncertainty for p in preds])
     report = EvalReport(
-        map_50_95=accuracy,
+        map_50_95=float(correct.mean()),
         brier=M.brier(preds),
         ece=M.ece(preds, n_bins=ece_bins),
         auarc=M.auarc(preds),
-        mean_entropy=float(np.mean([p.uncertainty for p in preds])))
+        mean_entropy=float(uncertainty.mean()))
     return report, preds
 
 

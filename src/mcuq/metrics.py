@@ -69,7 +69,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
     if (p < 0).any():
         raise ValueError("negative probability entry")
     total = p.sum()
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:  # also rejects NaN and inf entries
         raise ValueError(f"probabilities sum to {total}, not 1")
     if abs(total - 1.0) > 1e-13:
         # renormalizing a vector already within rounding error of 1 would
@@ -86,7 +86,7 @@ def mean_binary_entropy(probs: np.ndarray) -> float:
     probabilities and do not sum to 1.
     """
     p = np.asarray(probs, dtype=np.float64)
-    if ((p < 0) | (p > 1)).any():
+    if not ((p >= 0) & (p <= 1)).all():  # NaN fails both comparisons
         raise ValueError("entries must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(p > 0, p * np.log2(p), 0.0) \
@@ -100,20 +100,31 @@ def entropy_for_mode(probs: np.ndarray, mode: str) -> float:
     return mean_binary_entropy(probs)
 
 
+def _first_bad(mask: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row flagged in ``mask``."""
+    if mask.any():
+        raise ValueError(f"row {int(np.argmax(mask))}: {what}")
+
+
 def brier(preds: list[ScoredPrediction]) -> float:
     """Mean squared error between probability vectors and one-hot labels,
-    normalized by N * C."""
+    normalized by N * C.  Row errors are added left to right, as a running
+    total would."""
     if not preds:
         raise ValueError("empty prediction set")
-    total = 0.0
-    n_classes = len(preds[0].probs)
-    for p in preds:
-        if p.true_label is None:
-            raise ValueError("brier needs a true label on every prediction")
-        onehot = np.zeros(n_classes)
-        onehot[p.true_label] = 1.0
-        total += float(np.sum((np.asarray(p.probs) - onehot) ** 2))
-    return total / (len(preds) * n_classes)
+    labels = [p.true_label for p in preds]
+    if None in labels:
+        raise ValueError(f"row {labels.index(None)}: brier needs a true "
+                         "label on every prediction")
+    sq = np.array([p.probs for p in preds], dtype=np.float64)
+    n, n_classes = sq.shape
+    labels = np.array(labels)
+    _first_bad((labels < 0) | (labels >= n_classes),
+               f"true label outside [0, {n_classes})")
+    sq[np.arange(n), labels] -= 1.0
+    # cumsum adds the rows in order; a whole-array sum would pair them
+    total = np.cumsum(np.sum(sq ** 2, axis=1))[-1]
+    return float(total / (n * n_classes))
 
 
 def ece(preds: list[ScoredPrediction], n_bins: int = 15) -> float:
@@ -128,8 +139,7 @@ def ece(preds: list[ScoredPrediction], n_bins: int = 15) -> float:
         raise ValueError("n_bins must be >= 1")
     conf = np.array([p.confidence for p in preds])
     correct = np.array([p.correct for p in preds], dtype=np.float64)
-    if ((conf < 0) | (conf > 1)).any():
-        raise ValueError("confidences must lie in [0, 1]")
+    _first_bad(~((conf >= 0) & (conf <= 1)), "confidences must lie in [0, 1]")
     n = len(preds)
     total = 0.0
     for m in range(n_bins):
@@ -147,31 +157,40 @@ def ece(preds: list[ScoredPrediction], n_bins: int = 15) -> float:
     return float(total)
 
 
+def _retained_accuracy(preds: list[ScoredPrediction]) -> np.ndarray:
+    """Accuracy of the retained rows after rejecting the k most uncertain,
+    for k = 0..N-1.  Ties in uncertainty are broken by stable input order.
+
+    The hit counts are exact integers, so each entry equals the mean of
+    the retained 0/1 hits bit for bit."""
+    if not preds:
+        raise ValueError("empty prediction set")
+    unc = np.array([p.uncertainty for p in preds], dtype=np.float64)
+    _first_bad(np.isnan(unc), "uncertainty is NaN")
+    correct = np.array([p.correct for p in preds], dtype=np.float64)
+    order = np.argsort(-unc, kind="stable")  # most uncertain first
+    hits_retained = np.cumsum(correct[order][::-1])[::-1]
+    return hits_retained / np.arange(len(preds), 0, -1)
+
+
 def accuracy_rejection_curve(preds: list[ScoredPrediction]) -> list[tuple[float, float]]:
     """(rejected fraction, accuracy of retained) pairs at every rejection
     step k/N for k = 0..N-1, rejecting most-uncertain first.
 
     Ties in uncertainty are broken by stable input order.
     """
-    if not preds:
-        raise ValueError("empty prediction set")
-    n = len(preds)
-    unc = np.array([p.uncertainty for p in preds])
-    correct = np.array([p.correct for p in preds], dtype=np.float64)
-    order = np.argsort(-unc, kind="stable")  # most uncertain first
-    correct_by_rejection = correct[order]
-    curve = []
-    for k in range(n):
-        retained = correct_by_rejection[k:]
-        curve.append((k / n, float(retained.mean())))
-    return curve
+    acc = _retained_accuracy(preds)
+    n = len(acc)
+    return [(k / n, a) for k, a in enumerate(acc.tolist())]
 
 
 def auarc(preds: list[ScoredPrediction]) -> float:
     """Area under the accuracy-rejection curve (left Riemann sum over the
-    N rejection steps; the all-rejected point is never evaluated)."""
-    curve = accuracy_rejection_curve(preds)
-    return float(sum(acc for _, acc in curve) / len(curve))
+    N rejection steps; the all-rejected point is never evaluated).  The
+    builtin ``sum`` fixes the rounding: ``math.fsum`` and numpy's pairwise
+    sum round differently."""
+    acc = _retained_accuracy(preds)
+    return float(sum(acc.tolist()) / len(acc))
 
 
 def ipp_distance(report: EvalReport) -> float:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcuq.harness import classification_report, score_classification
 from mcuq.metrics import (
     ConfigPoint,
     EvalReport,
@@ -11,6 +14,7 @@ from mcuq.metrics import (
     auarc,
     brier,
     ece,
+    entropy_for_mode,
     ipp_distance,
     ipp_select,
     load_reports,
@@ -250,6 +254,139 @@ class TestAccuracyRejectionCurve:
         curve = accuracy_rejection_curve(preds)
         integral = sum(acc for _, acc in curve) / len(curve)
         assert abs(integral - auarc(preds)) <= 1e-12
+
+
+# The row loops that the array kernels replaced.  They are the exact
+# oracles: every output of the kernels must equal theirs bit for bit.
+
+def brier_loop_oracle(preds):
+    total = 0.0
+    n_classes = len(preds[0].probs)
+    for p in preds:
+        onehot = np.zeros(n_classes)
+        onehot[p.true_label] = 1.0
+        total += float(np.sum((np.asarray(p.probs) - onehot) ** 2))
+    return total / (len(preds) * n_classes)
+
+
+def arc_loop_oracle(preds):
+    n = len(preds)
+    unc = np.array([p.uncertainty for p in preds])
+    correct = np.array([p.correct for p in preds], dtype=np.float64)
+    correct_by_rejection = correct[np.argsort(-unc, kind="stable")]
+    return [(k / n, float(correct_by_rejection[k:].mean())) for k in range(n)]
+
+
+def auarc_loop_oracle(preds):
+    curve = arc_loop_oracle(preds)
+    return float(sum(acc for _, acc in curve) / len(curve))
+
+
+def score_rows_oracle(mean_probs, labels, mode):
+    return [ScoredPrediction(
+        probs=row, confidence=float(row.max()),
+        correct=bool(int(np.argmax(row)) == int(label)),
+        uncertainty=entropy_for_mode(row, mode), true_label=int(label))
+        for row, label in zip(mean_probs, labels)]
+
+
+def random_scores(seed, n, n_classes, mode, label_dtype, levels):
+    """(mean probabilities, labels, mode).  With ``levels`` > 0 the entries
+    sit on a grid of that many steps, so rows repeat and entropies tie."""
+    rng = np.random.default_rng(seed)
+    if levels:
+        probs = rng.integers(1, levels + 1, size=(n, n_classes)) / levels
+    else:
+        probs = rng.random((n, n_classes))
+    if mode == "softmax":
+        probs = probs / probs.sum(axis=1, keepdims=True)
+    labels = rng.integers(n_classes, size=n).astype(label_dtype)
+    return probs, labels, mode
+
+
+scored_inputs = st.builds(
+    random_scores, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+    n_classes=st.sampled_from([2, 3, 8, 9, 17]),
+    mode=st.sampled_from(["softmax", "sigmoid"]),
+    label_dtype=st.sampled_from([np.int32, np.int64]),
+    levels=st.sampled_from([0, 1, 2, 5]))
+
+
+class TestExactOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(scored_inputs)
+    def test_report_and_curve_equal_row_loops(self, inputs):
+        probs, labels, mode = inputs
+        rep, preds = classification_report(probs, labels, mode)
+        rows = score_rows_oracle(probs, labels, mode)
+        assert [(p.confidence, p.correct, p.uncertainty, p.true_label)
+                for p in preds] \
+            == [(p.confidence, p.correct, p.uncertainty, p.true_label)
+                for p in rows]
+        assert rep.map_50_95 == float(np.mean([p.correct for p in rows]))
+        assert rep.mean_entropy == float(np.mean([p.uncertainty for p in rows]))
+        assert rep.brier == brier_loop_oracle(rows)
+        assert rep.auarc == auarc_loop_oracle(rows)
+        assert accuracy_rejection_curve(preds) == arc_loop_oracle(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+           st.integers(1, 6))
+    def test_tied_uncertainties_equal_row_loops(self, seed, n, n_levels):
+        # integer-valued uncertainties, so ranks tie
+        rng = np.random.default_rng(seed)
+        preds = [pred(correct=bool(rng.integers(2)),
+                      uncertainty=float(rng.integers(n_levels)))
+                 for _ in range(n)]
+        assert accuracy_rejection_curve(preds) == arc_loop_oracle(preds)
+        assert auarc(preds) == auarc_loop_oracle(preds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+           st.sampled_from([2, 3, 8, 9, 17]))
+    def test_brier_equals_row_loop(self, seed, n, n_classes):
+        preds = random_preds(np.random.default_rng(seed), n, n_classes)
+        assert brier(preds) == brier_loop_oracle(preds)
+
+    def test_rows_carry_python_scalars(self):
+        probs, labels, mode = random_scores(0, 40, 3, "softmax", np.int32, 0)
+        for p in score_classification(probs, labels, mode):
+            assert type(p.confidence) is float
+            assert type(p.correct) is bool
+            assert type(p.true_label) is int
+
+
+class TestRejectsBadInputs:
+    def test_brier_negative_label(self):
+        preds = [pred(probs=[0.5, 0.5], true_label=0),
+                 pred(probs=[0.8, 0.2], true_label=-1)]
+        with pytest.raises(ValueError, match="row 1"):
+            brier(preds)
+
+    def test_brier_label_past_last_class(self):
+        with pytest.raises(ValueError, match="row 0"):
+            brier([pred(probs=[0.5, 0.5], true_label=2)])
+
+    def test_ece_nan_confidence(self):
+        preds = [pred(confidence=0.5), pred(confidence=0.7),
+                 pred(confidence=float("nan"))]
+        with pytest.raises(ValueError, match="row 2"):
+            ece(preds)
+
+    def test_shannon_entropy_nan_entry(self):
+        with pytest.raises(ValueError):
+            shannon_entropy(np.array([np.nan, 0.5, 0.5]))
+
+    def test_auarc_nan_uncertainty(self):
+        preds = [pred(uncertainty=0.2), pred(uncertainty=float("nan"))]
+        with pytest.raises(ValueError, match="row 1"):
+            auarc(preds)
+        with pytest.raises(ValueError, match="row 1"):
+            accuracy_rejection_curve(preds)
+
+    def test_mean_binary_entropy_nan_entry(self):
+        with pytest.raises(ValueError):
+            mean_binary_entropy(np.array([0.5, np.nan]))
 
 
 def report(map_=0.5, auarc_=0.5):
