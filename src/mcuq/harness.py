@@ -198,14 +198,13 @@ def classification_report(mean_probs: np.ndarray, labels: np.ndarray,
     """Metrics for one set of mean predictive probabilities.  The
     performance slot carries plain accuracy for classification."""
     preds = score_classification(mean_probs, labels, mode)
-    correct = np.array([p.correct for p in preds])
-    uncertainty = np.array([p.uncertainty for p in preds])
+    accuracy = float(np.mean([p.correct for p in preds]))
     report = EvalReport(
-        map_50_95=float(correct.mean()),
+        map_50_95=accuracy,
         brier=M.brier(preds),
         ece=M.ece(preds, n_bins=ece_bins),
         auarc=M.auarc(preds),
-        mean_entropy=float(uncertainty.mean()))
+        mean_entropy=float(np.mean([p.uncertainty for p in preds])))
     return report, preds
 
 

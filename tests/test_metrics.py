@@ -341,13 +341,6 @@ class TestExactOracles:
         assert accuracy_rejection_curve(preds) == arc_loop_oracle(preds)
         assert auarc(preds) == auarc_loop_oracle(preds)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
-           st.sampled_from([2, 3, 8, 9, 17]))
-    def test_brier_equals_row_loop(self, seed, n, n_classes):
-        preds = random_preds(np.random.default_rng(seed), n, n_classes)
-        assert brier(preds) == brier_loop_oracle(preds)
-
     def test_rows_carry_python_scalars(self):
         probs, labels, mode = random_scores(0, 40, 3, "softmax", np.int32, 0)
         for p in score_classification(probs, labels, mode):
