@@ -15,13 +15,14 @@ from pathlib import Path
 from .datasets import DATASET_KINDS, ShiftSpec, make_dataset
 from .harness import (
     ExperimentConfig,
+    evaluate_point,
+    first_point,
+    load_task_data,
     run_shift,
     run_sweep,
     train_cell,
-    load_task_data,
-    evaluate_point,
 )
-from .metrics import ConfigPoint, ipp_distance, ipp_select, load_reports
+from .metrics import ipp_distance, ipp_select, load_reports
 from .nn_core import load_checkpoint, save_checkpoint, save_loss_trace
 
 
@@ -50,11 +51,14 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
-    for name in ("epochs", "learning_rate", "weight_decay"):
-        value = getattr(args, name, None)
-        if value is not None:
-            raw.setdefault("train", {})
-            raw["train"] = {**raw.get("train", {}), name: value}
+    train_flags = {name: getattr(args, name) for name in
+                   ("epochs", "learning_rate", "weight_decay")
+                   if getattr(args, name, None) is not None}
+    if train_flags:
+        # the flags override single keys of the config's train block, or
+        # of the default one when the config has none
+        raw["train"] = {**raw.get("train", ExperimentConfig().train),
+                        **train_flags}
     return ExperimentConfig.from_dict(raw)
 
 
@@ -100,12 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _first_point(cfg: ExperimentConfig) -> ConfigPoint:
-    return ConfigPoint(method=cfg.methods[0], drop_rate=cfg.drop_rates[0],
-                       T=cfg.Ts[0], conf_threshold=cfg.conf_thresholds[0],
-                       adapted_blocks=cfg.adapted_presets[0])
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "make-data":
         files = make_dataset(args.kind, json.loads(args.params), args.seed,
@@ -117,8 +115,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "select":
         points = load_reports(args.reports)
         if not points:
-            print("error: empty report file", file=sys.stderr)
-            return 1
+            raise ValueError("empty report file")
         best = ipp_select(points)
         d = min(ipp_distance(rep) for cfg, rep in points
                 if cfg.key() == best.key())
@@ -131,11 +128,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "train":
         if cfg.task != "classification":
-            print("error: train applies to the classification task",
-                  file=sys.stderr)
-            return 1
+            raise ValueError("train applies to the classification task")
         train_data, _, n_classes = load_task_data(cfg)
-        point = _first_point(cfg)
+        point = first_point(cfg)
         net, trace, spec = train_cell(cfg, point.method, point.drop_rate,
                                       point.adapted_blocks, train_data,
                                       n_classes)
@@ -149,14 +144,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "eval":
         net, _ = load_checkpoint(args.checkpoint)
-        point = _first_point(cfg)
-        if cfg.task == "classification":
-            _, test_data, n_classes = load_task_data(cfg)
-            report, _ = evaluate_point(cfg, net, test_data, n_classes, point)
-        else:
-            gts, noise, n_classes = load_task_data(cfg)
-            report, _ = evaluate_point(cfg, None, None, n_classes, point,
-                                       detection_ctx=(gts, noise))
+        report, _ = evaluate_point(cfg, net, load_task_data(cfg),
+                                   first_point(cfg))
         print(f"performance={report.map_50_95:.4f} brier={report.brier:.4f} "
               f"ece={report.ece:.4f} auarc={report.auarc:.4f} "
               f"mean_entropy={report.mean_entropy:.4f}")

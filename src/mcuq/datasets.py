@@ -19,8 +19,39 @@ import numpy as np
 from .detection import Box, GroundTruth, save_ground_truths
 from .rng import substream
 
-DATASET_KINDS = ("blobs-classification", "moons-classification",
-                 "boxes-detection")
+# Generator parameters of each dataset kind, with their defaults; the
+# defaults' types are the types a parameter must have.
+DATASET_PARAMS = {
+    "blobs-classification": {"n": 600, "n_classes": 3, "spread": 0.6,
+                             "radius": 3.0, "label_noise": 0.0},
+    "moons-classification": {"n": 600, "noise": 0.1},
+    "boxes-detection": {"n_images": 8, "n_classes": 3, "boxes_per_image": 3},
+}
+DATASET_KINDS = tuple(DATASET_PARAMS)
+
+
+def dataset_params(kind: str, params: dict) -> dict:
+    """The generator keyword arguments for ``kind``: the table's defaults
+    overridden by ``params``.  An unknown kind or key, or a value of the
+    wrong type, raises a ``ValueError`` naming it."""
+    if kind not in DATASET_PARAMS:
+        raise ValueError(f"dataset: unknown kind {kind!r}; "
+                         f"choose from {DATASET_KINDS}")
+    defaults = DATASET_PARAMS[kind]
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"dataset: unknown keys {sorted(unknown)} "
+                         f"for kind {kind!r}")
+    resolved = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        if isinstance(default, int):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"dataset: {key} {value!r} is not an integer")
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"dataset: {key} {value!r} is not a number")
+        resolved[key] = type(default)(value)
+    return resolved
 
 
 def make_blobs(n: int, n_classes: int = 3, spread: float = 0.6,
@@ -141,56 +172,24 @@ def save_classification(X: np.ndarray, y: np.ndarray, path: str | Path) -> None:
             w.writerow([int(label)] + [repr(float(v)) for v in row])
 
 
-def load_classification(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)  # header
-        rows = list(reader)
-    y = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    X = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    return X, y
-
-
 def make_dataset(kind: str, params: dict, seed: int,
                  out_dir: str | Path) -> list[Path]:
     """Generate a dataset and write it to ``out_dir``; returns the files
     written.  Parameters are validated before anything touches disk."""
-    if kind not in DATASET_KINDS:
-        raise ValueError(f"unknown dataset kind {kind!r}; "
-                         f"choose from {DATASET_KINDS}")
-    params = dict(params)
+    params = dataset_params(kind, params)
     out_dir = Path(out_dir)
+    if kind == "boxes-detection":
+        gts = make_box_scenes(**params, seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / "ground_truth.csv"
+        save_ground_truths(gts, path)
+        return [path]
     if kind == "blobs-classification":
-        X, y = make_blobs(n=int(params.pop("n", 600)),
-                          n_classes=int(params.pop("n_classes", 3)),
-                          spread=float(params.pop("spread", 0.6)),
-                          radius=float(params.pop("radius", 3.0)),
-                          label_noise=float(params.pop("label_noise", 0.0)),
-                          seed=seed)
-        _reject_leftover(params)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        X, y = make_blobs(**params, seed=seed)
         path = out_dir / "blobs.csv"
-        save_classification(X, y, path)
-        return [path]
-    if kind == "moons-classification":
-        X, y = make_moons(n=int(params.pop("n", 600)),
-                          noise=float(params.pop("noise", 0.1)), seed=seed)
-        _reject_leftover(params)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    else:
+        X, y = make_moons(**params, seed=seed)
         path = out_dir / "moons.csv"
-        save_classification(X, y, path)
-        return [path]
-    gts = make_box_scenes(n_images=int(params.pop("n_images", 8)),
-                          n_classes=int(params.pop("n_classes", 3)),
-                          boxes_per_image=int(params.pop("boxes_per_image", 3)),
-                          seed=seed)
-    _reject_leftover(params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "ground_truth.csv"
-    save_ground_truths(gts, path)
+    save_classification(X, y, path)
     return [path]
-
-
-def _reject_leftover(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown dataset parameters: {sorted(params)}")

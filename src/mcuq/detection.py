@@ -5,10 +5,8 @@ observations, COCO-style mAP over IoU thresholds 0.50:0.95, TP/FP labelling
 for the calibration metrics, and a synthetic stochastic detector that stands
 in for a trained vision model.
 
-File formats (one record per line, no header):
-
-* detection records: image_id, pass_index, x1, y1, x2, y2, p_1 .. p_C
-* ground truth:      image_id, class_id, x1, y1, x2, y2
+Ground-truth files hold one record per line, no header:
+image_id, class_id, x1, y1, x2, y2.
 """
 
 from __future__ import annotations
@@ -459,40 +457,9 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
     return dets
 
 
-def save_detections(dets: list[Detection], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for d in dets:
-            w.writerow([d.image_id, d.pass_index,
-                        repr(d.box.x1), repr(d.box.y1),
-                        repr(d.box.x2), repr(d.box.y2)]
-                       + [repr(float(p)) for p in d.probs])
-
-
-def load_detections(path: str | Path) -> list[Detection]:
-    dets = []
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            dets.append(Detection(
-                box=Box(*(float(v) for v in row[2:6])),
-                probs=np.array([float(v) for v in row[6:]]),
-                pass_index=int(row[1]), image_id=int(row[0])))
-    return dets
-
-
 def save_ground_truths(gts: list[GroundTruth], path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         for gt in gts:
             w.writerow([gt.image_id, gt.class_id, repr(gt.box.x1),
                         repr(gt.box.y1), repr(gt.box.x2), repr(gt.box.y2)])
-
-
-def load_ground_truths(path: str | Path) -> list[GroundTruth]:
-    gts = []
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            gts.append(GroundTruth(box=Box(*(float(v) for v in row[2:6])),
-                                   class_id=int(row[1]),
-                                   image_id=int(row[0])))
-    return gts

@@ -14,16 +14,23 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as M
-from .datasets import ShiftSpec, corrupt, make_blobs, make_box_scenes, make_moons
+from .datasets import (
+    ShiftSpec,
+    corrupt,
+    dataset_params,
+    make_blobs,
+    make_box_scenes,
+    make_moons,
+)
 from .detection import (
     ClusteredObservation,
-    Detection,
     NoiseSpec,
     cluster_all,
     label_tp_fp,
@@ -35,16 +42,35 @@ from .metrics import ConfigPoint, EvalReport, ScoredPrediction, entropy_for_mode
 from .nn_core import (
     ResidualNet,
     TrainConfig,
+    check_arch,
     init_net,
     save_checkpoint,
     save_loss_trace,
     train,
 )
 from .rng import substream
-from .stochastic import KIND_BLOCK, KIND_PATH, KIND_UNIT, MODE_MC, StochasticSpec
+from .stochastic import (
+    KIND_BLOCK,
+    KIND_PATH,
+    KIND_UNIT,
+    MODE_MC,
+    MODE_TRAINING,
+    StochasticSpec,
+)
 
 METHOD_KINDS = {"MCD": KIND_UNIT, "MCDB": KIND_BLOCK, "MCSD": KIND_PATH}
 PRESETS = ("all", "first-half", "last-half", "single-first", "single-last")
+# Dataset kinds each task accepts; the first is the default.
+TASK_DATASETS = {"classification": ("blobs-classification",
+                                    "moons-classification"),
+                 "detection": ("boxes-detection",)}
+# Synthetic-detector noise keys a detection dataset may add to the
+# generator parameters, with their defaults.
+DETECTOR_NOISE = {"box_jitter": 1.0, "miss_prob": 0.05, "halluc_rate": 0.3,
+                  "sharpness": 0.9}
+ARCH_KEYS = ("n_blocks", "width", "output_mode", "activation")
+# The train block's keys; each cell derives its own training seed.
+TRAIN_KEYS = ("learning_rate", "weight_decay", "epochs", "batch_size")
 
 
 def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
@@ -70,6 +96,17 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_keys(name: str, d, allowed, required) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{name}: {d!r} is not a mapping")
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{name}: missing key {key!r}")
 
 
 @dataclass
@@ -128,6 +165,16 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_real(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name}: {value!r} is not in [0, 1]")
+        for name, keys, required, check in (
+                ("arch", ARCH_KEYS, ("n_blocks", "width"), check_arch),
+                ("train", TRAIN_KEYS, ("learning_rate",), TrainConfig)):
+            block = getattr(self, name)
+            _check_keys(name, block, keys, required)
+            try:
+                check(**block)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        _dataset_parts(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -145,38 +192,48 @@ def _cell_seed(cfg: ExperimentConfig, *tags) -> int:
     return int(substream(cfg.seed, *tags).integers(2 ** 62))
 
 
-def load_task_data(cfg: ExperimentConfig):
-    """Build the task dataset from the config's generator parameters."""
+def _dataset_parts(cfg: ExperimentConfig
+                   ) -> tuple[str, dict, NoiseSpec | None]:
+    """The dataset kind, its generator parameters and, for detection, the
+    synthetic detector's noise; raises ``ValueError`` naming a bad key."""
     ds = dict(cfg.dataset)
-    kind = ds.pop("kind", "blobs-classification")
-    data_seed = _cell_seed(cfg, "dataset")
+    kinds = TASK_DATASETS[cfg.task]
+    kind = ds.pop("kind", kinds[0])
+    if kind not in kinds:
+        raise ValueError(f"dataset: kind {kind!r} is not one of {kinds} "
+                         f"(task {cfg.task!r})")
     if cfg.task == "classification":
-        if kind == "moons-classification":
-            X, y = make_moons(n=int(ds.get("n", 600)),
-                              noise=float(ds.get("noise", 0.1)),
-                              seed=data_seed)
-            n_classes = 2
-        else:
-            n_classes = int(ds.get("n_classes", 3))
-            X, y = make_blobs(n=int(ds.get("n", 600)), n_classes=n_classes,
-                              spread=float(ds.get("spread", 0.6)),
-                              radius=float(ds.get("radius", 3.0)),
-                              label_noise=float(ds.get("label_noise", 0.0)),
-                              seed=data_seed)
-        perm = substream(cfg.seed, "split").permutation(len(y))
-        n_test = int(round(cfg.test_fraction * len(y)))
-        test_idx, train_idx = perm[:n_test], perm[n_test:]
-        return (X[train_idx], y[train_idx]), (X[test_idx], y[test_idx]), n_classes
-    n_classes = int(ds.get("n_classes", 3))
-    gts = make_box_scenes(n_images=int(ds.get("n_images", 8)),
-                          n_classes=n_classes,
-                          boxes_per_image=int(ds.get("boxes_per_image", 3)),
-                          seed=data_seed)
-    noise = NoiseSpec(box_jitter=float(ds.get("box_jitter", 1.0)),
-                      miss_prob=float(ds.get("miss_prob", 0.05)),
-                      halluc_rate=float(ds.get("halluc_rate", 0.3)),
-                      sharpness=float(ds.get("sharpness", 0.9)))
-    return gts, noise, n_classes
+        return kind, dataset_params(kind, ds), None
+    noise = {key: ds.pop(key, default)
+             for key, default in DETECTOR_NOISE.items()}
+    for key, value in noise.items():
+        if not _is_real(value):
+            raise ValueError(f"dataset: {key} {value!r} is not a number")
+    try:
+        noise = NoiseSpec(**{k: float(v) for k, v in noise.items()})
+    except ValueError as exc:
+        raise ValueError(f"dataset: {exc}") from None
+    return kind, dataset_params(kind, ds), noise
+
+
+def load_task_data(cfg: ExperimentConfig):
+    """Build the task dataset from the config's generator parameters:
+    ``(train (X, y), test (X, y), n_classes)`` for classification and
+    ``(ground truths, detector noise, n_classes)`` for detection."""
+    kind, params, noise = _dataset_parts(cfg)
+    data_seed = _cell_seed(cfg, "dataset")
+    if cfg.task == "detection":
+        gts = make_box_scenes(**params, seed=data_seed)
+        return gts, noise, params["n_classes"]
+    if kind == "moons-classification":
+        X, y = make_moons(**params, seed=data_seed)
+    else:
+        X, y = make_blobs(**params, seed=data_seed)
+    n_classes = params.get("n_classes", 2)  # moons are two classes
+    perm = substream(cfg.seed, "split").permutation(len(y))
+    n_test = int(round(cfg.test_fraction * len(y)))
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    return (X[train_idx], y[train_idx]), (X[test_idx], y[test_idx]), n_classes
 
 
 def score_classification(mean_probs: np.ndarray, labels: np.ndarray,
@@ -208,58 +265,37 @@ def classification_report(mean_probs: np.ndarray, labels: np.ndarray,
     return report, preds
 
 
+def _cell_tags(method: str, drop_rate: float, preset: str
+               ) -> tuple[str, str, str]:
+    """The substream tags naming one (method, drop rate, preset) cell."""
+    return method, repr(float(drop_rate)), preset
+
+
+def _cell_spec(cfg: ExperimentConfig, method: str, drop_rate: float,
+               preset: str, n_blocks: int, mode: str) -> StochasticSpec:
+    return StochasticSpec(kind=METHOD_KINDS[method], drop_rate=drop_rate,
+                          adapted_blocks=resolve_preset(preset, n_blocks),
+                          block_size=cfg.block_size, mode=mode)
+
+
 def train_cell(cfg: ExperimentConfig, method: str, drop_rate: float,
                preset: str, train_data, n_classes: int
                ) -> tuple[ResidualNet, list[float], StochasticSpec]:
     """Train one sweep cell's model; fully determined by the config.
     Returns the net, its loss trace, and the stochastic spec it trained
     under."""
-    arch = cfg.arch
-    cell_seed = _cell_seed(cfg, "cell", method, repr(float(drop_rate)), preset)
-    net = init_net(in_dim=train_data[0].shape[1], width=int(arch["width"]),
-                   n_blocks=int(arch["n_blocks"]), n_classes=n_classes,
-                   output_mode=arch.get("output_mode", "softmax"),
-                   activation=arch.get("activation", "relu"),
-                   seed=cell_seed)
+    cell_seed = _cell_seed(cfg, "cell", *_cell_tags(method, drop_rate, preset))
+    # the arch keys are init_net's parameters, checked at config load
+    net = init_net(in_dim=train_data[0].shape[1], n_classes=n_classes,
+                   seed=cell_seed, **cfg.arch)
     y = train_data[1]
     if net.output_mode == "sigmoid" and y.ndim == 1:
         y = np.eye(n_classes)[y]
-    spec = StochasticSpec(kind=METHOD_KINDS[method], drop_rate=drop_rate,
-                          adapted_blocks=resolve_preset(preset, net.n_blocks),
-                          block_size=cfg.block_size)
+    spec = _cell_spec(cfg, method, drop_rate, preset, net.n_blocks,
+                      MODE_TRAINING)
     tc = TrainConfig(seed=cell_seed, **cfg.train)
     trace = train(net, (train_data[0], y), tc, stochastic=spec)
     return net, trace, spec
-
-
-def _mc_spec(cfg: ExperimentConfig, method: str, drop_rate: float,
-             preset: str, n_blocks: int) -> StochasticSpec:
-    return StochasticSpec(kind=METHOD_KINDS[method], drop_rate=drop_rate,
-                          adapted_blocks=resolve_preset(preset, n_blocks),
-                          block_size=cfg.block_size, mode=MODE_MC)
-
-
-def _detection_noise(base: NoiseSpec, drop_rate: float) -> NoiseSpec:
-    """For the detection task there is no trained vision model; the drop
-    rate instead raises the synthetic detector's miss probability, playing
-    the role a stronger stochastic mechanism would."""
-    return NoiseSpec(box_jitter=base.box_jitter,
-                     miss_prob=min(0.95, base.miss_prob + drop_rate),
-                     halluc_rate=base.halluc_rate, sharpness=base.sharpness,
-                     image_size=base.image_size)
-
-
-def _detector_passes(cfg: ExperimentConfig, gts, noise: NoiseSpec,
-                     n_classes: int, method: str, drop_rate: float,
-                     preset: str, T: int) -> list[Detection]:
-    """T synthetic passes of one detector cell.  Pass t draws from its own
-    stream, so the passes with ``pass_index < T'`` of this run are exactly
-    a T'-pass run, detection for detection."""
-    pass_seed = _cell_seed(cfg, "detector", method, repr(float(drop_rate)),
-                           preset)
-    return synth_detector(gts, _detection_noise(noise, drop_rate), T=T,
-                          seed=pass_seed, n_classes=n_classes,
-                          mode=cfg.arch.get("output_mode", "softmax"))
 
 
 def _detection_report(cfg: ExperimentConfig, gts,
@@ -281,6 +317,47 @@ def _detection_report(cfg: ExperimentConfig, gts,
     return report, preds
 
 
+def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
+                    method: str, drop_rate: float, preset: str, max_T: int):
+    """Build what one cell needs once; return ``evaluate(T, conf_threshold)
+    -> (report, predictions)`` for ``T <= max_T``.  The threshold only
+    filters detection observations.  The detector runs once, at ``max_T``:
+    pass t draws from its own stream, so the passes with ``pass_index < T``
+    are exactly a T-pass run, and each T fuses that prefix once."""
+    tags = _cell_tags(method, drop_rate, preset)
+    if cfg.task == "classification":
+        X, labels = data[1]
+        spec = _cell_spec(cfg, method, drop_rate, preset, net.n_blocks,
+                          MODE_MC)
+        eval_seed = _cell_seed(cfg, "eval", *tags)
+
+        def evaluate(T, conf_threshold):
+            summary = mc_predict(net, X, spec, T=T, base_seed=eval_seed)
+            return classification_report(summary.mean_probs, labels,
+                                         mode=net.output_mode,
+                                         ece_bins=cfg.ece_bins)
+        return evaluate
+
+    gts, noise, n_classes = data
+    # there is no trained vision model for detection; the drop rate instead
+    # raises the synthetic detector's miss probability, playing the role a
+    # stronger stochastic mechanism would
+    noise = replace(noise, miss_prob=min(0.95, noise.miss_prob + drop_rate))
+    dets = synth_detector(gts, noise, T=max_T,
+                          seed=_cell_seed(cfg, "detector", *tags),
+                          n_classes=n_classes,
+                          mode=cfg.arch.get("output_mode", "softmax"))
+    fused = {}  # T -> clusters, for one T at a time
+
+    def evaluate(T, conf_threshold):
+        if T not in fused:
+            fused.clear()  # release the previous T's clusters first
+            fused[T] = cluster_all([d for d in dets if d.pass_index < T],
+                                   theta_iou=cfg.theta_iou)
+        return _detection_report(cfg, gts, fused[T], conf_threshold)
+    return evaluate
+
+
 @dataclass
 class SweepResult:
     points: list[tuple[ConfigPoint, EvalReport]]
@@ -290,29 +367,23 @@ class SweepResult:
     last_predictions: list[ScoredPrediction] = field(default_factory=list)
 
 
-def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None,
-                   test_data, n_classes: int, point: ConfigPoint,
-                   detection_ctx=None
+def first_point(cfg: ExperimentConfig) -> ConfigPoint:
+    """The grid point made of each grid list's first entry."""
+    return ConfigPoint(method=cfg.methods[0], drop_rate=cfg.drop_rates[0],
+                       T=cfg.Ts[0], conf_threshold=cfg.conf_thresholds[0],
+                       adapted_blocks=cfg.adapted_presets[0])
+
+
+def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
+                   point: ConfigPoint
                    ) -> tuple[EvalReport, list[ScoredPrediction]]:
-    """Metrics for one grid point on an already trained (or synthetic)
-    model.  The confidence threshold only filters detection observations;
-    classification evaluates every test sample."""
-    if cfg.task == "detection":
-        gts, noise = detection_ctx
-        dets = _detector_passes(cfg, gts, noise, n_classes, point.method,
-                                point.drop_rate, point.adapted_blocks,
-                                point.T)
-        clusters = cluster_all(dets, theta_iou=cfg.theta_iou)
-        return _detection_report(cfg, gts, clusters, point.conf_threshold)
-    spec = _mc_spec(cfg, point.method, point.drop_rate, point.adapted_blocks,
-                    net.n_blocks)
-    eval_seed = _cell_seed(cfg, "eval", point.method,
-                           repr(float(point.drop_rate)), point.adapted_blocks)
-    summary = mc_predict(net, test_data[0], spec, T=point.T,
-                         base_seed=eval_seed)
-    report, preds = classification_report(summary.mean_probs, test_data[1],
-                                          mode=net.output_mode,
-                                          ece_bins=cfg.ece_bins)
+    """Metrics for one grid point on an already trained net (unused by the
+    synthetic detector, so None there).  ``data`` is what
+    ``load_task_data`` returns.  A detection point draws and fuses its own
+    T passes."""
+    evaluate = _cell_evaluator(cfg, data, net, point.method, point.drop_rate,
+                               point.adapted_blocks, point.T)
+    report, preds = evaluate(point.T, point.conf_threshold)
     report.config_echo = point
     return report, preds
 
@@ -323,12 +394,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     One training run per (method, drop_rate, adapted preset) cell, one
     evaluation per (T, conf_threshold) on that cell's model.  Emits
     reports.csv (all rows), pareto_front.csv (the non-dominated subset) and
-    pareto_points.csv / arc_curve.csv plot data.  Cell failures are
-    recorded and the sweep continues.
-
-    A detection cell runs the synthetic detector once, at the largest T;
-    each T fuses the passes with ``pass_index < T`` once, and every
-    confidence threshold filters those clusters.
+    pareto_points.csv / arc_curve.csv plot data.  Failures are recorded
+    and the sweep continues: a training error under the cell's name, an
+    error building the cell's evaluator (such as a detector error) for
+    every row of the cell, and an evaluation error for its row.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,76 +405,49 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     failures: list[tuple[str, str]] = []
     n_training_runs = 0
     last_preds: list[ScoredPrediction] = []
+    data = load_task_data(cfg)
 
-    if cfg.task == "classification":
-        train_data, test_data, n_classes = load_task_data(cfg)
-    else:
-        gts, noise, n_classes = load_task_data(cfg)
-        train_data = test_data = None
-
-    for method in cfg.methods:
-        for drop_rate in cfg.drop_rates:
-            for preset in cfg.adapted_presets:
-                cell_name = f"{method}/rate={drop_rate}/blocks={preset}"
-                net = None
-                if cfg.task == "classification":
-                    try:
-                        net, trace, spec = train_cell(cfg, method, drop_rate,
-                                                      preset, train_data,
-                                                      n_classes)
-                        n_training_runs += 1
-                        stem = f"{method}_{drop_rate}_{preset}"
-                        save_checkpoint(
-                            net, out_dir / f"ckpt_{stem}.json",
-                            config_echo={"method": method,
-                                         "stochastic": spec.to_dict(),
-                                         "train": cfg.train})
-                        save_loss_trace(trace, out_dir / f"trace_{stem}.csv")
-                    except Exception as exc:
-                        failures.append((cell_name, str(exc)))
-                        continue
-                detector_error = None
-                if cfg.task == "detection":
-                    # one detector run at the largest T serves every T;
-                    # drop the previous cell's passes and clusters first
-                    dets = clusters = None
-                    try:
-                        dets = _detector_passes(cfg, gts, noise, n_classes,
-                                                method, drop_rate, preset,
-                                                max(cfg.Ts))
-                    except Exception as exc:
-                        detector_error = str(exc)
-                for T in cfg.Ts:
-                    clusters = None
-                    fusion_error = detector_error
-                    if cfg.task == "detection" and fusion_error is None:
-                        try:
-                            clusters = cluster_all(
-                                [d for d in dets if d.pass_index < T],
-                                theta_iou=cfg.theta_iou)
-                        except Exception as exc:
-                            fusion_error = str(exc)
-                    for conf_threshold in cfg.conf_thresholds:
-                        point = ConfigPoint(method=method, drop_rate=drop_rate,
-                                            T=T, conf_threshold=conf_threshold,
-                                            adapted_blocks=preset)
-                        row_name = f"{cell_name}/T={T}/conf={conf_threshold}"
-                        if fusion_error is not None:
-                            failures.append((row_name, fusion_error))
-                            continue
-                        try:
-                            if cfg.task == "classification":
-                                report, preds = evaluate_point(
-                                    cfg, net, test_data, n_classes, point)
-                            else:
-                                report, preds = _detection_report(
-                                    cfg, gts, clusters, conf_threshold)
-                        except Exception as exc:
-                            failures.append((row_name, str(exc)))
-                            continue
-                        report.config_echo = point
-                        points.append((point, report))
-                        last_preds = preds
+    for method, drop_rate, preset in product(cfg.methods, cfg.drop_rates,
+                                             cfg.adapted_presets):
+        cell_name = f"{method}/rate={drop_rate}/blocks={preset}"
+        # drop the previous cell's model, passes and clusters first
+        net = evaluate = None
+        if cfg.task == "classification":
+            try:
+                net, trace, spec = train_cell(cfg, method, drop_rate, preset,
+                                              data[0], data[2])
+                n_training_runs += 1
+                stem = f"{method}_{drop_rate}_{preset}"
+                save_checkpoint(net, out_dir / f"ckpt_{stem}.json",
+                                config_echo={"method": method,
+                                             "stochastic": spec.to_dict(),
+                                             "train": cfg.train})
+                save_loss_trace(trace, out_dir / f"trace_{stem}.csv")
+            except Exception as exc:
+                failures.append((cell_name, str(exc)))
+                continue
+        cell_error = None
+        try:
+            evaluate = _cell_evaluator(cfg, data, net, method, drop_rate,
+                                       preset, max(cfg.Ts))
+        except Exception as exc:
+            cell_error = str(exc)
+        for T, conf_threshold in product(cfg.Ts, cfg.conf_thresholds):
+            point = ConfigPoint(method=method, drop_rate=drop_rate, T=T,
+                                conf_threshold=conf_threshold,
+                                adapted_blocks=preset)
+            row_name = f"{cell_name}/T={T}/conf={conf_threshold}"
+            if cell_error is not None:
+                failures.append((row_name, cell_error))
+                continue
+            try:
+                report, preds = evaluate(T, conf_threshold)
+            except Exception as exc:
+                failures.append((row_name, str(exc)))
+                continue
+            report.config_echo = point
+            points.append((point, report))
+            last_preds = preds
 
     files = []
     if points:
@@ -424,16 +466,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 def rerun_row(cfg: ExperimentConfig, point: ConfigPoint) -> EvalReport:
     """Re-run a single emitted row standalone; training and evaluation use
     the same derived seeds, so the metrics reproduce exactly."""
+    data = load_task_data(cfg)
+    net = None
     if cfg.task == "classification":
-        train_data, test_data, n_classes = load_task_data(cfg)
         net, _, _ = train_cell(cfg, point.method, point.drop_rate,
-                               point.adapted_blocks, train_data, n_classes)
-        report, _ = evaluate_point(cfg, net, test_data, n_classes, point)
-        return report
-    gts, noise, n_classes = load_task_data(cfg)
-    report, _ = evaluate_point(cfg, None, None, n_classes, point,
-                               detection_ctx=(gts, noise))
-    return report
+                               point.adapted_blocks, data[0], data[2])
+    return evaluate_point(cfg, net, data, point)[0]
 
 
 def run_shift(cfg: ExperimentConfig, shift: ShiftSpec,
@@ -446,38 +484,24 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec,
     """
     if cfg.task != "classification":
         raise ValueError("shift runs are defined for the classification task")
-    train_data, test_data, n_classes = load_task_data(cfg)
-    method = cfg.methods[0]
-    drop_rate = cfg.drop_rates[0]
-    preset = cfg.adapted_presets[0]
-    T = cfg.Ts[0]
+    train_data, (X, labels), n_classes = load_task_data(cfg)
+    point = first_point(cfg)
     if net is None:
-        net, _, _ = train_cell(cfg, method, drop_rate, preset, train_data,
-                               n_classes)
-    spec = _mc_spec(cfg, method, drop_rate, preset, net.n_blocks)
-    # the same eval substream as the sweep, so the zero-corruption level
-    # reproduces the in-distribution report exactly
-    eval_seed = _cell_seed(cfg, "eval", method, repr(float(drop_rate)), preset)
+        net, _, _ = train_cell(cfg, point.method, point.drop_rate,
+                               point.adapted_blocks, train_data, n_classes)
     rows = []
     for level in shift.levels:
-        Xc = corrupt(test_data[0], test_data[1], level,
-                     seed=_cell_seed(cfg, "shift-noise"))
-        summary = mc_predict(net, Xc, spec, T=T, base_seed=eval_seed)
-        report, _ = classification_report(summary.mean_probs, test_data[1],
-                                          mode=net.output_mode,
-                                          ece_bins=cfg.ece_bins)
+        Xc = corrupt(X, labels, level, seed=_cell_seed(cfg, "shift-noise"))
+        # the same eval substream as the sweep, so the zero-corruption level
+        # reproduces the in-distribution report exactly
+        report, _ = evaluate_point(cfg, net, (train_data, (Xc, labels),
+                                              n_classes), point)
         rows.append((level.name, report.map_50_95, report.mean_entropy))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write(path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["level", "performance", "mean_entropy"])
-            for name, perf, ent in rows:
-                w.writerow([name, repr(float(perf)), repr(float(ent))])
-
-    _atomic(write, out_dir / "shift.csv")
+    _write_csv(out_dir / "shift.csv", ["level", "performance", "mean_entropy"],
+               [[name, repr(float(perf)), repr(float(ent))]
+                for name, perf, ent in rows])
     return rows
 
 
@@ -493,26 +517,25 @@ def emit_curves(points: list[tuple[ConfigPoint, EvalReport]],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     front_keys = {cfg.key() for cfg, _ in M.pareto_front(points)}
-
-    def write_pareto(path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(M.REPORT_COLUMNS + ["on_front"])
-            for cfg_pt, report in points:
-                w.writerow(M.report_row(cfg_pt, report)
-                           + [str(int(cfg_pt.key() in front_keys))])
-
-    def write_arc(path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["r", "acc"])
-            for r, acc in M.accuracy_rejection_curve(predictions):
-                w.writerow([repr(float(r)), repr(float(acc))])
-
     files = [out_dir / "pareto_points.csv", out_dir / "arc_curve.csv"]
-    _atomic(write_pareto, files[0])
-    _atomic(write_arc, files[1])
+    _write_csv(files[0], M.REPORT_COLUMNS + ["on_front"],
+               [M.report_row(cfg_pt, report)
+                + [str(int(cfg_pt.key() in front_keys))]
+                for cfg_pt, report in points])
+    _write_csv(files[1], ["r", "acc"],
+               [[repr(float(r)), repr(float(acc))]
+                for r, acc in M.accuracy_rejection_curve(predictions)])
     return files
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    def write(tmp):
+        with open(tmp, "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+
+    _atomic(write, path)
 
 
 def _atomic(write_fn, path: Path) -> None:

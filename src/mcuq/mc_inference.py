@@ -9,9 +9,7 @@ bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,19 +31,6 @@ class PredictiveSummary:
     per_pass_probs: np.ndarray  # [T, batch, C]
     T: int
     mode: str
-
-    def to_records(self) -> list[tuple[int, int, int, float]]:
-        """Flatten to (pass, sample, class, prob) rows."""
-        T, batch, C = self.per_pass_probs.shape
-        return [(t, i, c, float(self.per_pass_probs[t, i, c]))
-                for t in range(T) for i in range(batch) for c in range(C)]
-
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["pass", "sample", "class", "prob"])
-            for row in self.to_records():
-                w.writerow([row[0], row[1], row[2], repr(row[3])])
 
 
 def _probs(net: ResidualNet, logits: np.ndarray) -> np.ndarray:

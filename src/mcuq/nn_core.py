@@ -112,10 +112,6 @@ class ResidualNet:
         params.extend([self.head_w, self.head_b])
         return params
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad[...] = 0.0
-
     def arch(self) -> dict:
         return {"in_dim": self.in_dim, "width": self.width,
                 "n_blocks": self.n_blocks, "n_classes": self.n_classes,
@@ -131,12 +127,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        integers = (int, np.integer)
+        numbers = (int, float, np.integer, np.floating)
+        for name, kinds, ok, rule in (
+                ("learning_rate", numbers, lambda v: v > 0,
+                 "a positive number"),
+                ("weight_decay", numbers, lambda v: v >= 0,
+                 "a non-negative number"),
+                ("epochs", integers, lambda v: v >= 0,
+                 "a non-negative integer"),
+                ("batch_size", integers, lambda v: v >= 1,
+                 "a positive integer")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or not ok(value)):
+                raise ValueError(f"{name} {value!r} is not {rule}")
 
     def to_dict(self) -> dict:
         return {"learning_rate": self.learning_rate,
@@ -144,17 +149,26 @@ class TrainConfig:
                 "batch_size": self.batch_size, "seed": self.seed}
 
 
+def check_arch(n_blocks: int, width: int, output_mode: str = MODE_SOFTMAX,
+               activation: str = ACT_RELU) -> None:
+    """Reject an architecture ``init_net`` cannot build, naming the key."""
+    for key, value in (("n_blocks", n_blocks), ("width", width)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
+            raise ValueError(f"{key} {value!r} is not a positive integer")
+    for key, value, choices in (
+            ("output_mode", output_mode, (MODE_SOFTMAX, MODE_SIGMOID)),
+            ("activation", activation, (ACT_RELU, ACT_IDENTITY))):
+        if value not in choices:
+            raise ValueError(f"{key} {value!r} is not one of {choices}")
+
+
 def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
              output_mode: str = MODE_SOFTMAX, activation: str = ACT_RELU,
              seed: int = 0) -> ResidualNet:
     """He-style scaled Gaussian weights, zero biases, all drawn from the
     (seed, "init", parameter-name) substreams."""
-    if n_blocks < 1:
-        raise ValueError("need at least one residual block")
-    if output_mode not in (MODE_SOFTMAX, MODE_SIGMOID):
-        raise ValueError(f"unknown output_mode {output_mode!r}")
-    if activation not in (ACT_RELU, ACT_IDENTITY):
-        raise ValueError(f"unknown activation {activation!r}")
+    check_arch(n_blocks, width, output_mode, activation)
 
     def affine(name: str, fan_in: int, fan_out: int) -> tuple[Parameter, Parameter]:
         gain = 2.0 if activation == ACT_RELU else 1.0

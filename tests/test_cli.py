@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 from mcuq.cli import main
+from mcuq.harness import ExperimentConfig, first_point, rerun_row
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, drop=(), **overrides):
     cfg = dict(
         task="classification",
         dataset={"kind": "blobs-classification", "n": 200, "n_classes": 3,
@@ -17,6 +18,8 @@ def write_config(tmp_path, **overrides):
         methods=["MCSD"], drop_rates=[0.1], Ts=[5], conf_thresholds=[0.0],
         adapted_presets=["all"], out_dir=str(tmp_path / "out"), seed=2)
     cfg.update(overrides)
+    for name in drop:
+        del cfg[name]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -52,6 +55,25 @@ class TestSweepCommand:
         assert rc == 0
         reports = (tmp_path / "elsewhere" / "reports.csv").read_text()
         assert reports.count("\n") == 3  # header + two T rows
+
+    def test_train_flags_merge_over_default_train_block(self, tmp_path):
+        cfg_path = write_config(tmp_path, drop=("train",))
+        rc = main(["sweep", "--config", str(cfg_path), "--epochs", "3",
+                   "--learning-rate", "0.02", "--ts", "2"])
+        assert rc == 0
+        ckpt = tmp_path / "out" / "ckpt_MCSD_0.1_all.json"
+        echoed = json.loads(ckpt.read_text())["config"]["train"]
+        assert echoed == {**ExperimentConfig().train, "epochs": 3,
+                          "learning_rate": 0.02}
+
+    def test_train_flags_merge_over_config_train_block(self, tmp_path):
+        rc = main(["sweep", "--config", str(write_config(tmp_path)),
+                   "--weight-decay", "0.0"])
+        assert rc == 0
+        ckpt = tmp_path / "out" / "ckpt_MCSD_0.1_all.json"
+        echoed = json.loads(ckpt.read_text())["config"]["train"]
+        assert echoed == {"learning_rate": 0.05, "weight_decay": 0.0,
+                          "epochs": 8, "batch_size": 32}
 
     def test_partial_failure_exits_two(self, tmp_path):
         cfg_path = write_config(
@@ -92,6 +114,34 @@ class TestTrainEval:
                      "--checkpoint", str(ckpt)]) == 0
         out = capsys.readouterr().out
         assert "performance=" in out and "auarc=" in out
+
+    def test_eval_detection_task(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--checkpoint", str(ckpt)]) == 0
+        det = dict(task="detection",
+                   dataset={"kind": "boxes-detection", "n_images": 4,
+                            "boxes_per_image": 2, "n_classes": 3},
+                   conf_thresholds=[0.2, 0.5], Ts=[4, 8])
+        cfg_path = write_config(tmp_path, **det)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 0
+        out = capsys.readouterr().out.strip()
+        cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+        report = rerun_row(cfg, first_point(cfg))
+        assert out == (f"performance={report.map_50_95:.4f} "
+                       f"brier={report.brier:.4f} ece={report.ece:.4f} "
+                       f"auarc={report.auarc:.4f} "
+                       f"mean_entropy={report.mean_entropy:.4f}")
+
+    def test_train_rejects_detection_task(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, task="detection",
+            dataset={"kind": "boxes-detection", "n_images": 4})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: train applies to the classification task\n")
 
 
 class TestShiftCommand:

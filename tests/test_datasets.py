@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from mcuq.datasets import (
     ShiftLevel,
     ShiftSpec,
     corrupt,
-    load_classification,
     make_blobs,
     make_box_scenes,
     make_dataset,
@@ -83,7 +84,11 @@ class TestFiles:
         X, y = make_blobs(30, seed=1)
         path = tmp_path / "data.csv"
         save_classification(X, y, path)
-        X2, y2 = load_classification(path)
+        with open(path, newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["label", "f0", "f1"]
+        y2 = np.array([int(r[0]) for r in rows])
+        X2 = np.array([[float(v) for v in r[1:]] for r in rows])
         assert np.array_equal(X, X2) and np.array_equal(y, y2)
 
     @pytest.mark.parametrize("kind", ["blobs-classification",

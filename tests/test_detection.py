@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,7 @@ from mcuq.detection import (
     cluster_all,
     iou,
     label_tp_fp,
-    load_detections,
-    load_ground_truths,
     map_50_95,
-    save_detections,
     save_ground_truths,
     synth_detector,
 )
@@ -617,24 +616,12 @@ class TestSynthDetector:
 
 
 class TestRecordFiles:
-    def test_detection_roundtrip(self, tmp_path):
-        noise = NoiseSpec(box_jitter=1.5, miss_prob=0.1, halluc_rate=0.4)
-        scene = [gt((10, 10, 30, 30), class_id=0)]
-        dets = synth_detector(scene, noise, T=4, seed=5, n_classes=3)
-        path = tmp_path / "dets.csv"
-        save_detections(dets, path)
-        again = load_detections(path)
-        assert len(again) == len(dets)
-        for a, b in zip(dets, again):
-            assert a.box == b.box and a.image_id == b.image_id
-            assert a.pass_index == b.pass_index
-            assert np.array_equal(a.probs, b.probs)
-
     def test_ground_truth_roundtrip(self, tmp_path):
         gts = [gt((1.5, 2.25, 9.75, 12.125), class_id=2, image_id=7)]
         path = tmp_path / "gt.csv"
         save_ground_truths(gts, path)
-        again = load_ground_truths(path)
-        assert again[0].box == gts[0].box
-        assert again[0].class_id == 2 and again[0].image_id == 7
-        assert path.read_text().splitlines()[0] == "7,2,1.5,2.25,9.75,12.125"
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["7", "2", "1.5", "2.25", "9.75", "12.125"]]
+        box = Box(*(float(v) for v in rows[0][2:]))
+        assert box == gts[0].box

@@ -32,6 +32,20 @@ def small_cfg(tmp_path, **overrides):
     return ExperimentConfig.from_dict(base)
 
 
+def det_cfg(tmp_path, **overrides):
+    base = dict(
+        task="detection",
+        dataset={"kind": "boxes-detection", "n_images": 4,
+                 "boxes_per_image": 2, "n_classes": 3,
+                 "box_jitter": 1.0, "miss_prob": 0.05,
+                 "halluc_rate": 0.3, "sharpness": 0.9},
+        methods=["MCD"], drop_rates=[0.05, 0.15], Ts=[2, 4],
+        conf_thresholds=[0.0, 0.5], adapted_presets=["all"],
+        out_dir=str(tmp_path / "det"), seed=9)
+    base.update(overrides)
+    return ExperimentConfig.from_dict(base)
+
+
 class TestPresets:
     def test_mappings(self):
         assert resolve_preset("all", 4) == {1, 2, 3, 4}
@@ -87,11 +101,60 @@ class TestConfig:
         ("theta_iou", 1.5, "1.5"),
         ("match_tau", 2.0, "2.0"),
         ("match_tau", "0.5", "'0.5'"),
+        ("train", {"lr": 0.05}, "unknown keys ['lr']"),
+        ("train", {"epochs": 3}, "missing key 'learning_rate'"),
+        ("train", {"learning_rate": "0.05"},
+         "learning_rate '0.05' is not a positive number"),
+        ("train", {"learning_rate": 0.05, "epochs": -1},
+         "epochs -1 is not a non-negative integer"),
+        ("train", {"learning_rate": 0.05, "batch_size": 8.0},
+         "batch_size 8.0 is not a positive integer"),
+        ("arch", {"n_blocks": 2}, "missing key 'width'"),
+        ("arch", {"n_blocks": 2, "width": 8, "depth": 3},
+         "unknown keys ['depth']"),
+        ("arch", {"n_blocks": 0, "width": 8},
+         "n_blocks 0 is not a positive integer"),
+        ("arch", {"n_blocks": 2, "width": 8, "output_mode": "tanh"},
+         "output_mode 'tanh' is not one of"),
+        ("arch", {"n_blocks": 2, "width": 8, "activation": "gelu"},
+         "activation 'gelu' is not one of"),
+        ("arch", [2, 8], "[2, 8] is not a mapping"),
+        ("dataset", {"kind": "blob-classification"},
+         "kind 'blob-classification' is not one of"),
+        ("dataset", {"kind": "boxes-detection"},
+         "kind 'boxes-detection' is not one of"),
+        ("dataset", {"kind": "blobs-classification", "n_clases": 3},
+         "unknown keys ['n_clases']"),
+        ("dataset", {"kind": "moons-classification", "spread": 0.5},
+         "unknown keys ['spread']"),
+        ("dataset", {"kind": "blobs-classification", "n": 2.5},
+         "n 2.5 is not an integer"),
+        ("dataset", {"kind": "blobs-classification", "spread": "wide"},
+         "spread 'wide' is not a number"),
     ])
     def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
         with pytest.raises(ValueError) as err:
             small_cfg(tmp_path, **{field: value})
         assert f"{field}: {bad}" in str(err.value)
+
+    @pytest.mark.parametrize("dataset,bad", [
+        ({"kind": "blobs-classification"}, "kind 'blobs-classification'"),
+        ({"kind": "boxes-detection", "miss_prob": 1.5},
+         "miss_prob must be in [0, 1]"),
+        ({"kind": "boxes-detection", "box_jitter": "1"},
+         "box_jitter '1' is not a number"),
+        ({"kind": "boxes-detection", "n_images": 4, "spread": 0.5},
+         "unknown keys ['spread']"),
+    ])
+    def test_bad_detection_dataset_rejected_at_load(self, tmp_path, dataset,
+                                                    bad):
+        with pytest.raises(ValueError) as err:
+            det_cfg(tmp_path, dataset=dataset)
+        assert f"dataset: {bad}" in str(err.value)
+
+    def test_dataset_defaults_follow_the_task(self, tmp_path):
+        assert small_cfg(tmp_path, dataset={}).dataset == {}
+        assert len(run_sweep(det_cfg(tmp_path, dataset={})).points) == 8
 
 
 class TestSweep:
@@ -165,8 +228,63 @@ class TestSweep:
             out_dir=str(tmp_path / "det"), seed=4))
         result = run_sweep(cfg)
         assert len(result.points) == 1
-        assert len(result.failures) == 1
-        assert "conf=0.999" in result.failures[0][0]
+        assert result.failures == [("MCSD/rate=0.05/blocks=all/T=5/conf=0.999",
+                                    "empty prediction set")]
+
+    def test_training_error_fails_its_cell_without_rows(self, tmp_path,
+                                                        monkeypatch):
+        fit = harness.train
+
+        def failing_block_drop(net, data, tc, stochastic):
+            if stochastic.kind == "block-drop":
+                raise RuntimeError("diverged")
+            return fit(net, data, tc, stochastic=stochastic)
+
+        monkeypatch.setattr(harness, "train", failing_block_drop)
+        result = run_sweep(small_cfg(tmp_path, methods=["MCD", "MCDB"],
+                                     Ts=[3, 5]))
+        assert result.failures == [("MCDB/rate=0.1/blocks=all", "diverged")]
+        assert result.n_training_runs == 1
+        assert [(p.method, p.T) for p, _ in result.points] == [("MCD", 3),
+                                                              ("MCD", 5)]
+
+    def test_detector_error_fails_every_row_of_its_cell(self, tmp_path,
+                                                        monkeypatch):
+        detect = harness.synth_detector
+
+        def failing_high_rate(gts, noise, **kwargs):
+            if noise.miss_prob > 0.1:  # the 0.15 drop-rate cell
+                raise RuntimeError("detector down")
+            return detect(gts, noise, **kwargs)
+
+        monkeypatch.setattr(harness, "synth_detector", failing_high_rate)
+        result = run_sweep(det_cfg(tmp_path))
+        assert result.failures == [
+            (f"MCD/rate=0.15/blocks=all/T={T}/conf={c}", "detector down")
+            for T in (2, 4) for c in (0.0, 0.5)]
+        assert {p.drop_rate for p, _ in result.points} == {0.05}
+        assert len(result.points) == 4
+
+    def test_fusion_error_fails_every_row_of_its_T(self, tmp_path,
+                                                   monkeypatch):
+        fuse = harness.cluster_all
+
+        def failing_long_prefix(dets, **kwargs):
+            if any(d.pass_index >= 2 for d in dets):  # every T=4 prefix
+                raise ValueError(f"cannot fuse {len(dets)} detections")
+            return fuse(dets, **kwargs)
+
+        monkeypatch.setattr(harness, "cluster_all", failing_long_prefix)
+        result = run_sweep(det_cfg(tmp_path))
+        names = [name for name, _ in result.failures]
+        assert names == [f"MCD/rate={r}/blocks=all/T=4/conf={c}"
+                         for r in (0.05, 0.15) for c in (0.0, 0.5)]
+        for name, message in result.failures:
+            assert message.startswith("cannot fuse ")
+        # both rows of a T carry the message of that T's one fusion
+        assert result.failures[0][1] == result.failures[1][1]
+        assert {p.T for p, _ in result.points} == {2}
+        assert len(result.points) == 4
 
 
 class TestDetectionSweep:

@@ -172,20 +172,3 @@ class TestDeterministicPredict:
         a = deterministic_predict(small_net, x, spec)
         b = deterministic_predict(small_net, x, spec)
         assert np.array_equal(a, b)
-
-
-class TestSerialization:
-    def test_columnar_records(self, small_net, x, tmp_path):
-        summary = mc_predict(small_net, x, mc_spec(KIND_PATH, 0.2, {1}),
-                             T=3, base_seed=11)
-        records = summary.to_records()
-        assert len(records) == 3 * 4 * 3
-        assert records[0][:3] == (0, 0, 0)
-        path = tmp_path / "passes.csv"
-        summary.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "pass,sample,class,prob"
-        assert len(lines) == 1 + len(records)
-        # values round-trip through repr
-        t, i, c, prob = records[5]
-        assert float(lines[6].split(",")[3]) == prob
