@@ -20,10 +20,11 @@ from .harness import (
     load_task_data,
     run_shift,
     run_sweep,
+    save_cell,
     train_cell,
 )
 from .metrics import ipp_distance, ipp_select, load_reports
-from .nn_core import load_checkpoint, save_checkpoint, save_loss_trace
+from .nn_core import load_checkpoint
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -82,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("eval", help="evaluate one grid point on a checkpoint")
     _add_config_flags(p)
-    p.add_argument("--checkpoint", required=True, type=Path)
+    p.add_argument("--checkpoint", type=Path, help="classification only")
 
     p = sub.add_parser("sweep", help="run the full hyperparameter sweep")
     _add_config_flags(p)
@@ -136,14 +137,17 @@ def _dispatch(args: argparse.Namespace) -> int:
                                       n_classes)
         out = args.checkpoint or Path(cfg.out_dir) / "model.json"
         out.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(net, out, config_echo={"experiment": cfg.to_dict(),
-                                               "stochastic": spec.to_dict()})
-        save_loss_trace(trace, out.with_name(out.stem + "_trace.csv"))
+        save_cell(cfg, point.method, net, trace, spec, out,
+                  out.with_name(out.stem + "_trace.csv"))
         print(out)
         return 0
 
     if args.command == "eval":
-        net, _ = load_checkpoint(args.checkpoint)
+        if cfg.task == "classification" and args.checkpoint is None:
+            raise ValueError("classification eval needs --checkpoint")
+        # the synthetic detector never reads a net
+        net = (load_checkpoint(args.checkpoint)[0]
+               if cfg.task == "classification" else None)
         report, _ = evaluate_point(cfg, net, load_task_data(cfg),
                                    first_point(cfg))
         print(f"performance={report.map_50_95:.4f} brier={report.brier:.4f} "

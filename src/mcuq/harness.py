@@ -298,6 +298,16 @@ def train_cell(cfg: ExperimentConfig, method: str, drop_rate: float,
     return net, trace, spec
 
 
+def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
+              trace: list[float], spec: StochasticSpec, checkpoint: Path,
+              trace_path: Path) -> None:
+    """Write a trained cell's checkpoint, echoing its method, stochastic
+    spec and train block, and its loss trace."""
+    save_checkpoint(net, checkpoint, config_echo={
+        "method": method, "stochastic": spec.to_dict(), "train": cfg.train})
+    save_loss_trace(trace, trace_path)
+
+
 def _detection_report(cfg: ExperimentConfig, gts,
                       clusters: list[ClusteredObservation],
                       conf_threshold: float
@@ -418,11 +428,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                                               data[0], data[2])
                 n_training_runs += 1
                 stem = f"{method}_{drop_rate}_{preset}"
-                save_checkpoint(net, out_dir / f"ckpt_{stem}.json",
-                                config_echo={"method": method,
-                                             "stochastic": spec.to_dict(),
-                                             "train": cfg.train})
-                save_loss_trace(trace, out_dir / f"trace_{stem}.csv")
+                save_cell(cfg, method, net, trace, spec,
+                          out_dir / f"ckpt_{stem}.json",
+                          out_dir / f"trace_{stem}.csv")
             except Exception as exc:
                 failures.append((cell_name, str(exc)))
                 continue

@@ -12,9 +12,10 @@ here is treated as an error state, not a value.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,9 @@ class ResidualBlock:
 
 @dataclass
 class ResidualNet:
+    """Every parameter's value and grad is a reshape view into the flat
+    buffers ``values`` and ``grads``, in ``parameters()`` order."""
+
     stem_w: Parameter
     stem_b: Parameter
     blocks: list[ResidualBlock]
@@ -88,6 +92,22 @@ class ResidualNet:
     head_b: Parameter
     output_mode: str = MODE_SOFTMAX
     activation: str = ACT_RELU
+
+    def __post_init__(self):
+        params = self.parameters()
+        self.values = np.concatenate([p.value.ravel() for p in params])
+        self.grads = np.concatenate([p.grad.ravel() for p in params])
+        ends = np.cumsum([p.value.size for p in params])[:-1]
+        for p, value, grad in zip(params, np.split(self.values, ends),
+                                  np.split(self.grads, ends)):
+            p.value = value.reshape(p.value.shape)
+            p.grad = grad.reshape(p.value.shape)
+
+    def __deepcopy__(self, memo):
+        # a field-by-field copy would give every view its own array, cut
+        # off from the buffers sgd_step updates; __init__ repacks the copies
+        return ResidualNet(*(copy.deepcopy(getattr(self, f.name), memo)
+                             for f in fields(self)))
 
     @property
     def in_dim(self) -> int:
@@ -275,7 +295,9 @@ def l2_penalty(net: ResidualNet) -> float:
                      for b in net.blocks))
 
 
-def _task_loss(logits: np.ndarray, targets, output_mode: str) -> float:
+def _task_loss(logits: np.ndarray, targets,
+               output_mode: str) -> tuple[float, np.ndarray]:
+    """The mean task loss and its gradient with respect to the logits."""
     batch = logits.shape[0]
     if batch == 0:
         raise ValueError("empty batch")
@@ -286,8 +308,13 @@ def _task_loss(logits: np.ndarray, targets, output_mode: str) -> float:
         if y.min() < 0 or y.max() >= logits.shape[1]:
             raise ValueError("class index out of range")
         z = logits - logits.max(axis=1, keepdims=True)
-        logprob = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return float(-logprob[np.arange(batch), y].mean())
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        value = float(-(z - np.log(total))[np.arange(batch), y].mean())
+        dlogits = e / total  # the softmax probabilities
+        dlogits[np.arange(batch), y] -= 1.0
+        dlogits /= batch
+        return value, dlogits
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != logits.shape:
         raise ShapeMismatchError("sigmoid targets must match logits shape")
@@ -296,79 +323,66 @@ def _task_loss(logits: np.ndarray, targets, output_mode: str) -> float:
     # per-element stable BCE, summed over classes, mean over batch
     z = logits
     bce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(bce.sum(axis=1).mean())
+    return float(bce.sum(axis=1).mean()), (sigmoid(logits) - y) / batch
 
 
 def loss(logits: np.ndarray, targets, net: ResidualNet,
          weight_decay: float) -> float:
     """Task loss (cross-entropy or summed binary cross-entropy, mean over
     the batch) plus weight_decay times the branch-weight L2 penalty."""
-    return _task_loss(logits, targets, net.output_mode) \
+    return _task_loss(logits, targets, net.output_mode)[0] \
         + weight_decay * l2_penalty(net)
 
 
 def _loss_and_grads(net: ResidualNet, x: np.ndarray, targets,
                     weight_decay: float,
-                    masks: MaskSample | None = None) -> tuple[float, dict[str, np.ndarray]]:
+                    masks: MaskSample | None = None) -> float:
+    """Return the loss and write its gradient into ``net.grads``."""
     logits, cache = _forward_cached(net, x, masks=masks)
-    batch = logits.shape[0]
-    total = _task_loss(logits, targets, net.output_mode) \
-        + weight_decay * l2_penalty(net)
+    value, dlogits = _task_loss(logits, targets, net.output_mode)
+    total = value + weight_decay * l2_penalty(net)
 
-    if net.output_mode == MODE_SOFTMAX:
-        y = np.asarray(targets)
-        probs = softmax(logits)
-        dlogits = probs.copy()
-        dlogits[np.arange(batch), y] -= 1.0
-        dlogits /= batch
-    else:
-        y = np.asarray(targets, dtype=np.float64)
-        dlogits = (sigmoid(logits) - y) / batch
-
-    grads: dict[str, np.ndarray] = {}
     h = cache["head_in"]
-    grads[net.head_w.id] = h.T @ dlogits
-    grads[net.head_b.id] = dlogits.sum(axis=0)
+    np.matmul(h.T, dlogits, out=net.head_w.grad)
+    dlogits.sum(axis=0, out=net.head_b.grad)
     g = dlogits @ net.head_w.value.T
 
     for blk, c in zip(reversed(net.blocks), reversed(cache["blocks"])):
         dbranch = g if c["row_mult"] is None else g * c["row_mult"]
-        grads[blk.w2.id] = c["hidden"].T @ dbranch
-        grads[blk.b2.id] = dbranch.sum(axis=0)
+        np.matmul(c["hidden"].T, dbranch, out=blk.w2.grad)
+        dbranch.sum(axis=0, out=blk.b2.grad)
         dhidden = dbranch @ blk.w2.value.T
         dact = dhidden * c["unit_mult"] if c["unit_mult"] is not None else dhidden
         dpre = dact * _activate_grad(net, c["pre"])
-        grads[blk.w1.id] = c["in"].T @ dpre
-        grads[blk.b1.id] = dpre.sum(axis=0)
+        np.matmul(c["in"].T, dpre, out=blk.w1.grad)
+        dpre.sum(axis=0, out=blk.b1.grad)
         g = g + dpre @ blk.w1.value.T
 
-    grads[net.stem_w.id] = cache["x"].T @ g
-    grads[net.stem_b.id] = g.sum(axis=0)
+    np.matmul(cache["x"].T, g, out=net.stem_w.grad)
+    g.sum(axis=0, out=net.stem_b.grad)
 
     if weight_decay != 0.0:
         for blk in net.blocks:
-            grads[blk.w1.id] = grads[blk.w1.id] + 2.0 * weight_decay * blk.w1.value
-            grads[blk.w2.id] = grads[blk.w2.id] + 2.0 * weight_decay * blk.w2.value
+            blk.w1.grad += 2.0 * weight_decay * blk.w1.value
+            blk.w2.grad += 2.0 * weight_decay * blk.w2.value
 
-    for p in net.parameters():
-        check_finite(grads[p.id], f"grad of {p.id}")
-    return total, grads
+    if not np.isfinite(net.grads).all():  # name the first bad parameter
+        for p in net.parameters():
+            check_finite(p.grad, f"grad of {p.id}")
+    return total
 
 
 def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
              masks: MaskSample | None = None) -> dict[str, np.ndarray]:
-    """Fill every Parameter.grad with d(loss)/d(value) and return the same
-    gradients keyed by parameter id.  Deterministic given masks and inputs."""
-    _, grads = _loss_and_grads(net, x, targets, weight_decay, masks=masks)
-    for p in net.parameters():
-        p.grad[...] = grads[p.id]
-    return grads
+    """Fill every Parameter.grad with d(loss)/d(value) and return those views
+    keyed by parameter id.  Deterministic given masks and inputs."""
+    _loss_and_grads(net, x, targets, weight_decay, masks=masks)
+    return {p.id: p.grad for p in net.parameters()}
 
 
-def sgd_step(net, grads: dict[str, np.ndarray], lr: float) -> None:
+def sgd_step(net: ResidualNet, lr: float) -> None:
     """In-place update value <- value - lr * grad for every parameter."""
-    for p in net.parameters():
-        p.value -= lr * grads[p.id]
+    net.values -= lr * net.grads
 
 
 def train(net: ResidualNet, dataset: tuple[np.ndarray, np.ndarray],
@@ -387,32 +401,31 @@ def train(net: ResidualNet, dataset: tuple[np.ndarray, np.ndarray],
         raise ValueError("empty dataset")
     spec = stochastic.with_mode(MODE_TRAINING) if stochastic is not None else None
     trace: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = substream(cfg.seed, "shuffle", epoch).permutation(n)
-        batch_losses = []
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            xb, yb = X[idx], y[idx]
-            masks = None
-            if spec is not None:
-                rng = substream(cfg.seed, "mask", epoch, bi)
-                masks = sample_mask(spec, net.width, xb.shape[0], rng)
-            try:
-                # divergence is detected explicitly below, so silence the
-                # transient overflow warnings on the way there
-                with np.errstate(over="ignore", invalid="ignore"):
-                    value, grads = _loss_and_grads(net, xb, yb,
-                                                   cfg.weight_decay,
-                                                   masks=masks)
-            except FloatingPointError as exc:
-                raise TrainingDivergedError(
-                    f"epoch {epoch} batch {bi}: {exc}") from exc
-            if not np.isfinite(value):
-                raise TrainingDivergedError(
-                    f"epoch {epoch} batch {bi}: loss is {value}")
-            sgd_step(net, grads, cfg.learning_rate)
-            batch_losses.append(value)
-        trace.append(float(np.mean(batch_losses)))
+    # divergence is detected explicitly below, so silence the transient
+    # overflow warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = substream(cfg.seed, "shuffle", epoch).permutation(n)
+            batch_losses = []
+            for bi, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start:start + cfg.batch_size]
+                xb, yb = X[idx], y[idx]
+                masks = None
+                if spec is not None:
+                    rng = substream(cfg.seed, "mask", epoch, bi)
+                    masks = sample_mask(spec, net.width, xb.shape[0], rng)
+                try:
+                    value = _loss_and_grads(net, xb, yb, cfg.weight_decay,
+                                            masks=masks)
+                except FloatingPointError as exc:
+                    raise TrainingDivergedError(
+                        f"epoch {epoch} batch {bi}: {exc}") from exc
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"epoch {epoch} batch {bi}: loss is {value}")
+                sgd_step(net, cfg.learning_rate)
+                batch_losses.append(value)
+            trace.append(float(np.mean(batch_losses)))
     return trace
 
 

@@ -116,17 +116,12 @@ class TestTrainEval:
         assert "performance=" in out and "auarc=" in out
 
     def test_eval_detection_task(self, tmp_path, capsys):
-        ckpt = tmp_path / "model.json"
-        assert main(["train", "--config", str(write_config(tmp_path)),
-                     "--checkpoint", str(ckpt)]) == 0
         det = dict(task="detection",
                    dataset={"kind": "boxes-detection", "n_images": 4,
                             "boxes_per_image": 2, "n_classes": 3},
                    conf_thresholds=[0.2, 0.5], Ts=[4, 8])
         cfg_path = write_config(tmp_path, **det)
-        capsys.readouterr()
-        assert main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(ckpt)]) == 0
+        assert main(["eval", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out.strip()
         cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
         report = rerun_row(cfg, first_point(cfg))
@@ -134,6 +129,21 @@ class TestTrainEval:
                        f"brier={report.brier:.4f} ece={report.ece:.4f} "
                        f"auarc={report.auarc:.4f} "
                        f"mean_entropy={report.mean_entropy:.4f}")
+
+    def test_classification_eval_needs_checkpoint(self, tmp_path, capsys):
+        assert main(["eval", "--config", str(write_config(tmp_path))]) == 1
+        assert "--checkpoint" in capsys.readouterr().err
+
+    def test_train_and_sweep_echo_the_same_config(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 0
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        swept = tmp_path / "out" / "ckpt_MCSD_0.1_all.json"
+        assert ckpt.read_bytes() == swept.read_bytes()
+        assert (tmp_path / "model_trace.csv").read_bytes() \
+            == (tmp_path / "out" / "trace_MCSD_0.1_all.csv").read_bytes()
 
     def test_train_rejects_detection_task(self, tmp_path, capsys):
         cfg_path = write_config(

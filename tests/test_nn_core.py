@@ -1,7 +1,9 @@
 import copy
 import json
 import tempfile
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from mcuq.nn_core import (
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
+    _activate_grad,
+    _forward_cached,
     backward,
     forward,
     init_net,
@@ -22,10 +26,18 @@ from mcuq.nn_core import (
     save_checkpoint,
     save_loss_trace,
     sgd_step,
+    sigmoid,
     train,
 )
 from mcuq.rng import substream
-from mcuq.stochastic import KIND_BLOCK, KIND_PATH, KIND_UNIT, StochasticSpec, sample_mask
+from mcuq.stochastic import (
+    KIND_BLOCK,
+    KIND_PATH,
+    KIND_UNIT,
+    MODE_TRAINING,
+    StochasticSpec,
+    sample_mask,
+)
 from mcuq.datasets import make_blobs
 
 
@@ -253,8 +265,8 @@ class TestSgdStep:
     def test_zero_lr_is_identity(self):
         net = init_net(2, 4, 1, 3, seed=2)
         before = [p.value.copy() for p in net.parameters()]
-        grads = backward(net, np.ones((1, 2)), np.array([0]), 0.0)
-        sgd_step(net, grads, 0.0)
+        backward(net, np.ones((1, 2)), np.array([0]), 0.0)
+        sgd_step(net, 0.0)
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p.value, b)
 
@@ -262,27 +274,23 @@ class TestSgdStep:
         net = init_net(2, 4, 1, 3, seed=2)
         p = net.stem_w
         p.value[...] = 1.0
-        grads = {q.id: np.zeros_like(q.value) for q in net.parameters()}
-        grads[p.id] = np.full_like(p.value, 2.0)
-        sgd_step(net, grads, 0.5)
+        before = [q.value.copy() for q in net.parameters()]
+        net.grads[...] = 0.0
+        p.grad[...] = 2.0
+        sgd_step(net, 0.5)
         assert np.array_equal(p.value, np.zeros_like(p.value))
+        for q, b in zip(net.parameters()[1:], before[1:]):
+            assert np.array_equal(q.value, b)
 
     def test_descent_on_convex_quadratic(self):
         # loss (w - 3)^2 on a single scalar parameter
-        class One:
-            def __init__(self):
-                from mcuq.nn_core import Parameter
-                self.p = Parameter.new("w", np.array([10.0]))
-
-            def parameters(self):
-                return [self.p]
-
-        holder = One()
+        holder = SimpleNamespace(values=np.array([10.0]), grads=np.zeros(1))
         losses = []
         for _ in range(60):
-            w = holder.p.value[0]
+            w = holder.values[0]
             losses.append((w - 3.0) ** 2)
-            sgd_step(holder, {"w": np.array([2 * (w - 3.0)])}, 0.1)
+            holder.grads[0] = 2 * (w - 3.0)
+            sgd_step(holder, 0.1)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-6
 
@@ -341,6 +349,24 @@ class TestTrain:
             train(net, (np.zeros((0, 2)), np.zeros(0, dtype=int)),
                   TrainConfig(learning_rate=0.1, epochs=1, seed=0))
 
+    def test_overflowing_gradient_names_the_first_bad_parameter(self):
+        # finite logits (a zero stem keeps every activation at zero) but a
+        # stem-weight gradient x.T @ g that overflows on 1e308 inputs
+        net = init_net(2, 16, 2, 3, seed=3)
+        net.stem_w.value[...] = 0.0
+        net.head_w.value[...] *= 1e3
+        before = net.values.copy()
+        X = np.full((32, 2), 1e308)
+        y = substream(4).integers(0, 3, size=32)
+        with warnings.catch_warnings(), \
+                pytest.raises(TrainingDivergedError) as err:
+            warnings.simplefilter("error")
+            train(net, (X, y), TrainConfig(learning_rate=0.1, epochs=1,
+                                           seed=0))
+        assert str(err.value) == \
+            "epoch 0 batch 0: non-finite values in grad of stem.w"
+        assert net.values.tobytes() == before.tobytes()
+
     def test_fresh_mask_per_minibatch(self):
         # two minibatches in one epoch must not share masks: with drop 0.5
         # on a 1-block net, identical masks would give identical outputs for
@@ -355,6 +381,171 @@ class TestTrain:
         trace_a = train(net_a, (X, y), cfg, stochastic=spec)
         trace_b = train(net_b, (X, y), cfg, stochastic=spec)
         assert trace_a == trace_b
+
+
+def loop_loss_and_grads(net, x, targets, weight_decay, masks=None):
+    """The training step before the flat buffers: the loss and a dict of
+    freshly allocated gradients, each checked for non-finite values on its
+    own, with the task loss and softmax computed separately."""
+    logits, cache = _forward_cached(net, x, masks=masks)
+    batch = logits.shape[0]
+    if net.output_mode == "softmax":
+        y = np.asarray(targets)
+        z = logits - logits.max(axis=1, keepdims=True)
+        logprob = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        task = float(-logprob[np.arange(batch), y].mean())
+        e = np.exp(z)
+        dlogits = e / e.sum(axis=1, keepdims=True)
+        dlogits[np.arange(batch), y] -= 1.0
+        dlogits /= batch
+    else:
+        y = np.asarray(targets, dtype=np.float64)
+        bce = (np.maximum(logits, 0.0) - logits * y
+               + np.log1p(np.exp(-np.abs(logits))))
+        task = float(bce.sum(axis=1).mean())
+        dlogits = (sigmoid(logits) - y) / batch
+    penalty = float(sum(np.sum(b.w1.value ** 2) + np.sum(b.w2.value ** 2)
+                        for b in net.blocks))
+    total = task + weight_decay * penalty
+
+    grads = {}
+    h = cache["head_in"]
+    grads[net.head_w.id] = h.T @ dlogits
+    grads[net.head_b.id] = dlogits.sum(axis=0)
+    g = dlogits @ net.head_w.value.T
+    for blk, c in zip(reversed(net.blocks), reversed(cache["blocks"])):
+        dbranch = g if c["row_mult"] is None else g * c["row_mult"]
+        grads[blk.w2.id] = c["hidden"].T @ dbranch
+        grads[blk.b2.id] = dbranch.sum(axis=0)
+        dhidden = dbranch @ blk.w2.value.T
+        dact = dhidden * c["unit_mult"] if c["unit_mult"] is not None else dhidden
+        dpre = dact * _activate_grad(net, c["pre"])
+        grads[blk.w1.id] = c["in"].T @ dpre
+        grads[blk.b1.id] = dpre.sum(axis=0)
+        g = g + dpre @ blk.w1.value.T
+    grads[net.stem_w.id] = cache["x"].T @ g
+    grads[net.stem_b.id] = g.sum(axis=0)
+    if weight_decay != 0.0:
+        for blk in net.blocks:
+            grads[blk.w1.id] = grads[blk.w1.id] + 2.0 * weight_decay * blk.w1.value
+            grads[blk.w2.id] = grads[blk.w2.id] + 2.0 * weight_decay * blk.w2.value
+    for p in net.parameters():
+        if not np.all(np.isfinite(grads[p.id])):
+            raise FloatingPointError(f"non-finite values in grad of {p.id}")
+    return total, grads
+
+
+def loop_train(net, dataset, cfg, stochastic=None):
+    """Oracle for ``train``: the same substreams and minibatches, with
+    ``loop_loss_and_grads`` and one SGD update per parameter."""
+    X, y = dataset
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    spec = stochastic.with_mode(MODE_TRAINING) if stochastic else None
+    trace = []
+    for epoch in range(cfg.epochs):
+        order = substream(cfg.seed, "shuffle", epoch).permutation(n)
+        batch_losses = []
+        for bi, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
+            masks = None
+            if spec is not None:
+                masks = sample_mask(spec, net.width, len(idx),
+                                    substream(cfg.seed, "mask", epoch, bi))
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, grads = loop_loss_and_grads(
+                    net, X[idx], y[idx], cfg.weight_decay, masks=masks)
+            for p in net.parameters():
+                p.value -= cfg.learning_rate * grads[p.id]
+            batch_losses.append(value)
+        trace.append(float(np.mean(batch_losses)))
+    return trace
+
+
+class TestFlatBuffers:
+    def test_parameters_are_views_in_order(self):
+        net = init_net(3, 5, 2, 4, seed=30)
+        params = net.parameters()
+        assert net.values.size == net.grads.size == sum(p.value.size
+                                                        for p in params)
+        assert np.array_equal(
+            net.values, np.concatenate([p.value.ravel() for p in params]))
+        for p in params:
+            assert np.shares_memory(p.value, net.values)
+            assert np.shares_memory(p.grad, net.grads)
+
+    def test_deepcopy_trains_like_the_original(self):
+        X, y = make_blobs(70, seed=31)
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=1e-3, epochs=3,
+                          batch_size=16, seed=32)
+        spec = StochasticSpec(kind=KIND_UNIT, drop_rate=0.2,
+                              adapted_blocks={1, 2})
+        net = init_net(2, 6, 2, 3, seed=33)
+        before = net.values.copy()
+        clone = copy.deepcopy(net)
+        for p, q in zip(net.parameters(), clone.parameters()):
+            assert not np.shares_memory(p.value, q.value)
+            assert np.shares_memory(q.value, clone.values)
+            assert np.shares_memory(q.grad, clone.grads)
+        clone_trace = train(clone, (X, y), cfg, stochastic=spec)
+        assert np.array_equal(net.values, before)
+        assert not np.array_equal(clone.values, before)
+        assert train(net, (X, y), cfg, stochastic=spec) == clone_trace
+        for p, q in zip(net.parameters(), clone.parameters()):
+            assert p.value.tobytes() == q.value.tobytes()
+
+    def test_loaded_checkpoint_fills_the_views(self, tmp_path):
+        X, y = make_blobs(60, seed=34)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=16,
+                          seed=35)
+        net = init_net(2, 6, 2, 3, seed=36)
+        train(net, (X, y), cfg)
+        save_checkpoint(net, tmp_path / "model.json")
+        again, _ = load_checkpoint(tmp_path / "model.json")
+        assert again.values.tobytes() == net.values.tobytes()
+        for p in again.parameters():
+            assert np.shares_memory(p.value, again.values)
+        assert train(again, (X, y), cfg) == train(net, (X, y), cfg)
+        assert again.values.tobytes() == net.values.tobytes()
+
+
+class TestTrainMatchesLoopOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH]),
+           output_mode=st.sampled_from(["softmax", "sigmoid"]),
+           activation=st.sampled_from(["relu", "identity"]),
+           weight_decay=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+           n_blocks=st.integers(1, 3), width=st.integers(1, 8),
+           batch_size=st.integers(2, 9), n_batches=st.integers(1, 4),
+           remainder=st.integers(1, 8), block_size=st.integers(1, 4),
+           drop_rate=st.sampled_from([0.0, 0.2, 0.5]),
+           seed=st.integers(0, 2 ** 32))
+    def test_trace_and_weights_bit_identical(
+            self, kind, output_mode, activation, weight_decay, n_blocks,
+            width, batch_size, n_batches, remainder, block_size, drop_rate,
+            seed):
+        # the last minibatch is short: batch_size never divides n
+        n = batch_size * n_batches + min(remainder, batch_size - 1)
+        n_classes = 3
+        X = substream(seed, "x").normal(size=(n, 2))
+        y = substream(seed, "y").integers(0, n_classes, size=n)
+        if output_mode == "sigmoid":
+            y = np.eye(n_classes)[y]
+        spec = None
+        if kind is not None:
+            spec = StochasticSpec(kind=kind, drop_rate=drop_rate,
+                                  adapted_blocks=range(1, n_blocks + 1),
+                                  block_size=block_size)
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=weight_decay,
+                          epochs=2, batch_size=batch_size, seed=seed)
+        fast, slow = (init_net(2, width, n_blocks, n_classes,
+                               output_mode=output_mode,
+                               activation=activation, seed=seed)
+                      for _ in range(2))
+        assert train(fast, (X, y), cfg, stochastic=spec) \
+            == loop_train(slow, (X, y), cfg, stochastic=spec)
+        for p, q in zip(fast.parameters(), slow.parameters()):
+            assert p.value.tobytes() == q.value.tobytes(), p.id
 
 
 class TestIdentityPathInvariant:
