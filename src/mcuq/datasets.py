@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import Box, GroundTruth, save_ground_truths
+from .detection import IMAGE_SIZE, Box, GroundTruth, save_ground_truths
 from .rng import substream
 
 # Generator parameters of each dataset kind, with their defaults; the
@@ -28,6 +28,8 @@ DATASET_PARAMS = {
     "boxes-detection": {"n_images": 8, "n_classes": 3, "boxes_per_image": 3},
 }
 DATASET_KINDS = tuple(DATASET_PARAMS)
+# Range of a ground-truth box's width and height, in coordinate units.
+BOX_SIDE = (8.0, 30.0)
 
 
 def dataset_params(kind: str, params: dict) -> dict:
@@ -93,17 +95,16 @@ def make_moons(n: int, noise: float = 0.1, seed: int = 0) -> tuple[np.ndarray, n
 
 def make_box_scenes(n_images: int, n_classes: int = 3,
                     boxes_per_image: int = 3,
-                    image_size: tuple[float, float] = (100.0, 100.0),
-                    min_side: float = 8.0, max_side: float = 30.0,
                     seed: int = 0) -> list[GroundTruth]:
-    """Random non-degenerate ground-truth boxes with class labels."""
+    """Random non-degenerate ground-truth boxes with class labels, each
+    inside the ``IMAGE_SIZE`` frame."""
     rng = substream(seed, "boxes")
-    W, H = image_size
+    W, H = IMAGE_SIZE
     gts = []
     for image_id in range(n_images):
         for _ in range(boxes_per_image):
-            w = rng.uniform(min_side, max_side)
-            h = rng.uniform(min_side, max_side)
+            w = rng.uniform(*BOX_SIDE)
+            h = rng.uniform(*BOX_SIDE)
             x1 = rng.uniform(0, W - w)
             y1 = rng.uniform(0, H - h)
             gts.append(GroundTruth(box=Box(x1, y1, x1 + w, y1 + h),

@@ -21,6 +21,9 @@ from .metrics import ScoredPrediction, entropy_for_mode
 from .rng import substream
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
+# Width and height of every scene image, in box coordinate units: ground
+# truths lie inside it and hallucinated detections are centred in it.
+IMAGE_SIZE = (100.0, 100.0)
 RECALL_LEVELS = np.linspace(0.0, 1.0, 101)
 
 
@@ -103,15 +106,6 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-@dataclass
-class BsasTraceEntry:
-    detection_pos: int             # position in processing order
-    cluster_index: int
-    founded: bool
-    iou_at_insert: float           # 1.0 for founders by convention
-    mean_box_at_insert: Box
-
-
 def _argmax(values: list[float]) -> int:
     """Index of the largest value: on a tie the first index wins and the
     first NaN wins outright, as with ``np.argmax``."""
@@ -122,8 +116,8 @@ def _argmax(values: list[float]) -> int:
     return best
 
 
-def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5,
-                 return_trace: bool = False):
+def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5
+                 ) -> list[ClusteredObservation]:
     """Sequential single-pass fusion of one image's detections.
 
     Detections are visited in (pass_index, input-order) order.  Each one
@@ -146,8 +140,7 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5,
     boxes: list[tuple[float, float, float, float, float]] = []  # corners, area
     means: list[list[float]] = []
     classes: list[int] = []
-    trace: list[BsasTraceEntry] = []
-    for pos, i in enumerate(order):
+    for i in order:
         det = dets[i]
         x1, y1, x2, y2 = det.box.x1, det.box.y1, det.box.x2, det.box.y2
         area = (x2 - x1) * (y2 - y1)
@@ -169,15 +162,8 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5,
             boxes.append((x1, y1, x2, y2, area))
             means.append(probs)
             classes.append(class_id)
-            if return_trace:
-                trace.append(BsasTraceEntry(pos, len(members) - 1, True, 1.0,
-                                            det.box))
             continue
         k = len(members[ci])
-        if return_trace:
-            at_insert = (members[ci][0].box if k == 1
-                         else Box(cx1, cy1, cx2, cy2))
-            trace.append(BsasTraceEntry(pos, ci, False, overlap, at_insert))
         members[ci].append(det)
         nx1, ny1 = (cx1 * k + x1) / (k + 1), (cy1 * k + y1) / (k + 1)
         nx2, ny2 = (cx2 * k + x2) / (k + 1), (cy2 * k + y2) / (k + 1)
@@ -186,15 +172,12 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5,
         boxes[ci] = (nx1, ny1, nx2, ny2, (nx2 - nx1) * (ny2 - ny1))
         means[ci] = [(m * k + p) / (k + 1) for m, p in zip(means[ci], probs)]
         classes[ci] = _argmax(means[ci])
-    clusters = [ClusteredObservation(
+    return [ClusteredObservation(
         members=group,
         mean_box=group[0].box if len(group) == 1 else Box(*box[:4]),
         mean_probs=np.array(mean, dtype=np.float64),
         image_id=group[0].image_id)
         for group, box, mean in zip(members, boxes, means)]
-    if return_trace:
-        return clusters, trace
-    return clusters
 
 
 def cluster_all(dets: list[Detection], theta_iou: float = 0.5) -> list[ClusteredObservation]:
@@ -387,7 +370,6 @@ class NoiseSpec:
     miss_prob: float = 0.0        # per-pass, per-object miss probability
     halluc_rate: float = 0.0      # Poisson rate of spurious boxes per pass
     sharpness: float = 0.9        # probability mass on the true class
-    image_size: tuple[float, float] = (100.0, 100.0)
 
     def __post_init__(self):
         if not 0.0 <= self.miss_prob <= 1.0:
@@ -432,7 +414,7 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
     probability vectors.  Pass t draws from the (seed, "synth", t) stream.
     """
     dets: list[Detection] = []
-    W, H = noise.image_size
+    W, H = IMAGE_SIZE
     for t in range(T):
         rng = substream(seed, "synth", t)
         for gt in scene:

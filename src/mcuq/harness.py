@@ -184,9 +184,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**known)
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
 
 def _cell_seed(cfg: ExperimentConfig, *tags) -> int:
     return int(substream(cfg.seed, *tags).integers(2 ** 62))
@@ -302,10 +299,10 @@ def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
               trace: list[float], spec: StochasticSpec, checkpoint: Path,
               trace_path: Path) -> None:
     """Write a trained cell's checkpoint, echoing its method, stochastic
-    spec and train block, and its loss trace."""
-    save_checkpoint(net, checkpoint, config_echo={
-        "method": method, "stochastic": spec.to_dict(), "train": cfg.train})
-    save_loss_trace(trace, trace_path)
+    spec and train block, and its loss trace, each atomically."""
+    echo = {"method": method, "stochastic": spec.to_dict(), "train": cfg.train}
+    _atomic(lambda p: save_checkpoint(net, p, config_echo=echo), checkpoint)
+    _atomic(lambda p: save_loss_trace(trace, p), trace_path)
 
 
 def _detection_report(cfg: ExperimentConfig, gts,
@@ -319,7 +316,7 @@ def _detection_report(cfg: ExperimentConfig, gts,
     # are the only ones with a defined label
     tp_preds = [p for p in preds if p.correct]
     report = EvalReport(
-        map_50_95=map_50_95(kept, gts, conf_threshold=conf_threshold),
+        map_50_95=map_50_95(kept, gts),
         brier=M.brier(tp_preds),
         ece=M.ece(preds, n_bins=cfg.ece_bins),
         auarc=M.auarc(preds),
@@ -393,9 +390,7 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
     T passes."""
     evaluate = _cell_evaluator(cfg, data, net, point.method, point.drop_rate,
                                point.adapted_blocks, point.T)
-    report, preds = evaluate(point.T, point.conf_threshold)
-    report.config_echo = point
-    return report, preds
+    return evaluate(point.T, point.conf_threshold)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -453,7 +448,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             except Exception as exc:
                 failures.append((row_name, str(exc)))
                 continue
-            report.config_echo = point
             points.append((point, report))
             last_preds = preds
 
@@ -482,21 +476,20 @@ def rerun_row(cfg: ExperimentConfig, point: ConfigPoint) -> EvalReport:
     return evaluate_point(cfg, net, data, point)[0]
 
 
-def run_shift(cfg: ExperimentConfig, shift: ShiftSpec,
-              net: ResidualNet | None = None
+def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
               ) -> list[tuple[str, float, float]]:
     """Evaluate one trained model across the corruption ladder.
 
     Returns (level name, accuracy, mean entropy) per level and writes
-    shift.csv.  The model is the first grid cell's unless one is passed in.
+    shift.csv.  The model is the first grid cell's, trained as the sweep
+    trains it.
     """
     if cfg.task != "classification":
         raise ValueError("shift runs are defined for the classification task")
     train_data, (X, labels), n_classes = load_task_data(cfg)
     point = first_point(cfg)
-    if net is None:
-        net, _, _ = train_cell(cfg, point.method, point.drop_rate,
-                               point.adapted_blocks, train_data, n_classes)
+    net, _, _ = train_cell(cfg, point.method, point.drop_rate,
+                           point.adapted_blocks, train_data, n_classes)
     rows = []
     for level in shift.levels:
         Xc = corrupt(X, labels, level, seed=_cell_seed(cfg, "shift-noise"))

@@ -29,8 +29,6 @@ class PredictiveSummary:
 
     mean_probs: np.ndarray      # [batch, C]
     per_pass_probs: np.ndarray  # [T, batch, C]
-    T: int
-    mode: str
 
 
 def _probs(net: ResidualNet, logits: np.ndarray) -> np.ndarray:
@@ -70,8 +68,7 @@ def mc_predict(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     logits = mc_forward_logits(net, x, spec, T, base_seed)
     per_pass = np.stack([_probs(net, logits[t]) for t in range(T)], axis=0)
     return PredictiveSummary(mean_probs=per_pass.mean(axis=0),
-                             per_pass_probs=per_pass, T=T,
-                             mode=net.output_mode)
+                             per_pass_probs=per_pass)
 
 
 def deterministic_predict(net: ResidualNet, x: np.ndarray,

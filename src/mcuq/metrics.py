@@ -56,7 +56,6 @@ class EvalReport:
     ece: float
     auarc: float
     mean_entropy: float
-    config_echo: ConfigPoint | None = None
 
 
 def shannon_entropy(probs: np.ndarray) -> float:
@@ -277,7 +276,6 @@ def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
                     raise ValueError(f"{path}: data row {n}, column {name!r}: "
                                      f"bad value {raw!r}") from None
             cfg = ConfigPoint(**{k: values[k] for k in REPORT_COLUMNS[:5]})
-            rep = EvalReport(**{k: values[k] for k in REPORT_COLUMNS[5:]},
-                             config_echo=cfg)
+            rep = EvalReport(**{k: values[k] for k in REPORT_COLUMNS[5:]})
             points.append((cfg, rep))
     return points

@@ -72,10 +72,6 @@ class ResidualBlock:
     b2: Parameter
     index: int
 
-    @property
-    def width(self) -> int:
-        return self.w1.value.shape[0]
-
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
@@ -162,11 +158,6 @@ class TrainConfig:
             if (isinstance(value, bool) or not isinstance(value, kinds)
                     or not ok(value)):
                 raise ValueError(f"{name} {value!r} is not {rule}")
-
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate,
-                "weight_decay": self.weight_decay, "epochs": self.epochs,
-                "batch_size": self.batch_size, "seed": self.seed}
 
 
 def check_arch(n_blocks: int, width: int, output_mode: str = MODE_SOFTMAX,

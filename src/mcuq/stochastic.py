@@ -91,13 +91,6 @@ class StochasticSpec:
             "mode": self.mode,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StochasticSpec":
-        return cls(kind=d["kind"], drop_rate=float(d["drop_rate"]),
-                   adapted_blocks=frozenset(d.get("adapted_blocks", ())),
-                   block_size=int(d.get("block_size", 1)),
-                   mode=d.get("mode", MODE_TRAINING))
-
 
 @dataclass
 class MaskSample:

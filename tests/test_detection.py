@@ -9,7 +9,6 @@ from mcuq.detection import (
     IOU_THRESHOLDS,
     RECALL_LEVELS,
     Box,
-    BsasTraceEntry,
     ClusteredObservation,
     Detection,
     GroundTruth,
@@ -95,8 +94,7 @@ class TestBsas:
         assert np.allclose(clusters[0].mean_probs, [0.8, 0.2])
 
     def test_hand_derived_trace(self):
-        clusters, trace = bsas_cluster(TRACE_DETS, theta_iou=0.5,
-                                       return_trace=True)
+        clusters = bsas_cluster(TRACE_DETS, theta_iou=0.5)
         assert len(clusters) == 4
         c0 = clusters[0]
         assert c0.support == 3
@@ -109,14 +107,6 @@ class TestBsas:
         assert clusters[1].class_id == 1
         assert clusters[2].class_id == 2   # same box as c1, other class
         assert clusters[3].class_id == 0
-        # joins recorded against the running mean at insertion time
-        joins = [e for e in trace if not e.founded]
-        assert len(joins) == 2
-        assert joins[0].iou_at_insert == pytest.approx(100 / 120)
-        assert joins[0].mean_box_at_insert == Box(0, 0, 10, 10)
-        assert joins[1].iou_at_insert == pytest.approx(110 / 115)
-        assert joins[1].mean_box_at_insert == Box(0, 0, 10, 11)
-        assert all(e.iou_at_insert >= 0.5 for e in joins)
 
     def test_processing_order_is_pass_then_input_order(self):
         shuffled = [TRACE_DETS[4], TRACE_DETS[0], TRACE_DETS[2],
@@ -152,29 +142,24 @@ class TestBsas:
 def loop_bsas_cluster(dets, theta_iou=0.5):
     """Loop oracle: the BSAS loop the plain-float one replaced.  It calls
     ``iou`` on validated boxes and reads class ids through ``np.argmax``;
-    returns (clusters, trace) for one image's detections."""
+    returns the clusters of one image's detections."""
     order = sorted(range(len(dets)), key=lambda i: (dets[i].pass_index, i))
-    clusters, trace = [], []
-    for pos, i in enumerate(order):
+    clusters = []
+    for i in order:
         det = dets[i]
         placed = None
-        overlap = 1.0
         for ci, cluster in enumerate(clusters):
-            overlap_ci = iou(cluster.mean_box, det.box)
-            if overlap_ci >= theta_iou and cluster.class_id == det.class_id:
-                placed, overlap = ci, overlap_ci
+            if (iou(cluster.mean_box, det.box) >= theta_iou
+                    and cluster.class_id == det.class_id):
+                placed = ci
                 break
         if placed is None:
-            cluster = ClusteredObservation(
+            clusters.append(ClusteredObservation(
                 members=[det], mean_box=det.box,
                 mean_probs=np.asarray(det.probs, dtype=np.float64).copy(),
-                image_id=det.image_id)
-            clusters.append(cluster)
-            entry = BsasTraceEntry(pos, len(clusters) - 1, True, 1.0, det.box)
+                image_id=det.image_id))
         else:
             cluster = clusters[placed]
-            entry = BsasTraceEntry(pos, placed, False, overlap,
-                                   cluster.mean_box)
             k = cluster.support
             cluster.members.append(det)
             cluster.mean_probs = (cluster.mean_probs * k + det.probs) / (k + 1)
@@ -183,8 +168,7 @@ def loop_bsas_cluster(dets, theta_iou=0.5):
                 y1=(cluster.mean_box.y1 * k + det.box.y1) / (k + 1),
                 x2=(cluster.mean_box.x2 * k + det.box.x2) / (k + 1),
                 y2=(cluster.mean_box.y2 * k + det.box.y2) / (k + 1))
-        trace.append(entry)
-    return clusters, trace
+    return clusters
 
 
 def assert_same_clusters(got, want):
@@ -225,12 +209,9 @@ def pass_scenes(draw, n_images=1):
 class TestBsasAgainstLoopOracle:
     @settings(max_examples=400, deadline=None, database=None)
     @given(pass_scenes(), st.sampled_from(BSAS_THETAS))
-    def test_clusters_and_trace_equal(self, dets, theta_iou):
-        want, want_trace = loop_bsas_cluster(dets, theta_iou)
-        got, trace = bsas_cluster(dets, theta_iou, return_trace=True)
-        assert_same_clusters(got, want)
-        assert trace == want_trace
-        assert_same_clusters(bsas_cluster(dets, theta_iou), want)
+    def test_clusters_equal(self, dets, theta_iou):
+        assert_same_clusters(bsas_cluster(dets, theta_iou),
+                             loop_bsas_cluster(dets, theta_iou))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(pass_scenes(n_images=3), st.sampled_from(BSAS_THETAS))
@@ -238,17 +219,15 @@ class TestBsasAgainstLoopOracle:
         want = []
         for image_id in sorted({d.image_id for d in dets}):
             want += loop_bsas_cluster(
-                [d for d in dets if d.image_id == image_id], theta_iou)[0]
+                [d for d in dets if d.image_id == image_id], theta_iou)
         assert_same_clusters(cluster_all(dets, theta_iou), want)
 
     def test_zero_theta_joins_a_disjoint_cluster_of_its_class(self):
         first = det((0, 0, 1, 1), [0.9, 0.1], pass_index=0)
         same_class = det((5, 5, 6, 6), [0.8, 0.2], pass_index=1)
         other_class = det((5, 5, 6, 6), [0.2, 0.8], pass_index=1)
-        clusters, trace = bsas_cluster([first, same_class], theta_iou=0.0,
-                                       return_trace=True)
+        clusters = bsas_cluster([first, same_class], theta_iou=0.0)
         assert [c.members for c in clusters] == [[first, same_class]]
-        assert trace[1] == BsasTraceEntry(1, 0, False, 0.0, first.box)
         assert len(bsas_cluster([first, other_class], theta_iou=0.0)) == 2
         assert len(bsas_cluster([first, same_class], theta_iou=0.3)) == 2
 

@@ -46,11 +46,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             StochasticSpec(kind=KIND_UNIT, drop_rate=0.1, mode="nope")
 
-    def test_dict_roundtrip(self):
-        spec = spec_of(KIND_BLOCK, 0.25, blocks={1, 3}, block_size=2)
-        again = StochasticSpec.from_dict(spec.to_dict())
-        assert again == spec
-
 
 class TestSampleMask:
     def test_zero_rate_gives_all_ones(self):
