@@ -15,6 +15,7 @@ from pathlib import Path
 from .datasets import DATASET_KINDS, ShiftSpec, make_dataset
 from .harness import (
     ExperimentConfig,
+    check_checkpoint,
     evaluate_point,
     first_point,
     load_task_data,
@@ -145,11 +146,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "eval":
         if cfg.task == "classification" and args.checkpoint is None:
             raise ValueError("classification eval needs --checkpoint")
-        # the synthetic detector never reads a net
-        net = (load_checkpoint(args.checkpoint)[0]
-               if cfg.task == "classification" else None)
-        report, _ = evaluate_point(cfg, net, load_task_data(cfg),
-                                   first_point(cfg))
+        data, point = load_task_data(cfg), first_point(cfg)
+        net = None  # the synthetic detector never reads a net
+        if cfg.task == "classification":
+            net, echo = load_checkpoint(args.checkpoint)
+            check_checkpoint(cfg, data, point, echo)
+        report, _ = evaluate_point(cfg, net, data, point)
         print(f"performance={report.map_50_95:.4f} brier={report.brier:.4f} "
               f"ece={report.ece:.4f} auarc={report.auarc:.4f} "
               f"mean_entropy={report.mean_entropy:.4f}")

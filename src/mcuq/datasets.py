@@ -28,14 +28,16 @@ DATASET_PARAMS = {
     "boxes-detection": {"n_images": 8, "n_classes": 3, "boxes_per_image": 3},
 }
 DATASET_KINDS = tuple(DATASET_PARAMS)
+# Parameters that count something and must be at least 1.
+COUNT_KEYS = ("n", "n_classes", "n_images", "boxes_per_image")
 # Range of a ground-truth box's width and height, in coordinate units.
 BOX_SIDE = (8.0, 30.0)
 
 
 def dataset_params(kind: str, params: dict) -> dict:
     """The generator keyword arguments for ``kind``: the table's defaults
-    overridden by ``params``.  An unknown kind or key, or a value of the
-    wrong type, raises a ``ValueError`` naming it."""
+    overridden by ``params``.  An unknown kind or key, a value of the
+    wrong type, or a count below 1 raises a ``ValueError`` naming it."""
     if kind not in DATASET_PARAMS:
         raise ValueError(f"dataset: unknown kind {kind!r}; "
                          f"choose from {DATASET_KINDS}")
@@ -50,6 +52,8 @@ def dataset_params(kind: str, params: dict) -> dict:
         if isinstance(default, int):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"dataset: {key} {value!r} is not an integer")
+            if key in COUNT_KEYS and value < 1:
+                raise ValueError(f"dataset: {key} {value!r} is below 1")
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"dataset: {key} {value!r} is not a number")
         resolved[key] = type(default)(value)
@@ -113,14 +117,25 @@ def make_box_scenes(n_images: int, n_classes: int = 3,
     return gts
 
 
+def _check_magnitudes(**values: float) -> None:
+    for key, value in values.items():
+        if not value >= 0.0:  # also rejects NaN
+            raise ValueError(f"shift: {key} {value!r} is not a "
+                             "non-negative number")
+
+
 @dataclass
 class ShiftLevel:
-    """One severity step of the corruption ladder."""
+    """One severity step of the corruption ladder.  The noise scale and
+    the drift are magnitudes; a negative one raises ``ValueError``."""
 
     name: str
     noise_scale: float = 0.0
     rotation_deg: float = 0.0
     drift: float = 0.0       # class-conditional mean shift magnitude
+
+    def __post_init__(self):
+        _check_magnitudes(noise_scale=self.noise_scale, drift=self.drift)
 
 
 @dataclass
@@ -133,6 +148,15 @@ class ShiftSpec:
     def default_ladder(cls, n_levels: int = 4, max_noise: float = 1.2,
                        max_rotation: float = 40.0,
                        max_drift: float = 0.8) -> "ShiftSpec":
+        """``n_levels`` (at least 1) levels from no corruption up to the
+        given maxima, which must be non-negative."""
+        if (isinstance(n_levels, bool)
+                or not isinstance(n_levels, (int, np.integer))
+                or n_levels < 1):
+            raise ValueError(f"shift: n_levels {n_levels!r} is not a "
+                             "positive integer")
+        _check_magnitudes(max_noise=max_noise, max_rotation=max_rotation,
+                          max_drift=max_drift)
         levels = []
         for k in range(n_levels):
             frac = k / max(n_levels - 1, 1)

@@ -40,6 +40,8 @@ from .detection import (
 from .mc_inference import mc_predict
 from .metrics import ConfigPoint, EvalReport, ScoredPrediction, entropy_for_mode
 from .nn_core import (
+    ACT_RELU,
+    MODE_SOFTMAX,
     ResidualNet,
     TrainConfig,
     check_arch,
@@ -305,6 +307,27 @@ def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
     _atomic(lambda p: save_loss_trace(trace, p), trace_path)
 
 
+def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
+                     echo: dict) -> None:
+    """Reject a checkpoint that does not fit the evaluation: the config
+    section ``load_checkpoint`` returns must hold the data's input width
+    and class count and the config's arch block, and, where it echoes a
+    method, ``point``'s method.  The ``ValueError`` names each mismatched
+    field with both values."""
+    (X, _), _, n_classes = data
+    arch = {"output_mode": MODE_SOFTMAX, "activation": ACT_RELU, **cfg.arch,
+            "in_dim": X.shape[1], "n_classes": n_classes}
+    stored = echo["arch"]
+    wrong = [f"arch.{key} is {stored.get(key)!r}, expected {value!r}"
+             for key, value in arch.items() if stored.get(key) != value]
+    if "method" in echo and echo["method"] != point.method:
+        wrong.append(f"method is {echo['method']!r}, "
+                     f"expected {point.method!r}")
+    if wrong:
+        raise ValueError("checkpoint does not fit the config: "
+                         + ", ".join(wrong))
+
+
 def _detection_report(cfg: ExperimentConfig, gts,
                       clusters: list[ClusteredObservation],
                       conf_threshold: float
@@ -486,6 +509,8 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
     """
     if cfg.task != "classification":
         raise ValueError("shift runs are defined for the classification task")
+    if not shift.levels:
+        raise ValueError("shift: the ladder has no levels")
     train_data, (X, labels), n_classes = load_task_data(cfg)
     point = first_point(cfg)
     net, _, _ = train_cell(cfg, point.method, point.drop_rate,

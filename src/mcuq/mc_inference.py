@@ -47,14 +47,14 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
 
-    passes = []
+    logits = np.empty((T, batch, net.n_classes))
     for t in range(T):
         masks = sample_mask(spec, net.width, batch, pass_stream(base_seed, t))
         try:
-            passes.append(forward(net, x, masks=masks))
+            logits[t] = forward(net, x, masks=masks)
         except Exception as exc:
             raise RuntimeError(f"MC pass {t} failed: {exc}") from exc
-    return np.stack(passes, axis=0)
+    return logits
 
 
 def mc_predict(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
@@ -65,8 +65,7 @@ def mc_predict(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     logits) and averaged afterwards; sigmoid entries are never renormalized
     across classes.
     """
-    logits = mc_forward_logits(net, x, spec, T, base_seed)
-    per_pass = np.stack([_probs(net, logits[t]) for t in range(T)], axis=0)
+    per_pass = _probs(net, mc_forward_logits(net, x, spec, T, base_seed))
     return PredictiveSummary(mean_probs=per_pass.mean(axis=0),
                              per_pass_probs=per_pass)
 

@@ -227,8 +227,13 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
                     f"mask refers to block {l} outside [1..{net.n_blocks}]",
                     block_index=l)
 
+    # Each array is computed in place once allocated, and never written
+    # after it enters the cache, whose arrays the backward pass reads.
+    # ``branch * row_mult + h`` rounds as ``h + row_mult * branch`` does:
+    # IEEE addition and multiplication are commutative.
     cache = {"x": x, "blocks": []}
-    h = x @ net.stem_w.value + net.stem_b.value
+    h = x @ net.stem_w.value
+    h += net.stem_b.value
     for blk in net.blocks:
         unit_mult = row_mult = None
         if masks is not None:
@@ -237,15 +242,24 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
         if row_mult is None and scale_spec is not None \
                 and blk.index in scale_spec.adapted_blocks:
             row_mult = scale_spec.keep_prob  # deterministic scaled rule
-        pre = h @ blk.w1.value + blk.b1.value
-        act = _activate(net, pre)
-        hidden = act if unit_mult is None else act * unit_mult
-        branch = hidden @ blk.w2.value + blk.b2.value
-        out = h + branch if row_mult is None else h + row_mult * branch
+        pre = h @ blk.w1.value
+        pre += blk.b1.value
+        hidden = _activate(net, pre)
+        if unit_mult is not None:
+            if hidden is pre:  # identity activation: the cache keeps pre
+                hidden = hidden * unit_mult
+            else:
+                hidden *= unit_mult
+        branch = hidden @ blk.w2.value
+        branch += blk.b2.value
+        if row_mult is not None:
+            branch *= row_mult
+        branch += h
         cache["blocks"].append({"in": h, "pre": pre, "hidden": hidden,
                                 "unit_mult": unit_mult, "row_mult": row_mult})
-        h = out
-    logits = h @ net.head_w.value + net.head_b.value
+        h = branch
+    logits = h @ net.head_w.value
+    logits += net.head_b.value
     cache["head_in"] = h
     check_finite(logits, "logits")
     return logits, cache
@@ -265,9 +279,18 @@ def forward(net: ResidualNet, x: np.ndarray,
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, for any shape.  The row max is taken
+    column by column, which is exact and, for a few classes, far faster
+    than ``max`` over a short last axis; the row sums keep ``sum``'s
+    rounding."""
+    logits = np.asarray(logits, dtype=np.float64)
+    top = logits[..., 0].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., j], out=top)
+    e = logits - top[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:

@@ -40,6 +40,15 @@ class TestMakeData:
                    "--out", str(tmp_path / "d"), "--params", '{"bogus": 1}'])
         assert rc == 1
 
+    def test_empty_or_negative_count_fails(self, tmp_path, capsys):
+        for n in (0, -5):
+            rc = main(["make-data", "--kind", "blobs-classification",
+                       "--out", str(tmp_path / "d"),
+                       "--params", json.dumps({"n": n})])
+            assert rc == 1
+            assert f"n {n} is below 1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestSweepCommand:
     def test_clean_sweep_exits_zero(self, tmp_path):
@@ -130,6 +139,40 @@ class TestTrainEval:
                        f"auarc={report.auarc:.4f} "
                        f"mean_entropy={report.mean_entropy:.4f}")
 
+    def test_eval_rejects_a_checkpoint_that_does_not_fit(self, tmp_path,
+                                                         capsys):
+        # a 4-class MCSD model against a 2-class moons config evaluating
+        # MCD: every mismatch is named with both values
+        four = tmp_path / "four"
+        four.mkdir()
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(write_config(
+            four, dataset={"kind": "blobs-classification", "n": 80,
+                           "n_classes": 4})),
+            "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+        moons = write_config(
+            tmp_path, methods=["MCD"],
+            dataset={"kind": "moons-classification", "n": 80})
+        capsys.readouterr()
+        assert main(["eval", "--config", str(moons),
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert "arch.n_classes is 4, expected 2" in err.err
+        assert "method is 'MCSD', expected 'MCD'" in err.err
+
+    def test_eval_rejects_a_checkpoint_of_another_arch(self, tmp_path,
+                                                       capsys):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+        wider = write_config(tmp_path, arch={"n_blocks": 2, "width": 12})
+        capsys.readouterr()
+        assert main(["eval", "--config", str(wider),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert "arch.width is 10, expected 12" in capsys.readouterr().err
+
     def test_classification_eval_needs_checkpoint(self, tmp_path, capsys):
         assert main(["eval", "--config", str(write_config(tmp_path))]) == 1
         assert "--checkpoint" in capsys.readouterr().err
@@ -162,6 +205,16 @@ class TestShiftCommand:
         out = capsys.readouterr().out
         assert out.count("mean_entropy=") == 3
         assert (tmp_path / "out" / "shift.csv").exists()
+
+    def test_bad_ladder_fails_before_training(self, tmp_path, capsys):
+        cfg_path = str(write_config(tmp_path))
+        for flags, key in ((["--levels", "0"], "n_levels 0"),
+                           (["--levels", "-2"], "n_levels -2"),
+                           (["--levels", "2", "--max-noise", "-1"],
+                            "max_noise -1.0")):
+            assert main(["shift", "--config", cfg_path, *flags]) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelectCommand:

@@ -78,6 +78,28 @@ class TestCorruption:
         assert scales == sorted(scales)
         assert scales[0] == 0.0
 
+    @pytest.mark.parametrize("n_levels", [0, -2, 1.5, True])
+    def test_ladder_needs_a_level(self, n_levels):
+        with pytest.raises(ValueError, match="n_levels"):
+            ShiftSpec.default_ladder(n_levels=n_levels)
+
+    @pytest.mark.parametrize("key", ["max_noise", "max_rotation",
+                                     "max_drift"])
+    def test_ladder_rejects_negative_maxima(self, key):
+        # a single level scales the maxima by 0, so only a check on the
+        # argument itself sees the sign
+        for n_levels in (1, 3):
+            with pytest.raises(ValueError, match=key):
+                ShiftSpec.default_ladder(n_levels=n_levels, **{key: -1.0})
+
+    @pytest.mark.parametrize("key", ["noise_scale", "drift"])
+    def test_level_rejects_negative_magnitudes(self, key):
+        for value in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match=key):
+                ShiftLevel(name="bad", **{key: value})
+        # a rotation is signed
+        assert ShiftLevel(name="ccw", rotation_deg=-30.0).rotation_deg == -30.0
+
 
 class TestFiles:
     def test_classification_roundtrip(self, tmp_path):
@@ -110,4 +132,19 @@ class TestFiles:
         with pytest.raises(ValueError):
             make_dataset("blobs-classification", {"bogus": 1}, seed=0,
                          out_dir=out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,key", [
+        ("blobs-classification", "n"),
+        ("blobs-classification", "n_classes"),
+        ("moons-classification", "n"),
+        ("boxes-detection", "n_images"),
+        ("boxes-detection", "n_classes"),
+        ("boxes-detection", "boxes_per_image")])
+    def test_counts_below_one_rejected_before_write(self, tmp_path, kind,
+                                                    key):
+        out = tmp_path / "nothing"
+        for value in (0, -5):
+            with pytest.raises(ValueError, match=f"{key} {value} is below 1"):
+                make_dataset(kind, {key: value}, seed=0, out_dir=out)
         assert not out.exists()

@@ -468,6 +468,13 @@ class TestShift:
         assert rows[0][1] == pytest.approx(report.map_50_95, abs=1e-12)
         assert rows[0][2] == pytest.approx(report.mean_entropy, abs=1e-12)
 
+    def test_empty_ladder_rejected_before_training(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(harness, "train_cell", None)  # never reached
+        with pytest.raises(ValueError, match="no levels"):
+            run_shift(small_cfg(tmp_path), ShiftSpec())
+        assert not (tmp_path / "out" / "shift.csv").exists()
+
     def test_writes_level_rows(self, tmp_path):
         cfg = small_cfg(tmp_path)
         rows = run_shift(cfg, ShiftSpec.default_ladder(n_levels=3))

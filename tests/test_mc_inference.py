@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcuq.mc_inference import (
     PredictiveSummary,
@@ -7,8 +9,8 @@ from mcuq.mc_inference import (
     mc_forward_logits,
     mc_predict,
 )
-from mcuq.nn_core import forward, init_net, softmax
-from mcuq.rng import pass_stream
+from mcuq.nn_core import forward, init_net, sigmoid, softmax
+from mcuq.rng import pass_stream, substream
 from mcuq.stochastic import (
     KIND_BLOCK,
     KIND_PATH,
@@ -96,6 +98,63 @@ class TestMcPredict:
         target = forward(net, x)
         rel = np.abs(logits.mean(axis=0) - target) / np.abs(target)
         assert rel.max() < 0.01
+
+
+def loop_softmax(logits):
+    """The softmax before it took a whole pass stack: one ``[batch, C]``
+    pass, with the row max from ``max(axis=1)``."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def loop_per_pass_probs(net, logits):
+    """``per_pass_probs`` as it was built before: probabilities pass by
+    pass, then stacked."""
+    probs = loop_softmax if net.output_mode == "softmax" else sigmoid
+    return np.stack([probs(logits[t]) for t in range(len(logits))], axis=0)
+
+
+class TestPerPassProbsMatchLoopOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(n_classes=st.sampled_from([1, 2, 3, 8, 9, 17]),
+           output_mode=st.sampled_from(["softmax", "sigmoid"]),
+           kind=st.sampled_from([KIND_UNIT, KIND_BLOCK, KIND_PATH]),
+           tied=st.integers(0, 16),
+           peak=st.sampled_from([None, 1.0, 40.0, 699.0]),
+           T=st.integers(1, 6), batch=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32))
+    def test_bit_identical_to_per_pass_stack(self, n_classes, output_mode,
+                                             kind, tied, peak, T, batch,
+                                             seed):
+        net = init_net(2, 6, 2, n_classes, output_mode=output_mode,
+                       seed=seed)
+        head_w, head_b = net.head_w.value, net.head_b.value
+        # the first ``tied`` + 1 classes get equal logits in every row, so
+        # with all classes tied every row's maximum is tied
+        for j in range(1, min(tied, n_classes - 1) + 1):
+            head_w[:, j] = head_w[:, 0]
+            head_b[j] = head_b[0]
+        spec = mc_spec(kind, 0.3, {1, 2}, block_size=2)
+        x = substream(seed, "x").normal(size=(batch, 2))
+        if peak is not None:
+            # rescale the head so the largest |logit| is ``peak``: 699
+            # puts logits near +-700, where exp over- and underflows
+            top = np.abs(mc_forward_logits(net, x, spec, T, seed)).max()
+            if top > 0:
+                head_w *= peak / top
+                head_b *= peak / top
+        logits = mc_forward_logits(net, x, spec, T=T, base_seed=seed)
+        summary = mc_predict(net, x, spec, T=T, base_seed=seed)
+        expected = loop_per_pass_probs(net, logits)
+        assert summary.per_pass_probs.shape == expected.shape
+        assert summary.per_pass_probs.tobytes() == expected.tobytes()
+        assert summary.mean_probs.tobytes() \
+            == expected.mean(axis=0).tobytes()
+        if output_mode == "softmax":  # softmax leaves its input alone
+            before = logits.copy()
+            assert softmax(logits).tobytes() == expected.tobytes()
+            assert logits.tobytes() == before.tobytes()
 
 
 class TestExecutionOrderInvariance:

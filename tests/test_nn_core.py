@@ -18,6 +18,7 @@ from mcuq.nn_core import (
     _activate_grad,
     _forward_cached,
     backward,
+    check_finite,
     forward,
     init_net,
     l2_penalty,
@@ -34,8 +35,11 @@ from mcuq.stochastic import (
     KIND_BLOCK,
     KIND_PATH,
     KIND_UNIT,
+    MODE_MC,
+    MODE_SCALED,
     MODE_TRAINING,
     StochasticSpec,
+    multipliers,
     sample_mask,
 )
 from mcuq.datasets import make_blobs
@@ -383,11 +387,92 @@ class TestTrain:
         assert trace_a == trace_b
 
 
+def loop_forward_cached(net, x, masks=None, scale_spec=None):
+    """The forward before it computed in place: a fresh array for every
+    affine map, activation, multiplier product and residual sum."""
+    x = np.asarray(x, dtype=np.float64)
+    cache = {"x": x, "blocks": []}
+    h = x @ net.stem_w.value + net.stem_b.value
+    for blk in net.blocks:
+        unit_mult = row_mult = None
+        if masks is not None:
+            unit_mult, row_mult = multipliers(masks, blk.index, net.width,
+                                              x.shape[0])
+        if row_mult is None and scale_spec is not None \
+                and blk.index in scale_spec.adapted_blocks:
+            row_mult = scale_spec.keep_prob
+        pre = h @ blk.w1.value + blk.b1.value
+        act = np.maximum(pre, 0.0) if net.activation == "relu" else pre
+        hidden = act if unit_mult is None else act * unit_mult
+        branch = hidden @ blk.w2.value + blk.b2.value
+        out = h + branch if row_mult is None else h + row_mult * branch
+        cache["blocks"].append({"in": h, "pre": pre, "hidden": hidden,
+                                "unit_mult": unit_mult, "row_mult": row_mult})
+        h = out
+    logits = h @ net.head_w.value + net.head_b.value
+    cache["head_in"] = h
+    check_finite(logits, "logits")
+    return logits, cache
+
+
+def same_bytes(a, b) -> bool:
+    """Byte equality for arrays; plain equality for None and floats."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return a == b
+
+
+class TestForwardMatchesLoopOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH,
+                                 "scaled"]),
+           activation=st.sampled_from(["relu", "identity"]),
+           output_mode=st.sampled_from(["softmax", "sigmoid"]),
+           n_blocks=st.integers(1, 3), width=st.integers(1, 8),
+           block_size=st.integers(1, 4), batch=st.integers(1, 9),
+           drop_rate=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+           seed=st.integers(0, 2 ** 32))
+    def test_logits_and_cache_bit_identical(
+            self, kind, activation, output_mode, n_blocks, width, block_size,
+            batch, drop_rate, seed):
+        net = init_net(3, width, n_blocks, 4, output_mode=output_mode,
+                       activation=activation, seed=seed)
+        x = substream(seed, "x").normal(size=(batch, 3))
+        masks = scale_spec = None
+        if kind is not None:
+            spec = StochasticSpec(
+                kind=KIND_PATH if kind == "scaled" else kind,
+                drop_rate=drop_rate,
+                adapted_blocks=range(1, n_blocks + 1), block_size=block_size,
+                mode=MODE_SCALED if kind == "scaled" else MODE_MC)
+            if kind == "scaled":
+                scale_spec = spec
+            else:
+                masks = sample_mask(spec, width, batch,
+                                    substream(seed, "mask"))
+        logits, cache = _forward_cached(net, x, masks=masks,
+                                        scale_spec=scale_spec)
+        want_logits, want = loop_forward_cached(net, x, masks=masks,
+                                                scale_spec=scale_spec)
+        assert same_bytes(logits, want_logits)
+        assert same_bytes(forward(net, x, masks=masks, scale_spec=scale_spec),
+                          want_logits)
+        assert same_bytes(cache["x"], want["x"])
+        assert same_bytes(cache["head_in"], want["head_in"])
+        assert len(cache["blocks"]) == len(want["blocks"]) == n_blocks
+        for got, expected in zip(cache["blocks"], want["blocks"]):
+            assert got.keys() == expected.keys()
+            for key in expected:
+                assert same_bytes(got[key], expected[key]), key
+
+
 def loop_loss_and_grads(net, x, targets, weight_decay, masks=None):
     """The training step before the flat buffers: the loss and a dict of
     freshly allocated gradients, each checked for non-finite values on its
-    own, with the task loss and softmax computed separately."""
-    logits, cache = _forward_cached(net, x, masks=masks)
+    own, with the task loss and softmax computed separately, on the
+    allocating forward ``loop_forward_cached``."""
+    logits, cache = loop_forward_cached(net, x, masks=masks)
     batch = logits.shape[0]
     if net.output_mode == "softmax":
         y = np.asarray(targets)
