@@ -17,47 +17,33 @@ from pathlib import Path
 import numpy as np
 
 from .detection import IMAGE_SIZE, Box, GroundTruth, save_ground_truths
+from .fields import check_keys, choice, number
 from .rng import substream
 
-# Generator parameters of each dataset kind, with their defaults; the
-# defaults' types are the types a parameter must have.
+# Generator parameters of each dataset kind, as name: (default, low[,
+# high]) with closed bounds.  A parameter must have its default's type.
 DATASET_PARAMS = {
-    "blobs-classification": {"n": 600, "n_classes": 3, "spread": 0.6,
-                             "radius": 3.0, "label_noise": 0.0},
-    "moons-classification": {"n": 600, "noise": 0.1},
-    "boxes-detection": {"n_images": 8, "n_classes": 3, "boxes_per_image": 3},
+    "blobs-classification": {"n": (600, 1), "n_classes": (3, 1),
+                             "spread": (0.6, 0), "radius": (3.0, 0),
+                             "label_noise": (0.0, 0, 1)},
+    "moons-classification": {"n": (600, 1), "noise": (0.1, 0)},
+    "boxes-detection": {"n_images": (8, 1), "n_classes": (3, 1),
+                        "boxes_per_image": (3, 1)},
 }
 DATASET_KINDS = tuple(DATASET_PARAMS)
-# Parameters that count something and must be at least 1.
-COUNT_KEYS = ("n", "n_classes", "n_images", "boxes_per_image")
 # Range of a ground-truth box's width and height, in coordinate units.
 BOX_SIDE = (8.0, 30.0)
 
 
 def dataset_params(kind: str, params: dict) -> dict:
     """The generator keyword arguments for ``kind``: the table's defaults
-    overridden by ``params``.  An unknown kind or key, a value of the
-    wrong type, or a count below 1 raises a ``ValueError`` naming it."""
-    if kind not in DATASET_PARAMS:
-        raise ValueError(f"dataset: unknown kind {kind!r}; "
-                         f"choose from {DATASET_KINDS}")
-    defaults = DATASET_PARAMS[kind]
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"dataset: unknown keys {sorted(unknown)} "
-                         f"for kind {kind!r}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = params.get(key, default)
-        if isinstance(default, int):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"dataset: {key} {value!r} is not an integer")
-            if key in COUNT_KEYS and value < 1:
-                raise ValueError(f"dataset: {key} {value!r} is below 1")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"dataset: {key} {value!r} is not a number")
-        resolved[key] = type(default)(value)
-    return resolved
+    overridden by ``params``, each checked against its type and bounds."""
+    table = DATASET_PARAMS[choice("dataset: kind", kind, DATASET_KINDS)]
+    check_keys("dataset", params, table)
+    return {key: type(default)(number(
+                f"dataset: {key}", params.get(key, default), *bounds,
+                integer=isinstance(default, int)))
+            for key, (default, *bounds) in table.items()}
 
 
 def make_blobs(n: int, n_classes: int = 3, spread: float = 0.6,
@@ -117,17 +103,10 @@ def make_box_scenes(n_images: int, n_classes: int = 3,
     return gts
 
 
-def _check_magnitudes(**values: float) -> None:
-    for key, value in values.items():
-        if not value >= 0.0:  # also rejects NaN
-            raise ValueError(f"shift: {key} {value!r} is not a "
-                             "non-negative number")
-
-
 @dataclass
 class ShiftLevel:
     """One severity step of the corruption ladder.  The noise scale and
-    the drift are magnitudes; a negative one raises ``ValueError``."""
+    the drift are non-negative magnitudes; the rotation is signed."""
 
     name: str
     noise_scale: float = 0.0
@@ -135,7 +114,9 @@ class ShiftLevel:
     drift: float = 0.0       # class-conditional mean shift magnitude
 
     def __post_init__(self):
-        _check_magnitudes(noise_scale=self.noise_scale, drift=self.drift)
+        number("shift: noise_scale", self.noise_scale, 0)
+        number("shift: rotation_deg", self.rotation_deg)
+        number("shift: drift", self.drift, 0)
 
 
 @dataclass
@@ -150,13 +131,10 @@ class ShiftSpec:
                        max_drift: float = 0.8) -> "ShiftSpec":
         """``n_levels`` (at least 1) levels from no corruption up to the
         given maxima, which must be non-negative."""
-        if (isinstance(n_levels, bool)
-                or not isinstance(n_levels, (int, np.integer))
-                or n_levels < 1):
-            raise ValueError(f"shift: n_levels {n_levels!r} is not a "
-                             "positive integer")
-        _check_magnitudes(max_noise=max_noise, max_rotation=max_rotation,
-                          max_drift=max_drift)
+        number("shift: n_levels", n_levels, 1, integer=True)
+        number("shift: max_noise", max_noise, 0)
+        number("shift: max_rotation", max_rotation, 0)
+        number("shift: max_drift", max_drift, 0)
         levels = []
         for k in range(n_levels):
             frac = k / max(n_levels - 1, 1)

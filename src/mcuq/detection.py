@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import number
 from .metrics import ScoredPrediction, entropy_for_mode
 from .rng import substream
 
@@ -316,8 +317,7 @@ def map_50_95(items, gts: list[GroundTruth], conf_threshold: float = 0.0) -> flo
     """
     if not gts:
         raise ValueError("no ground truths")
-    if not 0.0 <= conf_threshold <= 1.0:
-        raise ValueError("conf_threshold must be in [0, 1]")
+    number("conf_threshold", conf_threshold, 0, 1)
     items = list(items)
     if not items:
         return 0.0
@@ -348,8 +348,7 @@ def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
     carry the matched ground-truth class as true label.  Uncertainty is the
     mode-appropriate entropy of the mean probabilities.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must be in [0, 1]")
+    number("tau", tau, 0, 1)
     items = list(items)
     if not items:
         return []
@@ -372,12 +371,10 @@ class NoiseSpec:
     sharpness: float = 0.9        # probability mass on the true class
 
     def __post_init__(self):
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise ValueError("miss_prob must be in [0, 1]")
-        if self.halluc_rate < 0 or self.box_jitter < 0:
-            raise ValueError("rates must be non-negative")
-        if not 0.0 < self.sharpness <= 1.0:
-            raise ValueError("sharpness must be in (0, 1]")
+        number("box_jitter", self.box_jitter, 0)
+        number("miss_prob", self.miss_prob, 0, 1)
+        number("halluc_rate", self.halluc_rate, 0)
+        number("sharpness", self.sharpness, 0, 1, open_lo=True)
 
 
 def _peaked_probs(true_class: int, n_classes: int, sharpness: float,

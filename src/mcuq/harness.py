@@ -37,6 +37,7 @@ from .detection import (
     map_50_95,
     synth_detector,
 )
+from .fields import check_keys, choice, number
 from .mc_inference import mc_predict
 from .metrics import ConfigPoint, EvalReport, ScoredPrediction, entropy_for_mode
 from .nn_core import (
@@ -77,6 +78,7 @@ TRAIN_KEYS = ("learning_rate", "weight_decay", "epochs", "batch_size")
 
 def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
     """Map an adapted-blocks preset name to 1-based block indices."""
+    choice("adapted-blocks preset", preset, PRESETS)
     half = -(-n_blocks // 2)  # ceil
     if preset == "all":
         return frozenset(range(1, n_blocks + 1))
@@ -86,29 +88,7 @@ def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
         return frozenset(range(n_blocks - half + 1, n_blocks + 1))
     if preset == "single-first":
         return frozenset({1})
-    if preset == "single-last":
-        return frozenset({n_blocks})
-    raise ValueError(f"unknown adapted-blocks preset {preset!r}; "
-                     f"choose from {PRESETS}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_keys(name: str, d, allowed, required) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{name}: {d!r} is not a mapping")
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in d:
-            raise ValueError(f"{name}: missing key {key!r}")
+    return frozenset({n_blocks})  # single-last
 
 
 @dataclass
@@ -135,43 +115,33 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task not in ("classification", "detection"):
-            raise ValueError(f"unknown task {self.task!r}")
+        choice("task:", self.task, TASK_DATASETS)
         for grid_name in ("methods", "drop_rates", "Ts", "conf_thresholds",
                           "adapted_presets"):
             if not getattr(self, grid_name):
                 raise ValueError(f"grid list {grid_name} must be non-empty")
         for m in self.methods:
-            if m not in METHOD_KINDS:
-                raise ValueError(f"unknown method {m!r}")
+            choice("methods:", m, METHOD_KINDS)
         for p in self.adapted_presets:
-            if p not in PRESETS:
-                raise ValueError(f"unknown preset {p!r}")
+            choice("adapted_presets:", p, PRESETS)
         for r in self.drop_rates:
-            if not (_is_real(r) and 0.0 <= r < 1.0):
-                raise ValueError(f"drop_rates: {r!r} is not in [0, 1)")
+            number("drop_rates:", r, 0, 1, open_hi=True)
         for T in self.Ts:
-            if not (_is_int(T) and T >= 1):
-                raise ValueError(f"Ts: {T!r} is not a positive integer")
-        for name in ("block_size", "ece_bins"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise ValueError(f"{name}: {value!r} is not a positive integer")
-        fraction = self.test_fraction
-        if not (_is_real(fraction) and 0.0 < fraction < 1.0):
-            raise ValueError(f"test_fraction: {fraction!r} is not in (0, 1)")
+            number("Ts:", T, 1, integer=True)
         for c in self.conf_thresholds:
-            if not (_is_real(c) and 0.0 <= c <= 1.0):
-                raise ValueError(f"conf_thresholds: {c!r} is not in [0, 1]")
+            number("conf_thresholds:", c, 0, 1)
+        for name in ("block_size", "ece_bins"):
+            number(f"{name}:", getattr(self, name), 1, integer=True)
+        number("test_fraction:", self.test_fraction, 0, 1, open_lo=True,
+               open_hi=True)
         for name in ("theta_iou", "match_tau"):
-            value = getattr(self, name)
-            if not (_is_real(value) and 0.0 <= value <= 1.0):
-                raise ValueError(f"{name}: {value!r} is not in [0, 1]")
+            number(f"{name}:", getattr(self, name), 0, 1)
+        number("seed:", self.seed, integer=True)
         for name, keys, required, check in (
                 ("arch", ARCH_KEYS, ("n_blocks", "width"), check_arch),
                 ("train", TRAIN_KEYS, ("learning_rate",), TrainConfig)):
             block = getattr(self, name)
-            _check_keys(name, block, keys, required)
+            check_keys(name, block, keys, required)
             try:
                 check(**block)
             except ValueError as exc:
@@ -180,11 +150,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        unknown = set(d) - set(known)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**known)
+        check_keys("config", d, cls.__dataclass_fields__)
+        return cls(**d)
 
 
 def _cell_seed(cfg: ExperimentConfig, *tags) -> int:
@@ -197,21 +164,14 @@ def _dataset_parts(cfg: ExperimentConfig
     synthetic detector's noise; raises ``ValueError`` naming a bad key."""
     ds = dict(cfg.dataset)
     kinds = TASK_DATASETS[cfg.task]
-    kind = ds.pop("kind", kinds[0])
-    if kind not in kinds:
-        raise ValueError(f"dataset: kind {kind!r} is not one of {kinds} "
-                         f"(task {cfg.task!r})")
-    if cfg.task == "classification":
-        return kind, dataset_params(kind, ds), None
-    noise = {key: ds.pop(key, default)
-             for key, default in DETECTOR_NOISE.items()}
-    for key, value in noise.items():
-        if not _is_real(value):
-            raise ValueError(f"dataset: {key} {value!r} is not a number")
-    try:
-        noise = NoiseSpec(**{k: float(v) for k, v in noise.items()})
-    except ValueError as exc:
-        raise ValueError(f"dataset: {exc}") from None
+    kind = choice("dataset: kind", ds.pop("kind", kinds[0]), kinds)
+    noise = None
+    if cfg.task == "detection":
+        try:
+            noise = NoiseSpec(**{key: ds.pop(key, default)
+                                 for key, default in DETECTOR_NOISE.items()})
+        except ValueError as exc:
+            raise ValueError(f"dataset: {exc}") from None
     return kind, dataset_params(kind, ds), noise
 
 
@@ -309,18 +269,24 @@ def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
 
 def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
                      echo: dict) -> None:
-    """Reject a checkpoint that does not fit the evaluation: the config
-    section ``load_checkpoint`` returns must hold the data's input width
-    and class count and the config's arch block, and, where it echoes a
-    method, ``point``'s method.  The ``ValueError`` names each mismatched
-    field with both values."""
+    """Reject a checkpoint that does not fit the evaluation: the arch that
+    ``load_checkpoint`` returns must match the data's input width and class
+    count and the config's arch block and, where echoed, the method and
+    stochastic cell (every field but the mode) must match ``point``'s.  The
+    ``ValueError`` names each mismatched field with both values."""
     (X, _), _, n_classes = data
-    arch = {"output_mode": MODE_SOFTMAX, "activation": ACT_RELU, **cfg.arch,
-            "in_dim": X.shape[1], "n_classes": n_classes}
-    stored = echo["arch"]
-    wrong = [f"arch.{key} is {stored.get(key)!r}, expected {value!r}"
-             for key, value in arch.items() if stored.get(key) != value]
-    if "method" in echo and echo["method"] != point.method:
+    spec = _cell_spec(cfg, point.method, point.drop_rate, point.adapted_blocks,
+                      cfg.arch["n_blocks"], MODE_MC).to_dict()
+    expected = {"arch": {"output_mode": MODE_SOFTMAX, "activation": ACT_RELU,
+                         **cfg.arch, "in_dim": X.shape[1],
+                         "n_classes": n_classes},
+                "stochastic": {k: v for k, v in spec.items() if k != "mode"}}
+    wrong = []
+    for section, want in expected.items():
+        stored = echo.get(section, want)
+        wrong += [f"{section}.{key} is {stored.get(key)!r}, expected {value!r}"
+                  for key, value in want.items() if stored.get(key) != value]
+    if echo.get("method", point.method) != point.method:
         wrong.append(f"method is {echo['method']!r}, "
                      f"expected {point.method!r}")
     if wrong:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
+from .fields import choice, number
 from .nn_core import MODE_SOFTMAX, ResidualNet, forward
 from .rng import pass_stream
 from .stochastic import KIND_PATH, MODE_MC, MODE_SCALED, StochasticSpec, sample_mask
@@ -40,10 +41,8 @@ def _probs(net: ResidualNet, logits: np.ndarray) -> np.ndarray:
 def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
                       T: int, base_seed: int) -> np.ndarray:
     """Raw logits of T stochastic passes, shape [T, batch, C]."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if spec.mode != MODE_MC:
-        raise ValueError(f"spec.mode must be {MODE_MC!r}, got {spec.mode!r}")
+    number("T", T, 1, integer=True)
+    choice("spec.mode", spec.mode, (MODE_MC,))
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
 

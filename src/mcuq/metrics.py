@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import number
+
 SUM_TOL = 1e-6
 
 
@@ -134,8 +136,7 @@ def ece(preds: list[ScoredPrediction], n_bins: int = 15) -> float:
     """
     if not preds:
         raise ValueError("empty prediction set")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    number("n_bins", n_bins, 1, integer=True)
     conf = np.array([p.confidence for p in preds])
     correct = np.array([p.correct for p in preds], dtype=np.float64)
     _first_bad(~((conf >= 0) & (conf <= 1)), "confidences must lie in [0, 1]")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import check_keys, choice, number
 from .rng import substream
 from .stochastic import (
     MODE_TRAINING,
@@ -35,6 +36,10 @@ ACT_IDENTITY = "identity"
 
 MODE_SOFTMAX = "softmax"
 MODE_SIGMOID = "sigmoid"
+
+# The keys of ``ResidualNet.arch``, which a checkpoint's config echoes.
+ARCH_KEYS = ("in_dim", "width", "n_blocks", "n_classes", "output_mode",
+             "activation")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -129,9 +134,7 @@ class ResidualNet:
         return params
 
     def arch(self) -> dict:
-        return {"in_dim": self.in_dim, "width": self.width,
-                "n_blocks": self.n_blocks, "n_classes": self.n_classes,
-                "output_mode": self.output_mode, "activation": self.activation}
+        return {key: getattr(self, key) for key in ARCH_KEYS}
 
 
 @dataclass
@@ -143,35 +146,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integers = (int, np.integer)
-        numbers = (int, float, np.integer, np.floating)
-        for name, kinds, ok, rule in (
-                ("learning_rate", numbers, lambda v: v > 0,
-                 "a positive number"),
-                ("weight_decay", numbers, lambda v: v >= 0,
-                 "a non-negative number"),
-                ("epochs", integers, lambda v: v >= 0,
-                 "a non-negative integer"),
-                ("batch_size", integers, lambda v: v >= 1,
-                 "a positive integer")):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, kinds)
-                    or not ok(value)):
-                raise ValueError(f"{name} {value!r} is not {rule}")
+        number("learning_rate", self.learning_rate, 0, open_lo=True)
+        number("weight_decay", self.weight_decay, 0)
+        number("epochs", self.epochs, 0, integer=True)
+        number("batch_size", self.batch_size, 1, integer=True)
+        number("seed", self.seed, integer=True)
 
 
 def check_arch(n_blocks: int, width: int, output_mode: str = MODE_SOFTMAX,
                activation: str = ACT_RELU) -> None:
     """Reject an architecture ``init_net`` cannot build, naming the key."""
-    for key, value in (("n_blocks", n_blocks), ("width", width)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1):
-            raise ValueError(f"{key} {value!r} is not a positive integer")
-    for key, value, choices in (
-            ("output_mode", output_mode, (MODE_SOFTMAX, MODE_SIGMOID)),
-            ("activation", activation, (ACT_RELU, ACT_IDENTITY))):
-        if value not in choices:
-            raise ValueError(f"{key} {value!r} is not one of {choices}")
+    number("n_blocks", n_blocks, 1, integer=True)
+    number("width", width, 1, integer=True)
+    choice("output_mode", output_mode, (MODE_SOFTMAX, MODE_SIGMOID))
+    choice("activation", activation, (ACT_RELU, ACT_IDENTITY))
 
 
 def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
@@ -459,32 +447,33 @@ def save_checkpoint(net: ResidualNet, path: str | Path,
 def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
     """Rebuild a net from ``save_checkpoint`` output.
 
-    The stored parameter ids must equal the net's, and each stored shape
-    and data length must equal the shape ``arch`` implies; every value must
-    be finite.  Errors name the offending parameter id.
+    Every section and arch key must be present, the stored parameter ids
+    must equal the net's, and each stored shape and data length must equal
+    the shape ``arch`` implies; every value must be a finite number.
+    Errors name the offending section, key or parameter id.
     """
     payload = json.loads(Path(path).read_text())
+    check_keys("checkpoint", payload, required=("shapes", "data", "config"))
+    check_keys("checkpoint config", payload["config"], required=("arch",))
     arch = payload["config"]["arch"]
-    net = init_net(in_dim=arch["in_dim"], width=arch["width"],
-                   n_blocks=arch["n_blocks"], n_classes=arch["n_classes"],
-                   output_mode=arch["output_mode"],
-                   activation=arch["activation"], seed=0)
-    ids = {p.id for p in net.parameters()}
+    check_keys("checkpoint config.arch", arch, ARCH_KEYS, ARCH_KEYS)
+    net = init_net(**arch, seed=0)
+    ids = [p.id for p in net.parameters()]
     for section in ("shapes", "data"):
-        if set(payload[section]) != ids:
-            raise ValueError(
-                f"checkpoint {section}: unknown parameters "
-                f"{sorted(set(payload[section]) - ids)}, missing "
-                f"{sorted(ids - set(payload[section]))}")
+        check_keys(f"checkpoint {section}", payload[section], ids, ids)
     for p in net.parameters():
-        shape = tuple(payload["shapes"][p.id])
-        flat = np.asarray(payload["data"][p.id], dtype=np.float64)
-        if shape != p.value.shape or flat.shape != (p.value.size,):
+        shape = payload["shapes"][p.id]
+        try:
+            flat = np.asarray(payload["data"][p.id], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint parameter {p.id}: data is not a "
+                             "list of numbers") from None
+        if shape != list(p.value.shape) or flat.shape != (p.value.size,):
             raise ShapeMismatchError(
-                f"checkpoint parameter {p.id}: stored shape {list(shape)} "
+                f"checkpoint parameter {p.id}: stored shape {shape!r} "
                 f"with {flat.size} values, arch implies {list(p.value.shape)}")
         check_finite(flat, f"checkpoint parameter {p.id}")
-        p.value[...] = flat.reshape(shape)
+        p.value[...] = flat.reshape(p.value.shape)
     return net, payload["config"]
 
 

@@ -20,9 +20,11 @@ rescaled factors that the network's forward and backward passes both use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .fields import choice, number
 
 KIND_UNIT = "unit-drop"
 KIND_BLOCK = "block-drop"
@@ -62,25 +64,22 @@ class StochasticSpec:
     mode: str = MODE_TRAINING
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+        choice("kind", self.kind, KINDS)
+        choice("mode", self.mode, MODES)
+        number("drop_rate", self.drop_rate, 0, 1, open_hi=True)
+        number("block_size", self.block_size, 1, integer=True)
         if self.mode == MODE_SCALED and self.kind != KIND_PATH:
             raise ValueError("deterministic-scaled mode applies to path-drop only")
-        if self.kind == KIND_BLOCK and self.block_size < 1:
-            raise ValueError("block_size must be a positive integer")
-        self.adapted_blocks = frozenset(int(b) for b in self.adapted_blocks)
+        self.adapted_blocks = frozenset(
+            int(number("adapted_blocks", b, 1, integer=True))
+            for b in self.adapted_blocks)
 
     @property
     def keep_prob(self) -> float:
         return 1.0 - self.drop_rate
 
     def with_mode(self, mode: str) -> "StochasticSpec":
-        return StochasticSpec(self.kind, self.drop_rate, self.adapted_blocks,
-                              self.block_size, mode)
+        return replace(self, mode=mode)
 
     def to_dict(self) -> dict:
         return {

@@ -46,7 +46,7 @@ class TestMakeData:
                        "--out", str(tmp_path / "d"),
                        "--params", json.dumps({"n": n})])
             assert rc == 1
-            assert f"n {n} is below 1" in capsys.readouterr().err
+            assert f"n {n} is not a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
 
@@ -160,6 +160,25 @@ class TestTrainEval:
         assert err.out == ""
         assert "arch.n_classes is 4, expected 2" in err.err
         assert "method is 'MCSD', expected 'MCD'" in err.err
+
+    def test_eval_rejects_a_checkpoint_of_another_cell(self, tmp_path,
+                                                       capsys):
+        # trained at drop rate 0.1 on all blocks, evaluated at 0.5 on the
+        # last block only; the echoed mode (training) is not compared
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt), "--drop-rates", "0.5",
+                     "--presets", "single-last"]) == 1
+        err = capsys.readouterr().err
+        assert "stochastic.drop_rate is 0.1, expected 0.5" in err
+        assert "stochastic.adapted_blocks is [1, 2], expected [2]" in err
+        assert "stochastic.kind" not in err
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 0
 
     def test_eval_rejects_a_checkpoint_of_another_arch(self, tmp_path,
                                                        capsys):

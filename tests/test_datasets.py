@@ -145,6 +145,6 @@ class TestFiles:
                                                     key):
         out = tmp_path / "nothing"
         for value in (0, -5):
-            with pytest.raises(ValueError, match=f"{key} {value} is below 1"):
+            with pytest.raises(ValueError, match=f"{key} {value} is not a positive integer"):
                 make_dataset(kind, {key: value}, seed=0, out_dir=out)
         assert not out.exists()

@@ -123,9 +123,9 @@ class TestConfig:
         ("dataset", {"kind": "moons-classification", "spread": 0.5},
          "unknown keys ['spread']"),
         ("dataset", {"kind": "blobs-classification", "n": 2.5},
-         "n 2.5 is not an integer"),
+         "n 2.5 is not a positive integer"),
         ("dataset", {"kind": "blobs-classification", "spread": "wide"},
-         "spread 'wide' is not a number"),
+         "spread 'wide' is not a non-negative number"),
     ])
     def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
         with pytest.raises(ValueError) as err:
@@ -135,9 +135,9 @@ class TestConfig:
     @pytest.mark.parametrize("dataset,bad", [
         ({"kind": "blobs-classification"}, "kind 'blobs-classification'"),
         ({"kind": "boxes-detection", "miss_prob": 1.5},
-         "miss_prob must be in [0, 1]"),
+         "miss_prob 1.5 is not in [0, 1]"),
         ({"kind": "boxes-detection", "box_jitter": "1"},
-         "box_jitter '1' is not a number"),
+         "box_jitter '1' is not a non-negative number"),
         ({"kind": "boxes-detection", "n_images": 4, "spread": 0.5},
          "unknown keys ['spread']"),
     ])

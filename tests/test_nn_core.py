@@ -693,6 +693,26 @@ class TestCheckpointAndTrace:
         with pytest.raises(ShapeMismatchError, match="stem.b"):
             load_checkpoint(self._tampered(tmp_path, edit))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda payload: payload.pop("shapes"),
+         "checkpoint: missing key 'shapes'"),
+        (lambda payload: payload.pop("data"),
+         "checkpoint: missing key 'data'"),
+        (lambda payload: payload.pop("config"),
+         "checkpoint: missing key 'config'"),
+        (lambda payload: payload["config"].pop("arch"),
+         "checkpoint config: missing key 'arch'"),
+        (lambda payload: payload["config"]["arch"].pop("width"),
+         "checkpoint config.arch: missing key 'width'"),
+        (lambda payload: payload["data"]["stem.w"].__setitem__(0, "x"),
+         "checkpoint parameter stem.w: data is not a list of numbers"),
+    ], ids=["shapes", "data", "config", "arch", "arch-width", "stem.w-data"])
+    def test_missing_section_or_key_and_bad_data_are_named(self, tmp_path,
+                                                          edit, message):
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(self._tampered(tmp_path, edit))
+        assert str(err.value) == message
+
     def test_non_finite_value_rejected(self, tmp_path):
         def edit(payload):
             payload["data"]["block2.fc2.w"][3] = float("nan")
