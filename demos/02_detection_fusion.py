@@ -36,7 +36,7 @@ for c in sorted(clusters, key=lambda c: -c.support):
 
 kept = [c for c in clusters if c.confidence >= 0.3]
 print(f"\nmAP(0.50:0.95) on confidence >= 0.3: "
-      f"{map_50_95(kept, scene, conf_threshold=0.3):.3f}")
+      f"{map_50_95(kept, scene):.3f}")
 
 preds = label_tp_fp(kept, scene, tau=0.5, mode="softmax")
 n_tp = sum(p.correct for p in preds)

@@ -25,7 +25,6 @@ from .stochastic import (
     KIND_PATH,
     KIND_UNIT,
     MODE_MC,
-    MODE_SCALED,
     MODE_TRAINING,
     MaskSample,
     StochasticSpec,

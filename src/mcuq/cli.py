@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .datasets import DATASET_KINDS, ShiftSpec, make_dataset
 from .harness import (
+    DEFAULT_TRAIN,
     ExperimentConfig,
     check_checkpoint,
     evaluate_point,
@@ -59,8 +60,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if train_flags:
         # the flags override single keys of the config's train block, or
         # of the default one when the config has none
-        raw["train"] = {**raw.get("train", ExperimentConfig().train),
-                        **train_flags}
+        raw["train"] = {**raw.get("train", DEFAULT_TRAIN), **train_flags}
     return ExperimentConfig.from_dict(raw)
 
 

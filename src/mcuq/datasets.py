@@ -10,7 +10,6 @@ scenes use the ground-truth record format from :mod:`mcuq.detection`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .detection import IMAGE_SIZE, Box, GroundTruth, save_ground_truths
 from .fields import check_keys, choice, number
+from .files import write_csv
 from .rng import substream
 
 # Generator parameters of each dataset kind, as name: (default, low[,
@@ -37,13 +37,18 @@ BOX_SIDE = (8.0, 30.0)
 
 def dataset_params(kind: str, params: dict) -> dict:
     """The generator keyword arguments for ``kind``: the table's defaults
-    overridden by ``params``, each checked against its type and bounds."""
+    overridden by ``params``, each checked against its type and bounds; a
+    positive ``label_noise`` needs another class to flip a label to."""
     table = DATASET_PARAMS[choice("dataset: kind", kind, DATASET_KINDS)]
     check_keys("dataset", params, table)
-    return {key: type(default)(number(
-                f"dataset: {key}", params.get(key, default), *bounds,
-                integer=isinstance(default, int)))
-            for key, (default, *bounds) in table.items()}
+    out = {key: type(default)(number(
+               f"dataset: {key}", params.get(key, default), *bounds,
+               integer=isinstance(default, int)))
+           for key, (default, *bounds) in table.items()}
+    if out.get("label_noise", 0.0) > 0.0 and out["n_classes"] < 2:
+        raise ValueError(f"dataset: label_noise {out['label_noise']!r} needs "
+                         f"n_classes >= 2, got n_classes {out['n_classes']!r}")
+    return out
 
 
 def make_blobs(n: int, n_classes: int = 3, spread: float = 0.6,
@@ -168,11 +173,9 @@ def corrupt(X: np.ndarray, y: np.ndarray, level: ShiftLevel,
 
 
 def save_classification(X: np.ndarray, y: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["label"] + [f"f{i}" for i in range(X.shape[1])])
-        for label, row in zip(y, X):
-            w.writerow([int(label)] + [repr(float(v)) for v in row])
+    write_csv(path, ["label"] + [f"f{i}" for i in range(X.shape[1])],
+              ([int(label)] + [repr(float(v)) for v in row]
+               for label, row in zip(y, X)))
 
 
 def make_dataset(kind: str, params: dict, seed: int,

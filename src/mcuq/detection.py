@@ -11,13 +11,13 @@ image_id, class_id, x1, y1, x2, y2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .fields import number
+from .files import write_csv
 from .metrics import ScoredPrediction, entropy_for_mode
 from .rng import substream
 
@@ -304,26 +304,22 @@ def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     return ap / len(RECALL_LEVELS)
 
 
-def map_50_95(items, gts: list[GroundTruth], conf_threshold: float = 0.0) -> float:
+def map_50_95(items, gts: list[GroundTruth]) -> float:
     """COCO-style mean average precision over IoU thresholds 0.50:0.95.
 
-    Detections below the confidence threshold are dropped first.  AP is
-    averaged over every class with at least one ground truth and over the
-    ten thresholds; detections of classes without ground truths are ignored.
-    Matching is greedy in confidence-descending order: a detection takes the
-    unmatched ground truth of its image and class with the highest IoU,
-    which must be >= the threshold and > 0; on a tie the lowest
-    ground-truth index wins.
+    AP is averaged over every class with at least one ground truth and over
+    the ten thresholds; detections of classes without ground truths are
+    ignored.  Matching is greedy in confidence-descending order: a
+    detection takes the unmatched ground truth of its image and class with
+    the highest IoU, which must be >= the threshold and > 0; on a tie the
+    lowest ground-truth index wins.
     """
     if not gts:
         raise ValueError("no ground truths")
-    number("conf_threshold", conf_threshold, 0, 1)
     items = list(items)
     if not items:
         return 0.0
     boxes, probs, image_ids = _item_arrays(items)
-    keep = probs.max(axis=1) >= conf_threshold
-    boxes, probs, image_ids = boxes[keep], probs[keep], image_ids[keep]
     flags = _match(boxes, probs, image_ids, gts, IOU_THRESHOLDS)
     ranked = np.argsort(-probs.max(axis=1), kind="stable")
     ranked_classes = np.argmax(probs, axis=1)[ranked]
@@ -437,8 +433,6 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
 
 
 def save_ground_truths(gts: list[GroundTruth], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for gt in gts:
-            w.writerow([gt.image_id, gt.class_id, repr(gt.box.x1),
-                        repr(gt.box.y1), repr(gt.box.x2), repr(gt.box.y2)])
+    write_csv(path, None,
+              ([gt.image_id, gt.class_id, repr(gt.box.x1), repr(gt.box.y1),
+                repr(gt.box.x2), repr(gt.box.y2)] for gt in gts))

@@ -12,8 +12,6 @@ named substreams, so a full sweep is byte-reproducible.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -38,11 +36,10 @@ from .detection import (
     synth_detector,
 )
 from .fields import check_keys, choice, number
+from .files import write_csv
 from .mc_inference import mc_predict
 from .metrics import ConfigPoint, EvalReport, ScoredPrediction, entropy_for_mode
 from .nn_core import (
-    ACT_RELU,
-    MODE_SOFTMAX,
     ResidualNet,
     TrainConfig,
     check_arch,
@@ -72,8 +69,10 @@ TASK_DATASETS = {"classification": ("blobs-classification",
 DETECTOR_NOISE = {"box_jitter": 1.0, "miss_prob": 0.05, "halluc_rate": 0.3,
                   "sharpness": 0.9}
 ARCH_KEYS = ("n_blocks", "width", "output_mode", "activation")
-# The train block's keys; each cell derives its own training seed.
-TRAIN_KEYS = ("learning_rate", "weight_decay", "epochs", "batch_size")
+# The train block's keys with their defaults; each cell derives its own
+# training seed.
+DEFAULT_TRAIN = {"learning_rate": 0.05, "weight_decay": 1e-4, "epochs": 30,
+                 "batch_size": 32}
 
 
 def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
@@ -95,12 +94,8 @@ def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
 class ExperimentConfig:
     task: str = "classification"
     dataset: dict = field(default_factory=lambda: {"kind": "blobs-classification"})
-    arch: dict = field(default_factory=lambda: {
-        "n_blocks": 2, "width": 16, "output_mode": "softmax",
-        "activation": "relu"})
-    train: dict = field(default_factory=lambda: {
-        "learning_rate": 0.05, "weight_decay": 1e-4, "epochs": 30,
-        "batch_size": 32})
+    arch: dict = field(default_factory=lambda: {"n_blocks": 2, "width": 16})
+    train: dict = field(default_factory=lambda: dict(DEFAULT_TRAIN))
     methods: list[str] = field(default_factory=lambda: ["MCSD"])
     drop_rates: list[float] = field(default_factory=lambda: [0.1])
     Ts: list[int] = field(default_factory=lambda: [10])
@@ -137,13 +132,14 @@ class ExperimentConfig:
         for name in ("theta_iou", "match_tau"):
             number(f"{name}:", getattr(self, name), 0, 1)
         number("seed:", self.seed, integer=True)
-        for name, keys, required, check in (
+        # each block's missing keys take their defaults here, so every
+        # reader of the config sees the same values
+        for name, keys, required, fill in (
                 ("arch", ARCH_KEYS, ("n_blocks", "width"), check_arch),
-                ("train", TRAIN_KEYS, ("learning_rate",), TrainConfig)):
-            block = getattr(self, name)
-            check_keys(name, block, keys, required)
+                ("train", DEFAULT_TRAIN, ("learning_rate",), _train_block)):
+            check_keys(name, getattr(self, name), keys, required)
             try:
-                check(**block)
+                setattr(self, name, fill(**getattr(self, name)))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         _dataset_parts(self)
@@ -152,6 +148,13 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         check_keys("config", d, cls.__dataclass_fields__)
         return cls(**d)
+
+
+def _train_block(**block) -> dict:
+    """``block`` over ``DEFAULT_TRAIN``, checked by ``TrainConfig``."""
+    block = {**DEFAULT_TRAIN, **block}
+    TrainConfig(**block)
+    return block
 
 
 def _cell_seed(cfg: ExperimentConfig, *tags) -> int:
@@ -261,10 +264,10 @@ def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
               trace: list[float], spec: StochasticSpec, checkpoint: Path,
               trace_path: Path) -> None:
     """Write a trained cell's checkpoint, echoing its method, stochastic
-    spec and train block, and its loss trace, each atomically."""
+    spec and train block, and its loss trace."""
     echo = {"method": method, "stochastic": spec.to_dict(), "train": cfg.train}
-    _atomic(lambda p: save_checkpoint(net, p, config_echo=echo), checkpoint)
-    _atomic(lambda p: save_loss_trace(trace, p), trace_path)
+    save_checkpoint(net, checkpoint, config_echo=echo)
+    save_loss_trace(trace, trace_path)
 
 
 def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
@@ -277,8 +280,7 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
     (X, _), _, n_classes = data
     spec = _cell_spec(cfg, point.method, point.drop_rate, point.adapted_blocks,
                       cfg.arch["n_blocks"], MODE_MC).to_dict()
-    expected = {"arch": {"output_mode": MODE_SOFTMAX, "activation": ACT_RELU,
-                         **cfg.arch, "in_dim": X.shape[1],
+    expected = {"arch": {**cfg.arch, "in_dim": X.shape[1],
                          "n_classes": n_classes},
                 "stochastic": {k: v for k, v in spec.items() if k != "mode"}}
     wrong = []
@@ -298,9 +300,9 @@ def _detection_report(cfg: ExperimentConfig, gts,
                       clusters: list[ClusteredObservation],
                       conf_threshold: float
                       ) -> tuple[EvalReport, list[ScoredPrediction]]:
-    mode = cfg.arch.get("output_mode", "softmax")
     kept = [c for c in clusters if c.confidence >= conf_threshold]
-    preds = label_tp_fp(kept, gts, tau=cfg.match_tau, mode=mode)
+    preds = label_tp_fp(kept, gts, tau=cfg.match_tau,
+                        mode=cfg.arch["output_mode"])
     # calibration over every observation; Brier over true positives, which
     # are the only ones with a defined label
     tp_preds = [p for p in preds if p.correct]
@@ -342,7 +344,7 @@ def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
     dets = synth_detector(gts, noise, T=max_T,
                           seed=_cell_seed(cfg, "detector", *tags),
                           n_classes=n_classes,
-                          mode=cfg.arch.get("output_mode", "softmax"))
+                          mode=cfg.arch["output_mode"])
     fused = {}  # T -> clusters, for one T at a time
 
     def evaluate(T, conf_threshold):
@@ -442,12 +444,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     files = []
     if points:
-        reports_path = out_dir / "reports.csv"
-        _atomic(lambda p: M.save_reports(points, p), reports_path)
-        front = M.pareto_front(points)
-        front_path = out_dir / "pareto_front.csv"
-        _atomic(lambda p: M.save_reports(front, p), front_path)
-        files = [reports_path, front_path]
+        files = [out_dir / "reports.csv", out_dir / "pareto_front.csv"]
+        M.save_reports(points, files[0])
+        M.save_reports(M.pareto_front(points), files[1])
         files += emit_curves(points, last_preds, out_dir=out_dir)
     return SweepResult(points=points, failures=failures,
                        n_training_runs=n_training_runs, files=files,
@@ -491,9 +490,9 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
         rows.append((level.name, report.map_50_95, report.mean_entropy))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "shift.csv", ["level", "performance", "mean_entropy"],
-               [[name, repr(float(perf)), repr(float(ent))]
-                for name, perf, ent in rows])
+    write_csv(out_dir / "shift.csv", ["level", "performance", "mean_entropy"],
+              ([name, repr(float(perf)), repr(float(ent))]
+               for name, perf, ent in rows))
     return rows
 
 
@@ -510,33 +509,12 @@ def emit_curves(points: list[tuple[ConfigPoint, EvalReport]],
     out_dir.mkdir(parents=True, exist_ok=True)
     front_keys = {cfg.key() for cfg, _ in M.pareto_front(points)}
     files = [out_dir / "pareto_points.csv", out_dir / "arc_curve.csv"]
-    _write_csv(files[0], M.REPORT_COLUMNS + ["on_front"],
-               [M.report_row(cfg_pt, report)
-                + [str(int(cfg_pt.key() in front_keys))]
-                for cfg_pt, report in points])
-    _write_csv(files[1], ["r", "acc"],
-               [[repr(float(r)), repr(float(acc))]
-                for r, acc in M.accuracy_rejection_curve(predictions)])
+    write_csv(files[0], M.REPORT_COLUMNS + ["on_front"],
+              (M.report_row(cfg_pt, report)
+               + [str(int(cfg_pt.key() in front_keys))]
+               for cfg_pt, report in points))
+    write_csv(files[1], ["r", "acc"],
+              ([repr(float(r)), repr(float(acc))]
+               for r, acc in M.accuracy_rejection_curve(predictions)))
     return files
 
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    def write(tmp):
-        with open(tmp, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-
-    _atomic(write, path)
-
-
-def _atomic(write_fn, path: Path) -> None:
-    """Write through a temp file in the same directory, then rename it into
-    place.  The temp name is unique per call, so concurrent writers never
-    share it, and a failed write leaves nothing behind."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

@@ -17,7 +17,7 @@ from . import nn_core
 from .fields import choice, number
 from .nn_core import MODE_SOFTMAX, ResidualNet, forward
 from .rng import pass_stream
-from .stochastic import KIND_PATH, MODE_MC, MODE_SCALED, StochasticSpec, sample_mask
+from .stochastic import KIND_PATH, MODE_MC, StochasticSpec, sample_mask
 
 
 @dataclass
@@ -78,7 +78,7 @@ def deterministic_predict(net: ResidualNet, x: np.ndarray,
     at inference, so the pass equals the raw forward.
     """
     if spec is not None and spec.kind == KIND_PATH:
-        logits = forward(net, x, scale_spec=spec.with_mode(MODE_SCALED))
+        logits = forward(net, x, scale_spec=spec)
     else:
         logits = forward(net, x)
     return _probs(net, logits)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import number
+from .files import write_csv
 
 SUM_TOL = 1e-6
 
@@ -249,11 +250,8 @@ def report_row(cfg: ConfigPoint, report: EvalReport) -> list[str]:
 
 def save_reports(points: list[tuple[ConfigPoint, EvalReport]],
                  path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(REPORT_COLUMNS)
-        for cfg, report in points:
-            w.writerow(report_row(cfg, report))
+    write_csv(path, REPORT_COLUMNS,
+              (report_row(cfg, report) for cfg, report in points))
 
 
 _REPORT_TYPES = dict(zip(REPORT_COLUMNS, (str, float, int, float, str, float,

@@ -13,7 +13,6 @@ here is treated as an error state, not a value.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import check_keys, choice, number
+from .files import atomic_write, write_csv
 from .rng import substream
 from .stochastic import (
     MODE_TRAINING,
@@ -154,12 +154,15 @@ class TrainConfig:
 
 
 def check_arch(n_blocks: int, width: int, output_mode: str = MODE_SOFTMAX,
-               activation: str = ACT_RELU) -> None:
-    """Reject an architecture ``init_net`` cannot build, naming the key."""
+               activation: str = ACT_RELU) -> dict:
+    """Reject an architecture ``init_net`` cannot build, naming the key;
+    return it as a dict with every key, defaults filled in."""
     number("n_blocks", n_blocks, 1, integer=True)
     number("width", width, 1, integer=True)
     choice("output_mode", output_mode, (MODE_SOFTMAX, MODE_SIGMOID))
     choice("activation", activation, (ACT_RELU, ACT_IDENTITY))
+    return {"n_blocks": n_blocks, "width": width, "output_mode": output_mode,
+            "activation": activation}
 
 
 def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
@@ -441,7 +444,7 @@ def save_checkpoint(net: ResidualNet, path: str | Path,
                  for p in net.parameters()},
         "config": {"arch": net.arch(), **(config_echo or {})},
     }
-    Path(path).write_text(json.dumps(payload))
+    atomic_write(path, lambda tmp: tmp.write_text(json.dumps(payload)))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
@@ -478,8 +481,6 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
 
 
 def save_loss_trace(trace: list[float], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["epoch", "mean_loss"])
-        for epoch, value in enumerate(trace):
-            w.writerow([epoch, repr(float(value))])
+    write_csv(path, ["epoch", "mean_loss"],
+              ([epoch, repr(float(value))]
+               for epoch, value in enumerate(trace)))

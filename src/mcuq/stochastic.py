@@ -11,9 +11,6 @@ training and while sampling predictions:
   survival probability so each block is an unbiased estimator of its
   deterministic counterpart.
 
-``path-drop`` additionally supports a deterministic mode in which the
-residual branch is scaled by the survival probability instead of sampled.
-
 ``sample_mask`` draws the {0,1} masks; ``multipliers`` turns them into the
 rescaled factors that the network's forward and backward passes both use.
 """
@@ -33,8 +30,6 @@ KINDS = (KIND_UNIT, KIND_BLOCK, KIND_PATH)
 
 MODE_TRAINING = "training"
 MODE_MC = "mc-inference"
-MODE_SCALED = "deterministic-scaled"
-MODES = (MODE_TRAINING, MODE_MC, MODE_SCALED)
 
 _MAX_REDRAWS = 100
 
@@ -65,11 +60,9 @@ class StochasticSpec:
 
     def __post_init__(self):
         choice("kind", self.kind, KINDS)
-        choice("mode", self.mode, MODES)
+        choice("mode", self.mode, (MODE_TRAINING, MODE_MC))
         number("drop_rate", self.drop_rate, 0, 1, open_hi=True)
         number("block_size", self.block_size, 1, integer=True)
-        if self.mode == MODE_SCALED and self.kind != KIND_PATH:
-            raise ValueError("deterministic-scaled mode applies to path-drop only")
         self.adapted_blocks = frozenset(
             int(number("adapted_blocks", b, 1, integer=True))
             for b in self.adapted_blocks)
@@ -120,8 +113,6 @@ def sample_mask(spec: StochasticSpec, hidden_width: int, batch_size: int,
     samples that would drop every span are rejected and redrawn (at most
     100 times) so the count-based rescale is always defined.
     """
-    if spec.mode == MODE_SCALED:
-        raise ValueError("deterministic-scaled mode does not sample masks")
     keep = spec.keep_prob
     per_block: dict[int, np.ndarray] = {}
     for l in sorted(spec.adapted_blocks):

@@ -49,6 +49,16 @@ class TestMakeData:
             assert f"n {n} is not a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_label_noise_needs_two_classes(self, tmp_path, capsys):
+        rc = main(["make-data", "--kind", "blobs-classification",
+                   "--out", str(tmp_path / "d"),
+                   "--params", '{"n_classes": 1, "label_noise": 0.5}'])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: dataset: label_noise 0.5 needs n_classes >= 2, "
+            "got n_classes 1\n")
+        assert not (tmp_path / "d").exists()
+
 
 class TestSweepCommand:
     def test_clean_sweep_exits_zero(self, tmp_path):

@@ -275,15 +275,6 @@ class TestMap:
         # class 1 AP: 0 everywhere -> mAP = (7*1 + 3*0.5)/20
         assert map_50_95(MAP_DETS, MAP_GTS) == pytest.approx(0.425)
 
-    def test_threshold_drops_low_confidence_first(self):
-        kept = [d for d in MAP_DETS if d.confidence >= 0.75]
-        assert map_50_95(MAP_DETS, MAP_GTS, conf_threshold=0.75) \
-            == map_50_95(kept, MAP_GTS, conf_threshold=0.0)
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            map_50_95(MAP_DETS, MAP_GTS, conf_threshold=1.5)
-
     def test_adding_perfect_detection_never_hurts(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -381,8 +372,7 @@ def loop_average_precision(tp_flags, n_gt):
     return ap / len(RECALL_LEVELS)
 
 
-def loop_map_50_95(items, gts, conf_threshold=0.0):
-    items = [it for it in items if it.confidence >= conf_threshold]
+def loop_map_50_95(items, gts):
     classes = sorted({g.class_id for g in gts})
     ap_total = 0.0
     for cls in classes:
@@ -437,13 +427,12 @@ class TestArrayMatcherAgainstLoopOracle:
             assert got == loop_greedy_match(items, gts, tau)
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(scenes(), st.sampled_from([0.0, 0.5, 0.6, 1.0]))
-    def test_map_exactly_equal(self, scene, conf_threshold):
+    @given(scenes())
+    def test_map_exactly_equal(self, scene):
         items, gts = scene
         if not gts:
             return
-        assert map_50_95(items, gts, conf_threshold) \
-            == loop_map_50_95(items, gts, conf_threshold)
+        assert map_50_95(items, gts) == loop_map_50_95(items, gts)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.booleans(), max_size=30), st.integers(0, 12))
@@ -591,7 +580,7 @@ class TestSynthDetector:
         noise = NoiseSpec(box_jitter=0.0, miss_prob=0.0, halluc_rate=0.0)
         dets = synth_detector(self.SCENE, noise, T=5, seed=0, n_classes=3)
         clusters = cluster_all(dets)
-        assert map_50_95(clusters, self.SCENE, conf_threshold=0.5) == 1.0
+        assert map_50_95(clusters, self.SCENE) == 1.0
 
 
 class TestRecordFiles:

@@ -1,20 +1,37 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from mcuq import harness
-from mcuq.datasets import ShiftSpec
+from mcuq import files, harness
+from mcuq.datasets import ShiftSpec, save_classification
+from mcuq.detection import Box, GroundTruth, save_ground_truths
+from mcuq.files import atomic_write
 from mcuq.harness import (
     ExperimentConfig,
-    _atomic,
     emit_curves,
     rerun_row,
     resolve_preset,
     run_shift,
     run_sweep,
+    save_cell,
 )
-from mcuq.metrics import ipp_select, load_reports
+from mcuq.metrics import (
+    ConfigPoint,
+    EvalReport,
+    ScoredPrediction,
+    ipp_select,
+    load_reports,
+    save_reports,
+)
+from mcuq.nn_core import (
+    TrainConfig,
+    init_net,
+    save_checkpoint,
+    save_loss_trace,
+)
+from mcuq.stochastic import StochasticSpec
 
 
 def small_cfg(tmp_path, **overrides):
@@ -126,6 +143,9 @@ class TestConfig:
          "n 2.5 is not a positive integer"),
         ("dataset", {"kind": "blobs-classification", "spread": "wide"},
          "spread 'wide' is not a non-negative number"),
+        ("dataset", {"kind": "blobs-classification", "n_classes": 1,
+                     "label_noise": 0.5},
+         "label_noise 0.5 needs n_classes >= 2, got n_classes 1"),
     ])
     def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
         with pytest.raises(ValueError) as err:
@@ -150,6 +170,24 @@ class TestConfig:
     def test_dataset_defaults_follow_the_task(self, tmp_path):
         assert small_cfg(tmp_path, dataset={}).dataset == {}
         assert len(run_sweep(det_cfg(tmp_path, dataset={})).points) == 8
+
+    def test_partial_blocks_take_the_default_keys(self, tmp_path):
+        missing = ExperimentConfig(arch={"n_blocks": 1, "width": 4})
+        partial = ExperimentConfig(arch={"n_blocks": 1, "width": 4},
+                                   train={"learning_rate": 0.05})
+        assert TrainConfig(**partial.train) == TrainConfig(**missing.train)
+        assert missing.arch == {"n_blocks": 1, "width": 4,
+                                "output_mode": "softmax",
+                                "activation": "relu"}
+        net = init_net(in_dim=2, n_classes=3, seed=0, **missing.arch)
+        spec = StochasticSpec(kind="path-drop", drop_rate=0.1)
+        echoes = []
+        for name, cfg in (("missing", missing), ("partial", partial)):
+            ckpt = tmp_path / f"{name}.json"
+            save_cell(cfg, "MCSD", net, [0.5], spec, ckpt,
+                      tmp_path / f"{name}.csv")
+            echoes.append(json.loads(ckpt.read_text())["config"])
+        assert echoes[0] == echoes[1]
 
 
 class TestSweep:
@@ -357,6 +395,85 @@ class TestDetectionSweep:
         assert calls == [8] * 4  # one per (method, rate, preset), at max T
 
 
+WRITER_POINTS = [(ConfigPoint("MCSD", 0.1, 5, 0.0, "all"),
+                  EvalReport(0.75, 0.125, 0.0625, 0.5, 0.25)),
+                 (ConfigPoint("MCD", 0.2, 10, 0.5, "single-last"),
+                  EvalReport(0.5, 0.25, 0.125, 0.375, 1.5))]
+WRITER_PREDS = [ScoredPrediction(probs=np.array([0.75, 0.25]), confidence=0.75,
+                                 correct=True, uncertainty=0.8, true_label=0),
+                ScoredPrediction(probs=np.array([0.5, 0.5]), confidence=0.5,
+                                 correct=False, uncertainty=1.0, true_label=1)]
+
+
+def write_checkpoint(out, monkeypatch):
+    net = init_net(in_dim=1, width=1, n_blocks=1, n_classes=2)
+    net.values[:] = np.arange(net.values.size) / 4
+    save_checkpoint(net, out / "model.json", config_echo={"method": "MCSD"})
+
+
+def write_shift(out, monkeypatch):
+    # fixed metrics per level, so the bytes pin the writer, not training
+    report = EvalReport(0.75, 0.125, 0.0625, 0.5, 0.25)
+    monkeypatch.setattr(harness, "train_cell", lambda *a: (None, None, None))
+    monkeypatch.setattr(harness, "evaluate_point", lambda *a: (report, []))
+    cfg = ExperimentConfig(dataset={"kind": "blobs-classification", "n": 10},
+                           out_dir=str(out))
+    run_shift(cfg, ShiftSpec.default_ladder(n_levels=2))
+
+
+REPORT_HEADER = (b"method,drop_rate,T,conf_threshold,adapted_blocks,"
+                 b"map_50_95,brier,ece,auarc,mean_entropy")
+# Every public writer, as (write(out_dir, monkeypatch), the bytes of each
+# file it writes), the bytes those writers produced before they shared
+# mcuq.files.
+WRITERS = {
+    "checkpoint": (write_checkpoint, {"model.json": (
+        b'{"shapes": {"stem.w": [1, 1], "stem.b": [1], "block1.fc1.w": '
+        b'[1, 1], "block1.fc1.b": [1], "block1.fc2.w": [1, 1], '
+        b'"block1.fc2.b": [1], "head.w": [1, 2], "head.b": [2]}, "data": '
+        b'{"stem.w": [0.0], "stem.b": [0.25], "block1.fc1.w": [0.5], '
+        b'"block1.fc1.b": [0.75], "block1.fc2.w": [1.0], "block1.fc2.b": '
+        b'[1.25], "head.w": [1.5, 1.75], "head.b": [2.0, 2.25]}, "config": '
+        b'{"arch": {"in_dim": 1, "width": 1, "n_blocks": 1, "n_classes": 2, '
+        b'"output_mode": "softmax", "activation": "relu"}, '
+        b'"method": "MCSD"}}')}),
+    "loss_trace": (
+        lambda out, _: save_loss_trace([0.5, 0.25], out / "trace.csv"),
+        {"trace.csv": b"epoch,mean_loss\n0,0.5\n1,0.25\n"}),
+    "reports": (
+        lambda out, _: save_reports(WRITER_POINTS, out / "reports.csv"),
+        {"reports.csv": REPORT_HEADER + b"\n"
+         b"MCSD,0.1,5,0.0,all,0.75,0.125,0.0625,0.5,0.25\n"
+         b"MCD,0.2,10,0.5,single-last,0.5,0.25,0.125,0.375,1.5\n"}),
+    "classification": (
+        lambda out, _: save_classification(
+            np.array([[0.1, -2.0], [3.0, 0.5]]), np.array([1, 0]),
+            out / "blobs.csv"),
+        {"blobs.csv": b"label,f0,f1\n1,0.1,-2.0\n0,3.0,0.5\n"}),
+    "ground_truths": (
+        lambda out, _: save_ground_truths(
+            [GroundTruth(Box(1.5, 2.25, 9.75, 12.125), class_id=2,
+                         image_id=7),
+             GroundTruth(Box(0.0, 10.0, 30.0, 40.5), class_id=0,
+                         image_id=0)],
+            out / "ground_truth.csv"),
+        {"ground_truth.csv":
+         b"7,2,1.5,2.25,9.75,12.125\n0,0,0.0,10.0,30.0,40.5\n"}),
+    "curves": (
+        lambda out, _: emit_curves(WRITER_POINTS, WRITER_PREDS, out),
+        {"pareto_points.csv": REPORT_HEADER + b",on_front\n"
+         b"MCSD,0.1,5,0.0,all,0.75,0.125,0.0625,0.5,0.25,1\n"
+         b"MCD,0.2,10,0.5,single-last,0.5,0.25,0.125,0.375,1.5,0\n",
+         "arc_curve.csv": b"r,acc\n0.0,0.5\n0.5,1.0\n"}),
+    "shift": (write_shift, {"shift.csv": b"level,performance,mean_entropy\n"
+                            b"level0,0.75,0.25\nlevel1,0.75,0.25\n"}),
+}
+
+
+def dir_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
 class TestAtomicWrite:
     def test_failed_write_leaves_no_file(self, tmp_path):
         (tmp_path / "kept.csv").write_text("old\n")
@@ -367,7 +484,7 @@ class TestAtomicWrite:
 
         for name in ("new.csv", "kept.csv"):
             with pytest.raises(RuntimeError):
-                _atomic(failing, tmp_path / name)
+                atomic_write(tmp_path / name, failing)
         assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
         assert (tmp_path / "kept.csv").read_text() == "old\n"
 
@@ -382,27 +499,49 @@ class TestAtomicWrite:
         def outer(path):
             temps.append(path)
             path.write_text("outer")
-            _atomic(inner, target)  # a second writer while the first is open
+            atomic_write(target, inner)  # a second writer while one is open
 
-        _atomic(outer, target)
+        atomic_write(target, outer)
         assert temps[0] != temps[1]
         assert all(t.parent == tmp_path for t in temps)
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert target.read_text() == "outer"
 
     def test_failed_loss_trace_leaves_no_file(self, tmp_path, monkeypatch):
-        def partial_trace(trace, path):
-            with open(path, "w") as f:
+        def disk_full_open(path, *args, **kwargs):  # a partial trace, then
+            with open(path, *args, **kwargs) as f:  # the disk fills up
                 f.write("epoch,mean_loss\n0,")
             raise OSError("disk full")
 
-        monkeypatch.setattr(harness, "save_loss_trace", partial_trace)
+        monkeypatch.setattr(files, "open", disk_full_open, raising=False)
         cfg = small_cfg(tmp_path, train={"learning_rate": 0.05, "epochs": 1})
         result = run_sweep(cfg)
         assert result.failures == [("MCSD/rate=0.1/blocks=all", "disk full")]
         out_dir = tmp_path / "out"
         assert list(out_dir.glob("trace_*.csv")) == []
         assert list(out_dir.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_writer_bytes_are_pinned(self, writer, tmp_path, monkeypatch):
+        write, golden = WRITERS[writer]
+        write(tmp_path, monkeypatch)
+        assert dir_bytes(tmp_path) == golden
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_writer_keeps_earlier_file(self, writer, tmp_path,
+                                              monkeypatch):
+        write, golden = WRITERS[writer]
+        earlier = dict.fromkeys(golden, b"earlier\n")
+        for name, data in earlier.items():
+            (tmp_path / name).write_bytes(data)
+
+        def disk_full(src, dst):  # the write fails before its rename
+            raise OSError("disk full")
+
+        monkeypatch.setattr(files.os, "replace", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, monkeypatch)
+        assert dir_bytes(tmp_path) == earlier
 
 
 class TestTaskVariants:

@@ -36,7 +36,6 @@ from mcuq.stochastic import (
     KIND_PATH,
     KIND_UNIT,
     MODE_MC,
-    MODE_SCALED,
     MODE_TRAINING,
     StochasticSpec,
     multipliers,
@@ -445,7 +444,7 @@ class TestForwardMatchesLoopOracle:
                 kind=KIND_PATH if kind == "scaled" else kind,
                 drop_rate=drop_rate,
                 adapted_blocks=range(1, n_blocks + 1), block_size=block_size,
-                mode=MODE_SCALED if kind == "scaled" else MODE_MC)
+                mode=MODE_MC)
             if kind == "scaled":
                 scale_spec = spec
             else:

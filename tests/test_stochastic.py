@@ -10,7 +10,6 @@ from mcuq.stochastic import (
     KIND_PATH,
     KIND_UNIT,
     MODE_MC,
-    MODE_SCALED,
     MODE_TRAINING,
     MaskSample,
     ShapeMismatchError,
@@ -33,12 +32,6 @@ class TestSpecValidation:
             spec_of(KIND_UNIT, 1.0)
         with pytest.raises(ValueError):
             spec_of(KIND_UNIT, -0.1)
-
-    def test_scaled_mode_is_path_drop_only(self):
-        spec_of(KIND_PATH, 0.2, mode=MODE_SCALED)
-        for kind in (KIND_UNIT, KIND_BLOCK):
-            with pytest.raises(ValueError):
-                spec_of(kind, 0.2, mode=MODE_SCALED)
 
     def test_unknown_kind_and_mode(self):
         with pytest.raises(ValueError):
@@ -67,11 +60,6 @@ class TestSampleMask:
         a = sample_mask(spec_of(KIND_UNIT, 0.5), 64, 1, rng)
         b = sample_mask(spec_of(KIND_UNIT, 0.5), 64, 1, rng)
         assert not np.array_equal(a.per_block[1], b.per_block[1])
-
-    def test_scaled_mode_never_samples(self):
-        with pytest.raises(ValueError):
-            sample_mask(spec_of(KIND_PATH, 0.2, mode=MODE_SCALED), 8, 4,
-                        substream(0))
 
     def test_keep_fraction_matches_rate(self):
         # law of large numbers at drop 0.5: one million draws per mechanism
@@ -245,9 +233,9 @@ class TestDeterministicScaled:
         # path of the adapted block (its branch zeroed)
         net = init_net(2, 6, 2, 3, seed=31)
         x = substream(32).normal(size=(4, 2))
-        full = spec_of(KIND_PATH, 0.0, blocks={1, 2}, mode=MODE_SCALED)
+        full = spec_of(KIND_PATH, 0.0, blocks={1, 2})
         assert np.array_equal(forward(net, x, scale_spec=full), forward(net, x))
-        tiny = spec_of(KIND_PATH, 1.0 - 2.0 ** -30, blocks={1}, mode=MODE_SCALED)
+        tiny = spec_of(KIND_PATH, 1.0 - 2.0 ** -30, blocks={1})
         scaled = forward(net, x, scale_spec=tiny)
         for p in net.blocks[0].parameters():
             p.value[...] = 0.0
