@@ -13,6 +13,7 @@ named substreams, so a full sweep is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -73,6 +74,12 @@ ARCH_KEYS = ("n_blocks", "width", "output_mode", "activation")
 # training seed.
 DEFAULT_TRAIN = {"learning_rate": 0.05, "weight_decay": 1e-4, "epochs": 30,
                  "batch_size": 32}
+# The five grid lists, each with the check every one of its values must pass.
+GRID_CHECKS = {"methods": partial(choice, choices=METHOD_KINDS),
+               "drop_rates": partial(number, lo=0, hi=1, open_hi=True),
+               "Ts": partial(number, lo=1, integer=True),
+               "conf_thresholds": partial(number, lo=0, hi=1),
+               "adapted_presets": partial(choice, choices=PRESETS)}
 
 
 def resolve_preset(preset: str, n_blocks: int) -> frozenset[int]:
@@ -111,20 +118,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         choice("task:", self.task, TASK_DATASETS)
-        for grid_name in ("methods", "drop_rates", "Ts", "conf_thresholds",
-                          "adapted_presets"):
-            if not getattr(self, grid_name):
-                raise ValueError(f"grid list {grid_name} must be non-empty")
-        for m in self.methods:
-            choice("methods:", m, METHOD_KINDS)
-        for p in self.adapted_presets:
-            choice("adapted_presets:", p, PRESETS)
-        for r in self.drop_rates:
-            number("drop_rates:", r, 0, 1, open_hi=True)
-        for T in self.Ts:
-            number("Ts:", T, 1, integer=True)
-        for c in self.conf_thresholds:
-            number("conf_thresholds:", c, 0, 1)
+        for name, check in GRID_CHECKS.items():
+            values = getattr(self, name)
+            is_list = isinstance(values, (list, tuple))
+            for value in values if is_list else ():
+                check(f"{name}:", value)
+            # a value that passed its check is hashable
+            if not is_list or not values or len(set(values)) < len(values):
+                raise ValueError(f"{name}: {values!r} is not a non-empty "
+                                 "list of distinct values")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir: {self.out_dir!r} is not a string")
         for name in ("block_size", "ece_bins"):
             number(f"{name}:", getattr(self, name), 1, integer=True)
         number("test_fraction:", self.test_fraction, 0, 1, open_lo=True,
@@ -198,33 +202,35 @@ def load_task_data(cfg: ExperimentConfig):
     return (X[train_idx], y[train_idx]), (X[test_idx], y[test_idx]), n_classes
 
 
-def score_classification(mean_probs: np.ndarray, labels: np.ndarray,
-                         mode: str) -> list[ScoredPrediction]:
-    mean_probs = np.asarray(mean_probs)
-    labels = np.asarray(labels).astype(np.int64)
-    confidence = mean_probs.max(axis=1).tolist()
-    correct = (mean_probs.argmax(axis=1) == labels).tolist()
-    return [ScoredPrediction(probs=row, confidence=conf, correct=hit,
-                             uncertainty=entropy_for_mode(row, mode),
-                             true_label=label)
-            for row, conf, hit, label in zip(mean_probs, confidence, correct,
-                                             labels.tolist())]
+def _report(performance: float, preds: list[ScoredPrediction],
+            ece_bins: int) -> EvalReport:
+    """The report row of one evaluation: Brier over the predictions that
+    carry a true label (every classification row; the true positives of a
+    detection run), ECE, AUARC and mean entropy over all of them."""
+    return EvalReport(
+        map_50_95=performance,
+        brier=M.brier([p for p in preds if p.true_label is not None]),
+        ece=M.ece(preds, n_bins=ece_bins),
+        auarc=M.auarc(preds),
+        mean_entropy=float(np.mean([p.uncertainty for p in preds])))
 
 
 def classification_report(mean_probs: np.ndarray, labels: np.ndarray,
                           mode: str, ece_bins: int = 15
                           ) -> tuple[EvalReport, list[ScoredPrediction]]:
-    """Metrics for one set of mean predictive probabilities.  The
-    performance slot carries plain accuracy for classification."""
-    preds = score_classification(mean_probs, labels, mode)
-    accuracy = float(np.mean([p.correct for p in preds]))
-    report = EvalReport(
-        map_50_95=accuracy,
-        brier=M.brier(preds),
-        ece=M.ece(preds, n_bins=ece_bins),
-        auarc=M.auarc(preds),
-        mean_entropy=float(np.mean([p.uncertainty for p in preds])))
-    return report, preds
+    """Metrics and scored rows for one set of mean predictive
+    probabilities.  The performance slot carries plain accuracy for
+    classification."""
+    mean_probs = np.asarray(mean_probs)
+    labels = np.asarray(labels).astype(np.int64)
+    hits = mean_probs.argmax(axis=1) == labels
+    preds = [ScoredPrediction(probs=row, confidence=conf, correct=hit,
+                              uncertainty=entropy_for_mode(row, mode),
+                              true_label=label)
+             for row, conf, hit, label in zip(
+                 mean_probs, mean_probs.max(axis=1).tolist(), hits.tolist(),
+                 labels.tolist())]
+    return _report(float(np.mean(hits)), preds, ece_bins), preds
 
 
 def _cell_tags(method: str, drop_rate: float, preset: str
@@ -264,10 +270,15 @@ def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
               trace: list[float], spec: StochasticSpec, checkpoint: Path,
               trace_path: Path) -> None:
     """Write a trained cell's checkpoint, echoing its method, stochastic
-    spec and train block, and its loss trace."""
+    spec and train block, and its loss trace; a failed write leaves
+    neither file."""
     echo = {"method": method, "stochastic": spec.to_dict(), "train": cfg.train}
     save_checkpoint(net, checkpoint, config_echo=echo)
-    save_loss_trace(trace, trace_path)
+    try:
+        save_loss_trace(trace, trace_path)
+    except BaseException:
+        checkpoint.unlink(missing_ok=True)  # a cell is saved whole or not
+        raise
 
 
 def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
@@ -301,18 +312,10 @@ def _detection_report(cfg: ExperimentConfig, gts,
                       conf_threshold: float
                       ) -> tuple[EvalReport, list[ScoredPrediction]]:
     kept = [c for c in clusters if c.confidence >= conf_threshold]
+    # label_tp_fp gives the true positives, and only them, a true label
     preds = label_tp_fp(kept, gts, tau=cfg.match_tau,
                         mode=cfg.arch["output_mode"])
-    # calibration over every observation; Brier over true positives, which
-    # are the only ones with a defined label
-    tp_preds = [p for p in preds if p.correct]
-    report = EvalReport(
-        map_50_95=map_50_95(kept, gts),
-        brier=M.brier(tp_preds),
-        ece=M.ece(preds, n_bins=cfg.ece_bins),
-        auarc=M.auarc(preds),
-        mean_entropy=float(np.mean([p.uncertainty for p in preds])))
-    return report, preds
+    return _report(map_50_95(kept, gts), preds, cfg.ece_bins), preds
 
 
 def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
@@ -509,7 +512,7 @@ def emit_curves(points: list[tuple[ConfigPoint, EvalReport]],
     out_dir.mkdir(parents=True, exist_ok=True)
     front_keys = {cfg.key() for cfg, _ in M.pareto_front(points)}
     files = [out_dir / "pareto_points.csv", out_dir / "arc_curve.csv"]
-    write_csv(files[0], M.REPORT_COLUMNS + ["on_front"],
+    write_csv(files[0], [*M.REPORT_COLUMNS, "on_front"],
               (M.report_row(cfg_pt, report)
                + [str(int(cfg_pt.key() in front_keys))]
                for cfg_pt, report in points))

@@ -235,27 +235,24 @@ def pareto_front(points: list[tuple[ConfigPoint, EvalReport]]) -> list[tuple[Con
     return front
 
 
-REPORT_COLUMNS = ["method", "drop_rate", "T", "conf_threshold",
-                  "adapted_blocks", "map_50_95", "brier", "ece", "auarc",
-                  "mean_entropy"]
+# Every reports.csv column with its type: ConfigPoint's fields, then
+# EvalReport's.  A float column is written as repr(float(value)).
+REPORT_COLUMNS = {"method": str, "drop_rate": float, "T": int,
+                  "conf_threshold": float, "adapted_blocks": str,
+                  "map_50_95": float, "brier": float, "ece": float,
+                  "auarc": float, "mean_entropy": float}
 
 
 def report_row(cfg: ConfigPoint, report: EvalReport) -> list[str]:
-    return [cfg.method, repr(float(cfg.drop_rate)), str(cfg.T),
-            repr(float(cfg.conf_threshold)), cfg.adapted_blocks,
-            repr(float(report.map_50_95)), repr(float(report.brier)),
-            repr(float(report.ece)), repr(float(report.auarc)),
-            repr(float(report.mean_entropy))]
+    values = vars(cfg) | vars(report)
+    return [repr(float(values[name])) if kind is float else str(values[name])
+            for name, kind in REPORT_COLUMNS.items()]
 
 
 def save_reports(points: list[tuple[ConfigPoint, EvalReport]],
                  path: str | Path) -> None:
-    write_csv(path, REPORT_COLUMNS,
+    write_csv(path, list(REPORT_COLUMNS),
               (report_row(cfg, report) for cfg, report in points))
-
-
-_REPORT_TYPES = dict(zip(REPORT_COLUMNS, (str, float, int, float, str, float,
-                                          float, float, float, float)))
 
 
 def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
@@ -265,7 +262,7 @@ def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
     with open(path, newline="") as f:
         for n, row in enumerate(csv.DictReader(f), start=1):
             values = {}
-            for name, convert in _REPORT_TYPES.items():
+            for name, convert in REPORT_COLUMNS.items():
                 raw = row.get(name)
                 try:
                     if raw is None:
@@ -274,7 +271,6 @@ def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
                 except ValueError:
                     raise ValueError(f"{path}: data row {n}, column {name!r}: "
                                      f"bad value {raw!r}") from None
-            cfg = ConfigPoint(**{k: values[k] for k in REPORT_COLUMNS[:5]})
-            rep = EvalReport(**{k: values[k] for k in REPORT_COLUMNS[5:]})
-            points.append((cfg, rep))
+            cfg = {k: values.pop(k) for k in ConfigPoint.__dataclass_fields__}
+            points.append((ConfigPoint(**cfg), EvalReport(**values)))
     return points

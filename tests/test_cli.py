@@ -1,7 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from mcuq import files
 from mcuq.cli import main
 from mcuq.harness import ExperimentConfig, first_point, rerun_row
 
@@ -205,6 +209,23 @@ class TestTrainEval:
     def test_classification_eval_needs_checkpoint(self, tmp_path, capsys):
         assert main(["eval", "--config", str(write_config(tmp_path))]) == 1
         assert "--checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing", ["model.json", "model_trace.csv"])
+    def test_failed_save_leaves_neither_file(self, tmp_path, monkeypatch,
+                                             capsys, failing):
+        rename = files.os.replace
+
+        def disk_full(src, dst):  # one of the two renames fails
+            if Path(dst).name == failing:
+                raise OSError("disk full")
+            rename(src, dst)
+
+        monkeypatch.setattr(files.os, "replace", disk_full)
+        ckpt_dir = tmp_path / "ckpt"
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--checkpoint", str(ckpt_dir / "model.json")]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(ckpt_dir.iterdir()) == []
 
     def test_train_and_sweep_echo_the_same_config(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -1,12 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcuq import files, harness
 from mcuq.datasets import ShiftSpec, save_classification
-from mcuq.detection import Box, GroundTruth, save_ground_truths
+from mcuq.detection import Box, GroundTruth, label_tp_fp, save_ground_truths
 from mcuq.files import atomic_write
 from mcuq.harness import (
     ExperimentConfig,
@@ -21,6 +22,9 @@ from mcuq.metrics import (
     ConfigPoint,
     EvalReport,
     ScoredPrediction,
+    auarc,
+    brier,
+    ece,
     ipp_select,
     load_reports,
     save_reports,
@@ -146,6 +150,17 @@ class TestConfig:
         ("dataset", {"kind": "blobs-classification", "n_classes": 1,
                      "label_noise": 0.5},
          "label_noise 0.5 needs n_classes >= 2, got n_classes 1"),
+        ("Ts", 5, "5 is not a non-empty list of distinct values"),
+        ("methods", "MCSD",
+         "'MCSD' is not a non-empty list of distinct values"),
+        ("drop_rates", [0.1, 0.1],
+         "[0.1, 0.1] is not a non-empty list of distinct values"),
+        ("Ts", [2, 2], "[2, 2] is not a non-empty list of distinct values"),
+        ("adapted_presets", ("all", "all"),
+         "('all', 'all') is not a non-empty list of distinct values"),
+        ("conf_thresholds", [], "[] is not a non-empty list"),
+        ("methods", {"MCSD": 1}, "{'MCSD': 1} is not a non-empty list"),
+        ("out_dir", 5, "5 is not a string"),
     ])
     def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
         with pytest.raises(ValueError) as err:
@@ -394,6 +409,30 @@ class TestDetectionSweep:
         assert len(result.points) == 24
         assert calls == [8] * 4  # one per (method, rate, preset), at max T
 
+    def test_brier_over_true_positives_calibration_over_all(self, tmp_path,
+                                                            monkeypatch):
+        labelled = []
+
+        def recording_label_tp_fp(*args, **kwargs):
+            labelled.append(label_tp_fp(*args, **kwargs))
+            return labelled[-1]
+
+        monkeypatch.setattr(harness, "label_tp_fp", recording_label_tp_fp)
+        cfg = det_cfg(tmp_path, conf_thresholds=[0.0])
+        result = run_sweep(cfg)
+        assert result.failures == []
+        assert len(labelled) == len(result.points) == 4
+        for (_, report), preds in zip(result.points, labelled):
+            tps = [p for p in preds if p.correct]
+            assert 0 < len(tps) < len(preds)
+            assert [p.true_label is not None for p in preds] \
+                == [p.correct for p in preds]
+            assert report.brier == brier(tps)
+            assert report.ece == ece(preds, n_bins=cfg.ece_bins)
+            assert report.auarc == auarc(preds)
+            assert report.mean_entropy \
+                == float(np.mean([p.uncertainty for p in preds]))
+
 
 WRITER_POINTS = [(ConfigPoint("MCSD", 0.1, 5, 0.0, "all"),
                   EvalReport(0.75, 0.125, 0.0625, 0.5, 0.25)),
@@ -519,7 +558,24 @@ class TestAtomicWrite:
         assert result.failures == [("MCSD/rate=0.1/blocks=all", "disk full")]
         out_dir = tmp_path / "out"
         assert list(out_dir.glob("trace_*.csv")) == []
+        assert list(out_dir.glob("ckpt_*.json")) == []
         assert list(out_dir.glob("*.tmp")) == []
+
+    def test_failed_checkpoint_leaves_no_file(self, tmp_path, monkeypatch):
+        rename = files.os.replace
+
+        def disk_full(src, dst):  # the checkpoint's rename fails
+            if Path(dst).name.startswith("ckpt_"):
+                raise OSError("disk full")
+            rename(src, dst)
+
+        monkeypatch.setattr(files.os, "replace", disk_full)
+        cfg = small_cfg(tmp_path, train={"learning_rate": 0.05, "epochs": 1},
+                        methods=["MCD", "MCSD"])
+        result = run_sweep(cfg)
+        assert result.failures == [("MCD/rate=0.1/blocks=all", "disk full"),
+                                   ("MCSD/rate=0.1/blocks=all", "disk full")]
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("writer", WRITERS)
     def test_writer_bytes_are_pinned(self, writer, tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcuq.harness import classification_report, score_classification
+from mcuq.harness import classification_report
 from mcuq.metrics import (
+    REPORT_COLUMNS,
     ConfigPoint,
     EvalReport,
     ScoredPrediction,
@@ -343,7 +345,8 @@ class TestExactOracles:
 
     def test_rows_carry_python_scalars(self):
         probs, labels, mode = random_scores(0, 40, 3, "softmax", np.int32, 0)
-        for p in score_classification(probs, labels, mode):
+        _, preds = classification_report(probs, labels, mode)
+        for p in preds:
             assert type(p.confidence) is float
             assert type(p.correct) is bool
             assert type(p.true_label) is int
@@ -468,6 +471,10 @@ class TestParetoFront:
 
 
 class TestReportCsv:
+    def test_columns_are_the_report_fields_in_order(self):
+        assert list(REPORT_COLUMNS) \
+            == [f.name for f in fields(ConfigPoint) + fields(EvalReport)]
+
     def test_roundtrip(self, tmp_path):
         pts = [(ConfigPoint("MCSD", 0.1, 20, 0.25, "first-half"),
                 EvalReport(0.5, 0.1, 0.05, 0.8, 1.2)),
