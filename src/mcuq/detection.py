@@ -183,13 +183,10 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5
 
 def cluster_all(dets: list[Detection], theta_iou: float = 0.5) -> list[ClusteredObservation]:
     """BSAS per image, images processed in sorted image_id order."""
-    by_image: dict[int, list[Detection]] = {}
-    for d in dets:
-        by_image.setdefault(d.image_id, []).append(d)
-    clusters: list[ClusteredObservation] = []
-    for image_id in sorted(by_image):
-        clusters.extend(bsas_cluster(by_image[image_id], theta_iou))
-    return clusters
+    image_ids = np.array([d.image_id for d in dets], dtype=np.int64)
+    return [cluster for idx in _groups(image_ids).values()
+            for cluster in bsas_cluster([dets[i] for i in idx.tolist()],
+                                        theta_iou)]
 
 
 def _item_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,15 +370,17 @@ class NoiseSpec:
         number("sharpness", self.sharpness, 0, 1, open_lo=True)
 
 
-def _peaked_probs(true_class: int, n_classes: int, sharpness: float,
-                  mode: str) -> np.ndarray:
-    probs = np.full(n_classes, (1.0 - sharpness) / max(n_classes - 1, 1))
-    probs[true_class] = sharpness
-    if mode == "sigmoid":
-        # independent per-class scores: confident on the true class only
-        probs = np.full(n_classes, 1.0 - sharpness)
-        probs[true_class] = sharpness
-    return probs
+def _peaked_probs(n_classes: int, sharpness: float, mode: str) -> np.ndarray:
+    """A read-only [C, C] table whose row c is the probability vector every
+    detection of true class c shares.  Sigmoid scores are independent per
+    class: confident on the true class only."""
+    off = 1.0 - sharpness
+    if mode != "sigmoid":
+        off /= max(n_classes - 1, 1)
+    table = np.full((n_classes, n_classes), off)
+    np.fill_diagonal(table, sharpness)
+    table.flags.writeable = False
+    return table
 
 
 def _jittered_box(box: Box, jitter: float, rng: np.random.Generator) -> Box:
@@ -408,15 +407,15 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
     """
     dets: list[Detection] = []
     W, H = IMAGE_SIZE
+    peaked = _peaked_probs(n_classes, noise.sharpness, mode)
     for t in range(T):
         rng = substream(seed, "synth", t)
         for gt in scene:
             if rng.random() < noise.miss_prob:
                 continue
             box = _jittered_box(gt.box, noise.box_jitter, rng)
-            probs = _peaked_probs(gt.class_id, n_classes, noise.sharpness, mode)
-            dets.append(Detection(box=box, probs=probs, pass_index=t,
-                                  image_id=gt.image_id))
+            dets.append(Detection(box=box, probs=peaked[gt.class_id],
+                                  pass_index=t, image_id=gt.image_id))
         image_ids = sorted({gt.image_id for gt in scene})
         for image_id in image_ids:
             for _ in range(rng.poisson(noise.halluc_rate)):

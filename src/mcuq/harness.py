@@ -400,6 +400,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # each file the sweep owns (these and each cell's checkpoint and trace)
+    # is from this run or absent, never an earlier run's
+    for name in ("reports.csv", "pareto_front.csv", "pareto_points.csv",
+                 "arc_curve.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     points: list[tuple[ConfigPoint, EvalReport]] = []
     failures: list[tuple[str, str]] = []
     n_training_runs = 0
@@ -412,14 +417,16 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         # drop the previous cell's model, passes and clusters first
         net = evaluate = None
         if cfg.task == "classification":
+            stem = f"{method}_{drop_rate}_{preset}"
+            cell_files = (out_dir / f"ckpt_{stem}.json",
+                          out_dir / f"trace_{stem}.csv")
+            for path in cell_files:
+                path.unlink(missing_ok=True)
             try:
                 net, trace, spec = train_cell(cfg, method, drop_rate, preset,
                                               data[0], data[2])
                 n_training_runs += 1
-                stem = f"{method}_{drop_rate}_{preset}"
-                save_cell(cfg, method, net, trace, spec,
-                          out_dir / f"ckpt_{stem}.json",
-                          out_dir / f"trace_{stem}.csv")
+                save_cell(cfg, method, net, trace, spec, *cell_files)
             except Exception as exc:
                 failures.append((cell_name, str(exc)))
                 continue

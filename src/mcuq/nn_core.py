@@ -191,22 +191,10 @@ def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
                        output_mode=output_mode, activation=activation)
 
 
-def _activate(net: ResidualNet, pre: np.ndarray) -> np.ndarray:
-    if net.activation == ACT_RELU:
-        return np.maximum(pre, 0.0)
-    return pre
-
-
-def _activate_grad(net: ResidualNet, pre: np.ndarray) -> np.ndarray:
-    if net.activation == ACT_RELU:
-        return (pre > 0.0).astype(np.float64)
-    return np.ones_like(pre)
-
-
 def _forward_cached(net: ResidualNet, x: np.ndarray,
                     masks: MaskSample | None = None,
                     scale_spec: StochasticSpec | None = None):
-    """Forward pass keeping every intermediate needed by the backward pass."""
+    """Forward pass whose cache keeps what the backward pass reads."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatchError(
@@ -233,20 +221,18 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
         if row_mult is None and scale_spec is not None \
                 and blk.index in scale_spec.adapted_blocks:
             row_mult = scale_spec.keep_prob  # deterministic scaled rule
-        pre = h @ blk.w1.value
-        pre += blk.b1.value
-        hidden = _activate(net, pre)
+        hidden = h @ blk.w1.value
+        hidden += blk.b1.value
+        if net.activation == ACT_RELU:
+            np.maximum(hidden, 0.0, out=hidden)
         if unit_mult is not None:
-            if hidden is pre:  # identity activation: the cache keeps pre
-                hidden = hidden * unit_mult
-            else:
-                hidden *= unit_mult
+            hidden *= unit_mult
         branch = hidden @ blk.w2.value
         branch += blk.b2.value
         if row_mult is not None:
             branch *= row_mult
         branch += h
-        cache["blocks"].append({"in": h, "pre": pre, "hidden": hidden,
+        cache["blocks"].append({"in": h, "hidden": hidden,
                                 "unit_mult": unit_mult, "row_mult": row_mult})
         h = branch
     logits = h @ net.head_w.value
@@ -356,9 +342,15 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, targets,
         dbranch = g if c["row_mult"] is None else g * c["row_mult"]
         np.matmul(c["hidden"].T, dbranch, out=blk.w2.grad)
         dbranch.sum(axis=0, out=blk.b2.grad)
-        dhidden = dbranch @ blk.w2.value.T
-        dact = dhidden * c["unit_mult"] if c["unit_mult"] is not None else dhidden
-        dpre = dact * _activate_grad(net, c["pre"])
+        dpre = dbranch @ blk.w2.value.T
+        if c["unit_mult"] is not None:
+            dpre *= c["unit_mult"]
+        if net.activation == ACT_RELU:
+            # A kept unit's multiplier is at least 1 (1/keep or width/kept),
+            # so there hidden > 0 exactly where the pre-activation is; a
+            # dropped unit's gradient is already a signed zero (or NaN),
+            # which times 0.0 or 1.0 leaves unchanged.
+            dpre *= c["hidden"] > 0.0
         np.matmul(c["in"].T, dpre, out=blk.w1.grad)
         dpre.sum(axis=0, out=blk.b1.grad)
         g = g + dpre @ blk.w1.value.T

@@ -296,6 +296,42 @@ class TestSweep:
         assert [(p.method, p.T) for p, _ in result.points] == [("MCD", 3),
                                                               ("MCD", 5)]
 
+    def test_rerun_whose_rows_all_fail_leaves_no_summary(self, tmp_path):
+        cfg = det_cfg(tmp_path)
+        assert {p.name for p in run_sweep(cfg).files} == {
+            "reports.csv", "pareto_front.csv", "pareto_points.csv",
+            "arc_curve.csv"}
+        # no cluster reaches this threshold, so every row fails
+        result = run_sweep(det_cfg(tmp_path, conf_thresholds=[0.999]))
+        assert result.points == [] and result.files == []
+        assert {msg for _, msg in result.failures} == {"empty prediction set"}
+        assert list(Path(cfg.out_dir).iterdir()) == []
+
+    def test_rerun_whose_training_fails_leaves_no_cell_files(self, tmp_path,
+                                                             monkeypatch):
+        cfg = small_cfg(tmp_path, methods=["MCD", "MCDB"],
+                        train={"learning_rate": 0.05, "epochs": 2})
+        run_sweep(cfg)
+        out_dir = Path(cfg.out_dir)
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert {"ckpt_MCDB_0.1_all.json", "trace_MCDB_0.1_all.csv"} <= set(first)
+        fit = harness.train
+
+        def failing_block_drop(net, data, tc, stochastic):
+            if stochastic.kind == "block-drop":
+                raise RuntimeError("diverged")
+            return fit(net, data, tc, stochastic=stochastic)
+
+        monkeypatch.setattr(harness, "train", failing_block_drop)
+        result = run_sweep(cfg)
+        assert result.failures == [("MCDB/rate=0.1/blocks=all", "diverged")]
+        again = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert set(again) == set(first) - {"ckpt_MCDB_0.1_all.json",
+                                           "trace_MCDB_0.1_all.csv"}
+        assert again["ckpt_MCD_0.1_all.json"] == first["ckpt_MCD_0.1_all.json"]
+        assert [p.method for p, _ in load_reports(out_dir / "reports.csv")] \
+            == ["MCD"]
+
     def test_detector_error_fails_every_row_of_its_cell(self, tmp_path,
                                                         monkeypatch):
         detect = harness.synth_detector
