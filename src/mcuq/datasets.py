@@ -184,18 +184,12 @@ def make_dataset(kind: str, params: dict, seed: int,
     written.  Parameters are validated before anything touches disk."""
     params = dataset_params(kind, params)
     out_dir = Path(out_dir)
-    if kind == "boxes-detection":
-        gts = make_box_scenes(**params, seed=seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "ground_truth.csv"
-        save_ground_truths(gts, path)
-        return [path]
-    if kind == "blobs-classification":
-        X, y = make_blobs(**params, seed=seed)
-        path = out_dir / "blobs.csv"
-    else:
-        X, y = make_moons(**params, seed=seed)
-        path = out_dir / "moons.csv"
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_classification(X, y, path)
+    if kind == "boxes-detection":
+        path = out_dir / "ground_truth.csv"
+        save_ground_truths(make_box_scenes(**params, seed=seed), path)
+    else:
+        make = make_blobs if kind == "blobs-classification" else make_moons
+        path = out_dir / f"{kind.split('-')[0]}.csv"  # blobs.csv, moons.csv
+        save_classification(*make(**params, seed=seed), path)
     return [path]

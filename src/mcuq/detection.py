@@ -11,8 +11,10 @@ image_id, class_id, x1, y1, x2, y2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,18 +30,18 @@ IMAGE_SIZE = (100.0, 100.0)
 RECALL_LEVELS = np.linspace(0.0, 1.0, 101)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box:
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(f"degenerate box {(self.x1, self.y1, self.x2, self.y2)}")
+    def __init__(self, x1, y1, x2, y2):  # frozen: fields go into __dict__
+        x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+        if not (x1 < x2 and y1 < y2):
+            raise ValueError(f"degenerate box {(x1, y1, x2, y2)}")
+        self.__dict__.update(x1=x1, y1=y1, x2=x2, y2=y2)
 
     @property
     def area(self) -> float:
@@ -127,12 +129,16 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5
     otherwise it founds a new cluster.  Cluster means update incrementally,
     so identical input order always yields identical clusters.
 
-    The loop runs on plain floats: each cluster keeps its mean box (with
-    its area), mean probabilities and class id, each mean updated as
-    ``(m*k + x)/(k+1)``, and IoU is computed inline with the float
-    operations of ``iou``.  Boxes and observations are built once, at the
-    end.
+    The walk runs on plain floats, each mean updated as ``(m*k + x)/(k+1)``
+    and IoU inline with the float operations of ``iou``.
     """
+    return next(_bsas_walk(dets, theta_iou, [math.inf]))
+
+
+def _bsas_walk(dets: list[Detection], theta_iou: float, cuts: list):
+    """Yields, for each ascending cut, the clusters held on first reaching a
+    detection with ``pass_index >= cut`` (or the end): BSAS never revisits
+    an assignment, so those of the detections below the cut."""
     image_ids = {d.image_id for d in dets}
     if len(image_ids) > 1:
         raise ValueError(f"detections span several images: {sorted(image_ids)}")
@@ -141,8 +147,22 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5
     boxes: list[tuple[float, float, float, float, float]] = []  # corners, area
     means: list[list[float]] = []
     classes: list[int] = []
+
+    def held() -> list[ClusteredObservation]:
+        return [ClusteredObservation(
+            members=group[:],
+            mean_box=group[0].box if len(group) == 1 else Box(*box[:4]),
+            mean_probs=np.array(mean, dtype=np.float64),
+            image_id=group[0].image_id)
+            for group, box, mean in zip(members, boxes, means)]
+
+    cuts = iter(cuts)
+    cut = next(cuts)
     for i in order:
         det = dets[i]
+        while det.pass_index >= cut:  # the caller stops after the last cut
+            yield held()
+            cut = next(cuts, math.inf)
         x1, y1, x2, y2 = det.box.x1, det.box.y1, det.box.x2, det.box.y2
         area = (x2 - x1) * (y2 - y1)
         probs = np.asarray(det.probs, dtype=np.float64).tolist()
@@ -173,32 +193,57 @@ def bsas_cluster(dets: list[Detection], theta_iou: float = 0.5
         boxes[ci] = (nx1, ny1, nx2, ny2, (nx2 - nx1) * (ny2 - ny1))
         means[ci] = [(m * k + p) / (k + 1) for m, p in zip(means[ci], probs)]
         classes[ci] = _argmax(means[ci])
-    return [ClusteredObservation(
-        members=group,
-        mean_box=group[0].box if len(group) == 1 else Box(*box[:4]),
-        mean_probs=np.array(mean, dtype=np.float64),
-        image_id=group[0].image_id)
-        for group, box, mean in zip(members, boxes, means)]
+    while True:
+        yield held()
 
 
-def cluster_all(dets: list[Detection], theta_iou: float = 0.5) -> list[ClusteredObservation]:
-    """BSAS per image, images processed in sorted image_id order."""
+def cluster_all(dets: list[Detection], theta_iou: float = 0.5,
+                Ts: list[int] | None = None):
+    """BSAS per image, images processed in sorted image_id order.
+
+    With cuts ``Ts``, one walk serves them all: returns ``{T: clusters}``,
+    each what ``cluster_all`` gives on the detections with ``pass_index <
+    T``, or the error it raises: the first image's (by image id) whose walk
+    failed below T.
+    """
+    cuts = [math.inf] if Ts is None else sorted(set(Ts))
+    held = {T: [] for T in cuts}
+    errors = {}
     image_ids = np.array([d.image_id for d in dets], dtype=np.int64)
-    return [cluster for idx in _groups(image_ids).values()
-            for cluster in bsas_cluster([dets[i] for i in idx.tolist()],
-                                        theta_iou)]
+    for idx in _groups(image_ids).values():
+        walk = _bsas_walk([dets[i] for i in idx.tolist()], theta_iou, cuts)
+        try:
+            for T in cuts:
+                held[T] += next(walk)
+        except Exception as exc:  # failed below T: so below every later T
+            for later in cuts[cuts.index(T):]:
+                errors.setdefault(later, exc)
+    if Ts is None:
+        if errors:
+            raise errors[math.inf]
+        return held[math.inf]
+    return {T: errors.get(T, held[T]) for T in cuts}
 
 
-def _item_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boxes [N, 4], probabilities [N, C] and image ids [N] of detections
-    or fused observations, read once."""
+class ItemArrays(NamedTuple):
+    """N detections or fused observations, read into arrays once."""
+    boxes: np.ndarray      # [N, 4] corners
+    probs: np.ndarray      # [N, C]; [0, 0] when there are no items
+    image_ids: np.ndarray  # [N]
+
+
+def _item_arrays(items) -> ItemArrays:
+    """The ``ItemArrays`` of items; an ``ItemArrays`` passes through."""
+    if isinstance(items, ItemArrays):
+        return items
+    items = list(items)
     n = len(items)
     boxes = np.array([(it.box.x1, it.box.y1, it.box.x2, it.box.y2)
                       for it in items], dtype=np.float64).reshape(n, 4)
     probs = np.array([it.mean_probs if hasattr(it, "mean_probs") else it.probs
-                      for it in items], dtype=np.float64)
+                      for it in items] or np.empty((0, 0)), dtype=np.float64)
     image_ids = np.array([it.image_id for it in items], dtype=np.int64)
-    return boxes, probs, image_ids
+    return ItemArrays(boxes, probs, image_ids)
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,9 +329,7 @@ def _match(boxes: np.ndarray, probs: np.ndarray, image_ids: np.ndarray,
 def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP from confidence-ordered TP flags: the mean
     over recall levels r of the best precision at any recall >= r."""
-    if n_gt == 0:
-        return 0.0
-    if len(tp_flags) == 0:
+    if n_gt == 0 or len(tp_flags) == 0:
         return 0.0
     tp_cum = np.cumsum(tp_flags)
     fp_cum = np.cumsum(1 - tp_flags)
@@ -302,7 +345,7 @@ def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
 
 
 def map_50_95(items, gts: list[GroundTruth]) -> float:
-    """COCO-style mean average precision over IoU thresholds 0.50:0.95.
+    """COCO-style mAP over IoU thresholds 0.50:0.95; takes ``ItemArrays`` too.
 
     AP is averaged over every class with at least one ground truth and over
     the ten thresholds; detections of classes without ground truths are
@@ -313,10 +356,9 @@ def map_50_95(items, gts: list[GroundTruth]) -> float:
     """
     if not gts:
         raise ValueError("no ground truths")
-    items = list(items)
-    if not items:
-        return 0.0
     boxes, probs, image_ids = _item_arrays(items)
+    if not len(probs):
+        return 0.0
     flags = _match(boxes, probs, image_ids, gts, IOU_THRESHOLDS)
     ranked = np.argsort(-probs.max(axis=1), kind="stable")
     ranked_classes = np.argmax(probs, axis=1)[ranked]
@@ -332,7 +374,7 @@ def map_50_95(items, gts: list[GroundTruth]) -> float:
 
 def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
                 mode: str = "softmax") -> list[ScoredPrediction]:
-    """Score fused observations as TP/FP for the calibration metrics.
+    """Score fused observations (or their ``ItemArrays``) as TP/FP.
 
     Greedy confidence-descending matching at IoU >= tau with class
     agreement: an observation takes the unmatched ground truth of its image
@@ -342,16 +384,16 @@ def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
     mode-appropriate entropy of the mean probabilities.
     """
     number("tau", tau, 0, 1)
-    items = list(items)
-    if not items:
-        return []
     boxes, probs, image_ids = _item_arrays(items)
+    if not len(probs):
+        return []
     is_tp = _match(boxes, probs, image_ids, gts, (tau,))[0]
-    return [ScoredPrediction(probs=p, confidence=float(p.max()), correct=tp,
+    return [ScoredPrediction(probs=p, confidence=conf, correct=tp,
                              uncertainty=entropy_for_mode(p, mode),
                              true_label=cls if tp else None)
-            for p, tp, cls in zip(probs, is_tp.tolist(),
-                                  np.argmax(probs, axis=1).tolist())]
+            for p, conf, tp, cls in zip(probs, probs.max(axis=1).tolist(),
+                                        is_tp.tolist(),
+                                        np.argmax(probs, axis=1).tolist())]
 
 
 @dataclass
@@ -387,9 +429,9 @@ def _jittered_box(box: Box, jitter: float, rng: np.random.Generator) -> Box:
     if jitter == 0.0:
         return box
     for _ in range(100):
-        d = rng.normal(0.0, jitter, size=4)
-        x1, y1 = box.x1 + d[0], box.y1 + d[1]
-        x2, y2 = box.x2 + d[2], box.y2 + d[3]
+        d1, d2, d3, d4 = rng.normal(0.0, jitter, size=4).tolist()
+        x1, y1 = box.x1 + d1, box.y1 + d2
+        x2, y2 = box.x2 + d3, box.y2 + d4
         if x1 < x2 and y1 < y2:
             return Box(x1, y1, x2, y2)
     return box
@@ -408,6 +450,7 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
     dets: list[Detection] = []
     W, H = IMAGE_SIZE
     peaked = _peaked_probs(n_classes, noise.sharpness, mode)
+    image_ids = sorted({gt.image_id for gt in scene})
     for t in range(T):
         rng = substream(seed, "synth", t)
         for gt in scene:
@@ -416,7 +459,6 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
             box = _jittered_box(gt.box, noise.box_jitter, rng)
             dets.append(Detection(box=box, probs=peaked[gt.class_id],
                                   pass_index=t, image_id=gt.image_id))
-        image_ids = sorted({gt.image_id for gt in scene})
         for image_id in image_ids:
             for _ in range(rng.poisson(noise.halluc_rate)):
                 cx, cy = rng.uniform(0, W), rng.uniform(0, H)

@@ -29,8 +29,9 @@ from .datasets import (
     make_moons,
 )
 from .detection import (
-    ClusteredObservation,
+    ItemArrays,
     NoiseSpec,
+    _item_arrays,
     cluster_all,
     label_tp_fp,
     map_50_95,
@@ -307,11 +308,12 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
                          + ", ".join(wrong))
 
 
-def _detection_report(cfg: ExperimentConfig, gts,
-                      clusters: list[ClusteredObservation],
+def _detection_report(cfg: ExperimentConfig, gts, clusters: ItemArrays,
                       conf_threshold: float
                       ) -> tuple[EvalReport, list[ScoredPrediction]]:
-    kept = [c for c in clusters if c.confidence >= conf_threshold]
+    # initial: the [0, 0] probs of no clusters have no maximum otherwise
+    keep = clusters.probs.max(axis=1, initial=-np.inf) >= conf_threshold
+    kept = ItemArrays(*(column[keep] for column in clusters))
     # label_tp_fp gives the true positives, and only them, a true label
     preds = label_tp_fp(kept, gts, tau=cfg.match_tau,
                         mode=cfg.arch["output_mode"])
@@ -319,12 +321,13 @@ def _detection_report(cfg: ExperimentConfig, gts,
 
 
 def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
-                    method: str, drop_rate: float, preset: str, max_T: int):
+                    method: str, drop_rate: float, preset: str, Ts: list[int]):
     """Build what one cell needs once; return ``evaluate(T, conf_threshold)
-    -> (report, predictions)`` for ``T <= max_T``.  The threshold only
-    filters detection observations.  The detector runs once, at ``max_T``:
+    -> (report, predictions)`` for each T in ``Ts``.  The threshold only
+    filters detection observations.  The detector runs once, at ``max(Ts)``:
     pass t draws from its own stream, so the passes with ``pass_index < T``
-    are exactly a T-pass run, and each T fuses that prefix once."""
+    are exactly a T-pass run.  One fusion walk cuts every T's prefix, and
+    each T's clusters are read into arrays once."""
     tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
@@ -344,17 +347,17 @@ def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
     # raises the synthetic detector's miss probability, playing the role a
     # stronger stochastic mechanism would
     noise = replace(noise, miss_prob=min(0.95, noise.miss_prob + drop_rate))
-    dets = synth_detector(gts, noise, T=max_T,
+    dets = synth_detector(gts, noise, T=max(Ts),
                           seed=_cell_seed(cfg, "detector", *tags),
                           n_classes=n_classes,
                           mode=cfg.arch["output_mode"])
-    fused = {}  # T -> clusters, for one T at a time
+    # T -> its clusters, their ItemArrays once read, or its fusion error
+    fused = cluster_all(dets, theta_iou=cfg.theta_iou, Ts=Ts)
 
     def evaluate(T, conf_threshold):
-        if T not in fused:
-            fused.clear()  # release the previous T's clusters first
-            fused[T] = cluster_all([d for d in dets if d.pass_index < T],
-                                   theta_iou=cfg.theta_iou)
+        if isinstance(fused[T], Exception):
+            raise fused[T]
+        fused[T] = _item_arrays(fused[T])
         return _detection_report(cfg, gts, fused[T], conf_threshold)
     return evaluate
 
@@ -383,7 +386,7 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
     ``load_task_data`` returns.  A detection point draws and fuses its own
     T passes."""
     evaluate = _cell_evaluator(cfg, data, net, point.method, point.drop_rate,
-                               point.adapted_blocks, point.T)
+                               point.adapted_blocks, [point.T])
     return evaluate(point.T, point.conf_threshold)
 
 
@@ -433,7 +436,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         cell_error = None
         try:
             evaluate = _cell_evaluator(cfg, data, net, method, drop_rate,
-                                       preset, max(cfg.Ts))
+                                       preset, cfg.Ts)
         except Exception as exc:
             cell_error = str(exc)
         for T, conf_threshold in product(cfg.Ts, cfg.conf_thresholds):

@@ -218,21 +218,12 @@ def pareto_front(points: list[tuple[ConfigPoint, EvalReport]]) -> list[tuple[Con
     better in one."""
     if not points:
         raise ValueError("empty point list")
-    front = []
-    for i, (cfg_i, rep_i) in enumerate(points):
-        dominated = False
-        for j, (_, rep_j) in enumerate(points):
-            if j == i:
-                continue
-            if (rep_j.map_50_95 >= rep_i.map_50_95
-                    and rep_j.auarc >= rep_i.auarc
-                    and (rep_j.map_50_95 > rep_i.map_50_95
-                         or rep_j.auarc > rep_i.auarc)):
-                dominated = True
-                break
-        if not dominated:
-            front.append((cfg_i, rep_i))
-    return front
+
+    def dominates(a: EvalReport, b: EvalReport) -> bool:  # irreflexive
+        return (a.map_50_95 >= b.map_50_95 and a.auarc >= b.auarc
+                and (a.map_50_95 > b.map_50_95 or a.auarc > b.auarc))
+    return [(cfg, rep) for cfg, rep in points
+            if not any(dominates(other, rep) for _, other in points)]
 
 
 # Every reports.csv column with its type: ConfigPoint's fields, then

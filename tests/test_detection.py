@@ -1,4 +1,7 @@
+import copy
 import csv
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from mcuq.detection import (
     ClusteredObservation,
     Detection,
     GroundTruth,
+    ItemArrays,
     NoiseSpec,
     _item_arrays,
     _match,
@@ -41,6 +45,24 @@ class TestBoxAndIou:
             Box(5, 0, 5, 10)
         with pytest.raises(ValueError):
             Box(0, 10, 10, 5)
+
+    def test_box_is_a_frozen_float_value(self):
+        b = Box(1, 2.5, np.float64(3), 4)
+        same = Box(x1=1.0, y1=2.5, x2=3.0, y2=4.0)
+        assert [type(v) for v in (b.x1, b.y1, b.x2, b.y2)] == [float] * 4
+        assert b == same and b != Box(1, 2.5, 3, 5)
+        assert hash(b) == hash(same)
+        assert repr(b) == "Box(x1=1.0, y1=2.5, x2=3.0, y2=4.0)"
+        assert copy.deepcopy(b) == b
+        assert pickle.loads(pickle.dumps(b)) == b
+        assert dataclasses.replace(b, y2=9) == Box(1, 2.5, 3, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.x1 = 0.0
+        with pytest.raises(ValueError,
+                           match=r"^degenerate box \(5\.0, 0\.0, 5\.0, 10\.0\)$"):
+            Box(5, 0, 5, 10)
+        with pytest.raises(ValueError, match="degenerate box"):
+            Box(float("nan"), 0, 1, 1)
 
     def test_identical_boxes(self):
         b = Box(0, 0, 10, 10)
@@ -243,6 +265,58 @@ class TestBsasAgainstLoopOracle:
         assert [c.support for c in bsas_cluster([a, c1])] == [1, 1]
         assert [c.support for c in bsas_cluster([a, b, c0])] == [3]
         assert [c.support for c in bsas_cluster([a, b, c1])] == [2, 1]
+
+
+class Unreadable:
+    """Probabilities that raise when fusion reads them."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def __array__(self, dtype=None, copy=None):
+        raise ValueError(self.message)
+
+
+class TestFusionWalkAgainstPerTOracle:
+    """One walk cut at several T against the per-T path it replaced: fusing
+    the detections with ``pass_index < T`` from scratch."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(pass_scenes(n_images=3),
+           st.one_of(st.sampled_from(BSAS_THETAS), st.floats(0, 1)),
+           st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    def test_every_cut_equals_fusing_its_prefix(self, dets, theta_iou, Ts):
+        # passes run 0..3, so a cut of 5 or 6 lies past the last pass, and a
+        # small cut often leaves an image with no detection below it
+        fused = cluster_all(dets, theta_iou, Ts=Ts)
+        assert sorted(fused) == sorted(Ts)
+        for T in Ts:
+            assert_same_clusters(fused[T], cluster_all(
+                [d for d in dets if d.pass_index < T], theta_iou))
+
+    def test_an_image_without_detections_below_a_cut(self):
+        early = det((0, 0, 4, 4), [0.9, 0.1], pass_index=0, image_id=0)
+        late = det((0, 0, 4, 4), [0.9, 0.1], pass_index=2, image_id=1)
+        fused = cluster_all([late, early], Ts=[9, 1, 3])
+        assert [c.members for c in fused[1]] == [[early]]
+        assert [c.members for c in fused[3]] == [[early], [late]]
+        assert [c.members for c in fused[9]] == [[early], [late]]
+        assert cluster_all([], Ts=[2]) == {2: []}
+
+    def test_a_fusion_error_fails_the_cuts_above_it(self):
+        # image 2 fails at pass 1 and image 1 at pass 2: a cut fails with
+        # the error of the first image (by id) that fails below it
+        dets = [det((0, 0, 4, 4), [0.9, 0.1], pass_index=t, image_id=i)
+                for t in range(4) for i in range(3)]
+        for d in dets:
+            if (d.image_id, d.pass_index) in ((2, 1), (1, 2)):
+                d.probs = Unreadable(f"image {d.image_id}")
+        fused = cluster_all(dets, Ts=[1, 2, 3, 4])
+        assert [c.image_id for c in fused[1]] == [0, 1, 2]
+        for T, message in ((2, "image 2"), (3, "image 1"), (4, "image 1")):
+            assert str(fused[T]) == message
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cluster_all([d for d in dets if d.pass_index < T])
 
 
 # hand-computed three-detection / two-ground-truth instance:
@@ -466,6 +540,33 @@ class TestArrayMatcherAgainstLoopOracle:
         g = [gt((0, 0, 10, 10), class_id=0)]
         d = [det((10, 0, 20, 10), [0.9, 0.1])]  # touching edge: IoU 0
         assert _match(*_item_arrays(d), g, (0.0,)).tolist() == [[False]]
+
+
+class TestItemArraysScoreAsTheList:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(scenes(), st.sampled_from(MATCH_TAUS),
+           st.sampled_from(["softmax", "sigmoid"]))
+    def test_labels_and_map_equal(self, scene, tau, mode):
+        dets, gts = scene
+        clusters = cluster_all(dets)
+        record = _item_arrays(clusters)
+        assert isinstance(record, ItemArrays)
+
+        def rows(preds):
+            return [(p.probs.tobytes(), p.confidence, p.correct, p.true_label,
+                     p.uncertainty) for p in preds]
+        assert rows(label_tp_fp(record, gts, tau, mode)) \
+            == rows(label_tp_fp(clusters, gts, tau, mode))
+        if gts:
+            assert map_50_95(record, gts) == map_50_95(clusters, gts) \
+                == loop_map_50_95(clusters, gts)
+
+    def test_an_empty_record(self):
+        g = [gt((0, 0, 10, 10))]
+        empty = _item_arrays([])
+        assert empty.boxes.shape == (0, 4) and empty.probs.shape == (0, 0)
+        assert label_tp_fp(empty, g) == []
+        assert map_50_95(empty, g) == 0.0
 
 
 class TestLabelTpFp:

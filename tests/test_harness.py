@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from mcuq import files, harness
 from mcuq.datasets import ShiftSpec, save_classification
-from mcuq.detection import Box, GroundTruth, label_tp_fp, save_ground_truths
+from mcuq.detection import (Box, Detection, GroundTruth, _item_arrays,
+                            label_tp_fp, save_ground_truths)
 from mcuq.files import atomic_write
 from mcuq.harness import (
     ExperimentConfig,
@@ -351,24 +353,42 @@ class TestSweep:
 
     def test_fusion_error_fails_every_row_of_its_T(self, tmp_path,
                                                    monkeypatch):
-        fuse = harness.cluster_all
+        detect = harness.synth_detector
 
-        def failing_long_prefix(dets, **kwargs):
-            if any(d.pass_index >= 2 for d in dets):  # every T=4 prefix
-                raise ValueError(f"cannot fuse {len(dets)} detections")
-            return fuse(dets, **kwargs)
+        class Unreadable:  # probabilities the fusion walk cannot read
+            def __init__(self, message):
+                self.message = message
 
-        monkeypatch.setattr(harness, "cluster_all", failing_long_prefix)
-        result = run_sweep(det_cfg(tmp_path))
-        names = [name for name, _ in result.failures]
-        assert names == [f"MCD/rate={r}/blocks=all/T=4/conf={c}"
-                         for r in (0.05, 0.15) for c in (0.0, 0.5)]
-        for name, message in result.failures:
-            assert message.startswith("cannot fuse ")
-        # both rows of a T carry the message of that T's one fusion
-        assert result.failures[0][1] == result.failures[1][1]
+            def __array__(self, dtype=None, copy=None):
+                raise ValueError(self.message)
+
+        def failing_inside_the_walk(gts, noise, **kwargs):
+            dets = detect(gts, noise, **kwargs)
+            # image 2 fails at pass 3 and image 1 at pass 4: a T's rows fail
+            # with the error of the first image (by id) to fail below T
+            for d in dets:
+                if (d.image_id, d.pass_index) in ((2, 3), (1, 4)):
+                    d.probs = Unreadable(f"image {d.image_id} at pass "
+                                         f"{d.pass_index}")
+            return dets
+
+        monkeypatch.setattr(harness, "synth_detector", failing_inside_the_walk)
+        cfg = det_cfg(tmp_path, Ts=[2, 4, 6])
+        result = run_sweep(cfg)
+        assert result.failures == [
+            (f"MCD/rate={r}/blocks=all/T={T}/conf={c}", message)
+            for r in (0.05, 0.15)
+            for T, message in ((4, "image 2 at pass 3"),
+                               (6, "image 1 at pass 4"))
+            for c in (0.0, 0.5)]
         assert {p.T for p, _ in result.points} == {2}
         assert len(result.points) == 4
+        # the per-T path, fusing a T's prefix on its own, fails the same way
+        for point in (replace(result.points[0][0], T=T) for T in (4, 6)):
+            message = dict(result.failures)[
+                f"MCD/rate=0.05/blocks=all/T={point.T}/conf=0.0"]
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rerun_row(cfg, point)
 
 
 class TestDetectionSweep:
@@ -415,8 +435,8 @@ class TestDetectionSweep:
         result = run_sweep(cfg)
         assert result.failures == []
         assert len(result.points) == 12
-        assert len(calls) == 4  # one per (drop rate, T)
-        # each row equals its standalone rerun, which fuses on its own
+        assert len(calls) == 2  # one walk per drop rate, cut at T = 4 and 8
+        # each row equals its standalone rerun, which walks its own single T
         for point, report in result.points:
             again = rerun_row(cfg, point)
             for name in ("map_50_95", "brier", "ece", "auarc", "mean_entropy"):
@@ -444,6 +464,25 @@ class TestDetectionSweep:
         assert result.failures == []
         assert len(result.points) == 24
         assert calls == [8] * 4  # one per (method, rate, preset), at max T
+
+    def test_threshold_keeps_its_equal_and_fails_empty_rows(self, tmp_path):
+        # softmax confidences over three classes stay below 0.999
+        result = run_sweep(det_cfg(tmp_path, conf_thresholds=[0.0, 0.999]))
+        assert result.failures == [
+            (f"MCD/rate={r}/blocks=all/T={T}/conf=0.999",
+             "empty prediction set") for r in (0.05, 0.15) for T in (2, 4)]
+        assert len(result.points) == 4
+        # and so does a T whose fusion holds no cluster at all
+        g = [GroundTruth(box=Box(0, 0, 10, 10), class_id=0, image_id=0)]
+        with pytest.raises(ValueError, match="^empty prediction set$"):
+            harness._detection_report(det_cfg(tmp_path), g, _item_arrays([]),
+                                      0.0)
+        # a threshold keeps the observations whose confidence equals it
+        one = _item_arrays([Detection(box=Box(0, 0, 10, 10),
+                                      probs=np.array([0.75, 0.25]),
+                                      pass_index=0, image_id=0)])
+        _, preds = harness._detection_report(det_cfg(tmp_path), g, one, 0.75)
+        assert [p.correct for p in preds] == [True]
 
     def test_brier_over_true_positives_calibration_over_all(self, tmp_path,
                                                             monkeypatch):
