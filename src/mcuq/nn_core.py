@@ -84,7 +84,8 @@ class ResidualBlock:
 @dataclass
 class ResidualNet:
     """Every parameter's value and grad is a reshape view into the flat
-    buffers ``values`` and ``grads``, in ``parameters()`` order."""
+    buffers ``values`` and ``grads``, in ``parameters()`` order, and every
+    block's flattened w1 and w2 is ``branch_values[l - 1, 0 or 1]``."""
 
     stem_w: Parameter
     stem_b: Parameter
@@ -103,6 +104,12 @@ class ResidualNet:
                                   np.split(self.grads, ends)):
             p.value = value.reshape(p.value.shape)
             p.grad = grad.reshape(p.value.shape)
+        # after the stem, each block is laid out [w1, b1, w2, b2]
+        w, lo = self.width, self.stem_w.value.size + self.stem_b.value.size
+        self.branch_values, self.branch_grads = (
+            buf[lo:lo + self.n_blocks * 2 * (w * w + w)].reshape(
+                self.n_blocks, 2, w * w + w)[:, :, :w * w]
+            for buf in (self.values, self.grads))
 
     def __deepcopy__(self, memo):
         # a field-by-field copy would give every view its own array, cut
@@ -261,13 +268,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     than ``max`` over a short last axis; the row sums keep ``sum``'s
     rounding."""
     logits = np.asarray(logits, dtype=np.float64)
-    top = logits[..., 0].copy()
-    for j in range(1, logits.shape[-1]):
-        np.maximum(top, logits[..., j], out=top)
-    e = logits - top[..., None]
+    e = logits - _row_max(logits)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, taken column by column."""
+    top = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j], out=top)
+    return top[..., None]
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -282,23 +294,36 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
 def l2_penalty(net: ResidualNet) -> float:
     """Sum of squared residual-branch weight matrices (biases, stem and
     head excluded; the penalty regularizes the branch weights only)."""
-    return float(sum(np.sum(b.w1.value ** 2) + np.sum(b.w2.value ** 2)
-                     for b in net.blocks))
+    sums = np.add.reduce(np.square(net.branch_values), axis=2).tolist()
+    return float(sum(w1 + w2 for w1, w2 in sums))
 
 
-def _task_loss(logits: np.ndarray, targets,
-               output_mode: str) -> tuple[float, np.ndarray]:
-    """The mean task loss and its gradient with respect to the logits."""
-    batch = logits.shape[0]
-    if batch == 0:
+def _check_targets(targets, rows: int, n_classes: int,
+                   output_mode: str) -> np.ndarray:
+    """``targets`` as an array, once they fit ``rows`` rows of logits."""
+    if rows == 0:
         raise ValueError("empty batch")
     if output_mode == MODE_SOFTMAX:
         y = np.asarray(targets)
-        if y.ndim != 1 or y.shape[0] != batch:
+        if y.ndim != 1 or y.shape[0] != rows:
             raise ShapeMismatchError("softmax targets must be one label per row")
-        if y.min() < 0 or y.max() >= logits.shape[1]:
-            raise ValueError("class index out of range")
-        z = logits - logits.max(axis=1, keepdims=True)
+        if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= n_classes:
+            raise ValueError(f"labels must be integers in [0, {n_classes})")
+        return y
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (rows, n_classes):
+        raise ShapeMismatchError("sigmoid targets must match logits shape")
+    if not ((y >= 0) & (y <= 1)).all():  # NaN fails too
+        raise ValueError("sigmoid targets must be in [0, 1]")
+    return y
+
+
+def _task_loss(logits: np.ndarray, y: np.ndarray,
+               output_mode: str) -> tuple[float, np.ndarray]:
+    """The mean task loss and its gradient with respect to the logits."""
+    batch = logits.shape[0]
+    if output_mode == MODE_SOFTMAX:
+        z = logits - _row_max(logits)
         e = np.exp(z)
         total = e.sum(axis=1, keepdims=True)
         value = float(-(z - np.log(total))[np.arange(batch), y].mean())
@@ -306,11 +331,6 @@ def _task_loss(logits: np.ndarray, targets,
         dlogits[np.arange(batch), y] -= 1.0
         dlogits /= batch
         return value, dlogits
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ShapeMismatchError("sigmoid targets must match logits shape")
-    if ((y < 0) | (y > 1)).any():
-        raise ValueError("sigmoid targets must be in [0, 1]")
     # per-element stable BCE, summed over classes, mean over batch
     z = logits
     bce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
@@ -321,16 +341,17 @@ def loss(logits: np.ndarray, targets, net: ResidualNet,
          weight_decay: float) -> float:
     """Task loss (cross-entropy or summed binary cross-entropy, mean over
     the batch) plus weight_decay times the branch-weight L2 penalty."""
-    return _task_loss(logits, targets, net.output_mode)[0] \
+    y = _check_targets(targets, *logits.shape, net.output_mode)
+    return _task_loss(logits, y, net.output_mode)[0] \
         + weight_decay * l2_penalty(net)
 
 
-def _loss_and_grads(net: ResidualNet, x: np.ndarray, targets,
+def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
                     weight_decay: float,
                     masks: MaskSample | None = None) -> float:
     """Return the loss and write its gradient into ``net.grads``."""
     logits, cache = _forward_cached(net, x, masks=masks)
-    value, dlogits = _task_loss(logits, targets, net.output_mode)
+    value, dlogits = _task_loss(logits, y, net.output_mode)
     total = value + weight_decay * l2_penalty(net)
 
     h = cache["head_in"]
@@ -359,9 +380,7 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, targets,
     g.sum(axis=0, out=net.stem_b.grad)
 
     if weight_decay != 0.0:
-        for blk in net.blocks:
-            blk.w1.grad += 2.0 * weight_decay * blk.w1.value
-            blk.w2.grad += 2.0 * weight_decay * blk.w2.value
+        net.branch_grads += 2.0 * weight_decay * net.branch_values
 
     if not np.isfinite(net.grads).all():  # name the first bad parameter
         for p in net.parameters():
@@ -373,7 +392,8 @@ def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
              masks: MaskSample | None = None) -> dict[str, np.ndarray]:
     """Fill every Parameter.grad with d(loss)/d(value) and return those views
     keyed by parameter id.  Deterministic given masks and inputs."""
-    _loss_and_grads(net, x, targets, weight_decay, masks=masks)
+    y = _check_targets(targets, len(x), net.n_classes, net.output_mode)
+    _loss_and_grads(net, x, y, weight_decay, masks=masks)
     return {p.id: p.grad for p in net.parameters()}
 
 
@@ -394,8 +414,7 @@ def train(net: ResidualNet, dataset: tuple[np.ndarray, np.ndarray],
     X, y = dataset
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty dataset")
+    y = _check_targets(y, n, net.n_classes, net.output_mode)
     spec = stochastic.with_mode(MODE_TRAINING) if stochastic is not None else None
     trace: list[float] = []
     # divergence is detected explicitly below, so silence the transient

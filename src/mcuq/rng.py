@@ -9,28 +9,38 @@ reproducible regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+def _words(n: int) -> tuple[int, ...]:
+    """``n`` modulo 2**64 as ``SeedSequence`` splits an int: little-endian
+    32-bit words, a second one only when the high word is nonzero."""
+    n = int(n) % 2 ** 64
+    return (n,) if n < 2 ** 32 else (n % 2 ** 32, n >> 32)
 
 
-def _tag_word(tag: int | str) -> int:
-    if isinstance(tag, (int, np.integer)):
-        return int(tag) & _MASK64
-    digest = hashlib.blake2b(str(tag).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+@functools.cache
+def _str_words(tag: str) -> tuple[int, ...]:
+    digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+    return _words(int.from_bytes(digest, "big"))
 
 
 def substream(seed: int, *tags: int | str) -> np.random.Generator:
     """Return a fresh Generator for the (seed, *tags) stream.
 
     String tags are hashed with a fixed (unsalted) hash so the mapping is
-    stable across processes and platforms.
+    stable across processes and platforms.  ``SeedSequence`` gets the list
+    ``[seed mod 2**64, *tag words]`` already split into 32-bit words.
     """
-    entropy = [int(seed) & _MASK64] + [_tag_word(t) for t in tags]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words = [*_words(seed)]
+    for t in tags:
+        words += _words(t) if isinstance(t, (int, np.integer)) \
+            else _str_words(str(t))
+    return np.random.default_rng(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def pass_stream(base_seed: int, pass_index: int) -> np.random.Generator:

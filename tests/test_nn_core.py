@@ -369,6 +369,57 @@ class TestTrain:
             "epoch 0 batch 0: non-finite values in grad of stem.w"
         assert net.values.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("extra", [[9, 9], [0], None])
+    def test_targets_must_have_one_row_per_input(self, extra):
+        # extra labels, even out-of-range ones, and a short y are rejected
+        X, y = make_blobs(40, seed=12)
+        y = y[:-1] if extra is None else np.concatenate([y, extra])
+        net = init_net(2, 4, 1, 3, seed=12)
+        before = net.values.copy()
+        with pytest.raises(ShapeMismatchError):
+            train(net, (X, y), TrainConfig(learning_rate=0.1, epochs=1,
+                                           seed=0))
+        assert net.values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shuffle_seed", range(20))
+    def test_bad_label_raises_before_the_first_step(self, shuffle_seed):
+        # the bad label sits in whichever minibatch the shuffle puts it
+        X, y = make_blobs(70, seed=13)
+        y[-1] = 7
+        net = init_net(2, 4, 1, 3, seed=13)
+        before = net.values.copy()
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            train(net, (X, y), TrainConfig(learning_rate=0.1, epochs=2,
+                                           batch_size=32, seed=shuffle_seed))
+        assert net.values.tobytes() == before.tobytes()
+
+    def test_float_labels_are_rejected(self):
+        # a float label array used to pass the range check and then fail
+        # with a raw IndexError at the first step
+        X, y = make_blobs(40, seed=15)
+        net = init_net(2, 4, 1, 3, seed=15)
+        with pytest.raises(ValueError, match="must be integers"):
+            train(net, (X, y.astype(np.float64)),
+                  TrainConfig(learning_rate=0.1, epochs=1, seed=0))
+        with pytest.raises(ValueError, match="must be integers"):
+            loss(np.zeros((2, 3)), np.array([0.0, 1.0]), net, 0.0)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+    def test_bad_sigmoid_target_raises_before_the_first_step(self, bad):
+        # a NaN target used to surface as a diverged training run
+        X, y = make_blobs(70, seed=14)
+        targets = np.eye(3)[y]
+        targets[-1, 2] = bad
+        net = init_net(2, 4, 1, 3, output_mode="sigmoid", seed=14)
+        before = net.values.copy()
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            train(net, (X, targets), TrainConfig(learning_rate=0.1, epochs=1,
+                                                 seed=0))
+        assert net.values.tobytes() == before.tobytes()
+        with pytest.raises(ShapeMismatchError):
+            train(net, (X, targets[:, :2]), TrainConfig(learning_rate=0.1,
+                                                        epochs=1, seed=0))
+
     def test_fresh_mask_per_minibatch(self):
         # two minibatches in one epoch must not share masks: with drop 0.5
         # on a 1-block net, identical masks would give identical outputs for
@@ -631,6 +682,57 @@ class TestFlatBuffers:
             assert np.shares_memory(p.value, again.values)
         assert train(again, (X, y), cfg) == train(net, (X, y), cfg)
         assert again.values.tobytes() == net.values.tobytes()
+
+
+    def test_branch_views_share_the_flat_buffers(self, tmp_path):
+        def check(net):
+            assert net.branch_values.shape == net.branch_grads.shape \
+                == (net.n_blocks, 2, net.width ** 2)
+            assert np.shares_memory(net.branch_values, net.values)
+            assert np.shares_memory(net.branch_grads, net.grads)
+            for blk in net.blocks:
+                for j, p in enumerate((blk.w1, blk.w2)):
+                    p.value[...] = 1.0 + p.value
+                    p.grad[...] = 2.0 + p.value
+                    assert np.array_equal(net.branch_values[blk.index - 1, j],
+                                          p.value.ravel())
+                    assert np.array_equal(net.branch_grads[blk.index - 1, j],
+                                          p.grad.ravel())
+
+        net = init_net(3, 5, 3, 4, seed=37)
+        check(net)
+        clone = copy.deepcopy(net)
+        check(clone)
+        assert not np.shares_memory(clone.branch_values, net.values)
+        save_checkpoint(net, tmp_path / "model.json")
+        check(load_checkpoint(tmp_path / "model.json")[0])
+
+
+def loop_l2_penalty(net) -> float:
+    """``l2_penalty`` as one sum per weight matrix, in block order."""
+    return float(sum(np.sum(b.w1.value ** 2) + np.sum(b.w2.value ** 2)
+                     for b in net.blocks))
+
+
+class TestL2MatchesPerMatrixLoops:
+    @settings(max_examples=120, deadline=None)
+    @given(n_blocks=st.integers(1, 4), width=st.integers(1, 40),
+           log_scale=st.floats(-3, 3), weight_decay=st.floats(1e-6, 1.0),
+           seed=st.integers(0, 2 ** 32))
+    def test_penalty_and_decay_gradient_bit_identical(
+            self, n_blocks, width, log_scale, weight_decay, seed):
+        net = init_net(2, width, n_blocks, 3, seed=seed)
+        net.values *= 10.0 ** log_scale
+        assert l2_penalty(net) == loop_l2_penalty(net)
+        x = substream(seed, "x").normal(size=(5, 2))
+        y = substream(seed, "y").integers(0, 3, size=5)
+        task = {k: g.copy() for k, g in backward(net, x, y, 0.0).items()}
+        decayed = backward(net, x, y, weight_decay)
+        for blk in net.blocks:
+            for p in (blk.w1, blk.w2):
+                task[p.id] = task[p.id] + 2.0 * weight_decay * p.value
+        for key, grad in decayed.items():
+            assert grad.tobytes() == task[key].tobytes(), key
 
 
 class TestTrainMatchesLoopOracle:
