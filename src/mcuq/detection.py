@@ -354,12 +354,19 @@ def map_50_95(items, gts: list[GroundTruth]) -> float:
     the highest IoU, which must be >= the threshold and > 0; on a tie the
     lowest ground-truth index wins.
     """
+    boxes, probs, image_ids = _item_arrays(items)
+    return _mean_ap(_match(boxes, probs, image_ids, gts, IOU_THRESHOLDS),
+                    probs, gts)
+
+
+def _mean_ap(flags: np.ndarray, probs: np.ndarray,
+             gts: list[GroundTruth]) -> float:
+    """``map_50_95`` of N items from their probabilities [N, C] and the TP
+    flags [len(IOU_THRESHOLDS), N] that ``_match`` gives them."""
     if not gts:
         raise ValueError("no ground truths")
-    boxes, probs, image_ids = _item_arrays(items)
     if not len(probs):
         return 0.0
-    flags = _match(boxes, probs, image_ids, gts, IOU_THRESHOLDS)
     ranked = np.argsort(-probs.max(axis=1), kind="stable")
     ranked_classes = np.argmax(probs, axis=1)[ranked]
     gt_classes = [gt.class_id for gt in gts]
@@ -385,9 +392,15 @@ def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
     """
     number("tau", tau, 0, 1)
     boxes, probs, image_ids = _item_arrays(items)
-    if not len(probs):
+    return _scored(probs, _match(boxes, probs, image_ids, gts, (tau,))[0],
+                   mode)
+
+
+def _scored(probs: np.ndarray, is_tp: np.ndarray,
+            mode: str) -> list[ScoredPrediction]:
+    """The ``ScoredPrediction`` of N items; only a TP carries a label."""
+    if not len(probs):  # [0, 0] probs have no maximum
         return []
-    is_tp = _match(boxes, probs, image_ids, gts, (tau,))[0]
     return [ScoredPrediction(probs=p, confidence=conf, correct=tp,
                              uncertainty=entropy_for_mode(p, mode),
                              true_label=cls if tp else None)

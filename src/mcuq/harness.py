@@ -29,12 +29,15 @@ from .datasets import (
     make_moons,
 )
 from .detection import (
-    ItemArrays,
+    IOU_THRESHOLDS,
     NoiseSpec,
     _item_arrays,
+    _match,
+    _mean_ap,
+    _scored,
     cluster_all,
-    label_tp_fp,
-    map_50_95,
+    label_tp_fp,  # noqa: F401 -- bench/tracing.py times it under this name
+    map_50_95,  # noqa: F401 -- likewise
     synth_detector,
 )
 from .fields import check_keys, choice, number
@@ -308,26 +311,38 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
                          + ", ".join(wrong))
 
 
-def _detection_report(cfg: ExperimentConfig, gts, clusters: ItemArrays,
-                      conf_threshold: float
-                      ) -> tuple[EvalReport, list[ScoredPrediction]]:
+def _cut_scorer(cfg: ExperimentConfig, gts, clusters, floor: float):
+    """``report(conf_threshold) -> (report, predictions)`` of one T's
+    clusters for thresholds >= ``floor``, from one match: a threshold keeps
+    a prefix of ``_match``'s stable confidence ranking, and a greedy match
+    depends only on the items ranked before it."""
+    items = _item_arrays(clusters)
     # initial: the [0, 0] probs of no clusters have no maximum otherwise
-    keep = clusters.probs.max(axis=1, initial=-np.inf) >= conf_threshold
-    kept = ItemArrays(*(column[keep] for column in clusters))
-    # label_tp_fp gives the true positives, and only them, a true label
-    preds = label_tp_fp(kept, gts, tau=cfg.match_tau,
-                        mode=cfg.arch["output_mode"])
-    return _report(map_50_95(kept, gts), preds, cfg.ece_bins), preds
+    conf = items.probs.max(axis=1, initial=-np.inf)
+    cut = conf >= floor
+    boxes, probs, image_ids, conf = (a[cut] for a in (*items, conf))
+    flags = _match(boxes, probs, image_ids, gts,
+                   (cfg.match_tau, *IOU_THRESHOLDS))
+    # the true positives at match_tau, and only them, carry a true label
+    preds = _scored(probs, flags[0], cfg.arch["output_mode"])
+
+    def report(conf_threshold):
+        keep = np.flatnonzero(conf >= conf_threshold)
+        kept = [preds[i] for i in keep]
+        return _report(_mean_ap(flags[1:, keep], probs[keep], gts), kept,
+                       cfg.ece_bins), kept
+    return report
 
 
 def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
-                    method: str, drop_rate: float, preset: str, Ts: list[int]):
+                    method: str, drop_rate: float, preset: str, Ts: list[int],
+                    conf_thresholds: list[float]):
     """Build what one cell needs once; return ``evaluate(T, conf_threshold)
-    -> (report, predictions)`` for each T in ``Ts``.  The threshold only
-    filters detection observations.  The detector runs once, at ``max(Ts)``:
-    pass t draws from its own stream, so the passes with ``pass_index < T``
-    are exactly a T-pass run.  One fusion walk cuts every T's prefix, and
-    each T's clusters are read into arrays once."""
+    -> (report, predictions)`` over ``Ts`` and ``conf_thresholds``; the
+    threshold only filters detection observations.  The detector runs once,
+    at ``max(Ts)``: pass t draws from its own stream, so the passes with
+    ``pass_index < T`` are exactly a T-pass run.  One fusion walk cuts every
+    T's prefix, and each T's clusters are matched and scored once."""
     tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
@@ -351,14 +366,15 @@ def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
                           seed=_cell_seed(cfg, "detector", *tags),
                           n_classes=n_classes,
                           mode=cfg.arch["output_mode"])
-    # T -> its clusters, their ItemArrays once read, or its fusion error
+    # T -> its clusters, their scorer once built, or its fusion error
     fused = cluster_all(dets, theta_iou=cfg.theta_iou, Ts=Ts)
 
     def evaluate(T, conf_threshold):
         if isinstance(fused[T], Exception):
             raise fused[T]
-        fused[T] = _item_arrays(fused[T])
-        return _detection_report(cfg, gts, fused[T], conf_threshold)
+        if isinstance(fused[T], list):
+            fused[T] = _cut_scorer(cfg, gts, fused[T], min(conf_thresholds))
+        return fused[T](conf_threshold)
     return evaluate
 
 
@@ -386,7 +402,8 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
     ``load_task_data`` returns.  A detection point draws and fuses its own
     T passes."""
     evaluate = _cell_evaluator(cfg, data, net, point.method, point.drop_rate,
-                               point.adapted_blocks, [point.T])
+                               point.adapted_blocks, [point.T],
+                               [point.conf_threshold])
     return evaluate(point.T, point.conf_threshold)
 
 
@@ -436,7 +453,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         cell_error = None
         try:
             evaluate = _cell_evaluator(cfg, data, net, method, drop_rate,
-                                       preset, cfg.Ts)
+                                       preset, cfg.Ts, cfg.conf_thresholds)
         except Exception as exc:
             cell_error = str(exc)
         for T, conf_threshold in product(cfg.Ts, cfg.conf_thresholds):

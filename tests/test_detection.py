@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcuq.detection import (
@@ -540,6 +540,46 @@ class TestArrayMatcherAgainstLoopOracle:
         g = [gt((0, 0, 10, 10), class_id=0)]
         d = [det((10, 0, 20, 10), [0.9, 0.1])]  # touching edge: IoU 0
         assert _match(*_item_arrays(d), g, (0.0,)).tolist() == [[False]]
+
+
+# Confidence 0.6 in three classes over two images, below one 0.9 and above
+# one 0.5: a threshold of 0.6 keeps every tie, one of 0.95 keeps nothing.
+TIED_SCENE = ([det((0, 0, 10, 10), (0.6, 0.2, 0.2)),
+               det((0, 0, 10, 10), (0.2, 0.6, 0.2)),
+               det((1, 0, 11, 10), (0.9, 0.05, 0.05)),
+               det((0, 0, 10, 10), (0.5, 0.3, 0.2)),
+               det((0, 0, 10, 10), (0.2, 0.2, 0.6), image_id=1),
+               det((0, 0, 9, 10), (0.6, 0.2, 0.2), image_id=1)],
+              [gt((0, 0, 10, 10), class_id=0), gt((0, 0, 10, 10), class_id=1),
+               gt((0, 0, 10, 10), class_id=2, image_id=1),
+               gt((0, 0, 10, 10), class_id=0, image_id=1)])
+
+
+class TestThresholdKeepsAMatchPrefix:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(scenes(), st.sampled_from([0.0, 0.4, 0.5, 0.6, 0.9, 0.95]))
+    @example(TIED_SCENE, 0.6)
+    @example(TIED_SCENE, 0.95)
+    def test_kept_flags_equal_matching_the_kept_alone(self, scene, thr):
+        # thresholds sit on the confidences of PROB_VECTORS, so ties at the
+        # threshold are common; 0.95 is above all of them
+        items, gts = scene
+        taus = MATCH_TAUS + IOU_THRESHOLDS
+        boxes, probs, image_ids = _item_arrays(items)
+        keep = probs.max(axis=1, initial=-np.inf) >= thr
+        got = _match(boxes, probs, image_ids, gts, taus)[:, keep]
+        want = _match(boxes[keep], probs[keep], image_ids[keep], gts, taus)
+        assert got.shape == want.shape == (len(taus), keep.sum())
+        assert got.tolist() == want.tolist()
+
+    def test_the_tied_scene_keeps_ties_and_matches_both_ways(self):
+        items, gts = TIED_SCENE
+        boxes, probs, image_ids = _item_arrays(items)
+        keep = probs.max(axis=1) >= 0.6
+        assert keep.tolist() == [True, True, True, False, True, True]
+        flags = _match(boxes, probs, image_ids, gts, (0.5,))[0]
+        # the 0.9 item takes image 0's class-0 truth before its tie does
+        assert flags.tolist() == [False, True, True, False, True, True]
 
 
 class TestItemArraysScoreAsTheList:

@@ -8,8 +8,8 @@ import pytest
 
 from mcuq import files, harness
 from mcuq.datasets import ShiftSpec, save_classification
-from mcuq.detection import (Box, Detection, GroundTruth, _item_arrays,
-                            label_tp_fp, save_ground_truths)
+from mcuq.detection import (Box, Detection, GroundTruth, cluster_all,
+                            label_tp_fp, map_50_95, save_ground_truths)
 from mcuq.files import atomic_write
 from mcuq.harness import (
     ExperimentConfig,
@@ -465,48 +465,93 @@ class TestDetectionSweep:
         assert len(result.points) == 24
         assert calls == [8] * 4  # one per (method, rate, preset), at max T
 
-    def test_threshold_keeps_its_equal_and_fails_empty_rows(self, tmp_path):
+    def test_threshold_keeps_its_equal_and_fails_empty_rows(self, tmp_path,
+                                                            monkeypatch):
         # softmax confidences over three classes stay below 0.999
         result = run_sweep(det_cfg(tmp_path, conf_thresholds=[0.0, 0.999]))
         assert result.failures == [
             (f"MCD/rate={r}/blocks=all/T={T}/conf=0.999",
              "empty prediction set") for r in (0.05, 0.15) for T in (2, 4)]
         assert len(result.points) == 4
+        # a cluster of peaked detections sits at the sharpness 0.9 exactly;
+        # every row, failed or not, is what the single-threshold scorers
+        # make of the clusters its threshold keeps, also when the lowest
+        # threshold already drops clusters before the match
+        cfg = det_cfg(tmp_path, conf_thresholds=[0.999, 0.9])
+        result, cuts = sweep_with_cuts(cfg, monkeypatch)
+        assert any(c.confidence == 0.9 for fused in cuts
+                   for clusters in fused.values() for c in clusters)
+        assert (result.points, result.failures) \
+            == single_threshold_rows(cfg, cuts)
         # and so does a T whose fusion holds no cluster at all
         g = [GroundTruth(box=Box(0, 0, 10, 10), class_id=0, image_id=0)]
         with pytest.raises(ValueError, match="^empty prediction set$"):
-            harness._detection_report(det_cfg(tmp_path), g, _item_arrays([]),
-                                      0.0)
+            harness._cut_scorer(det_cfg(tmp_path), g, [], 0.0)(0.0)
         # a threshold keeps the observations whose confidence equals it
-        one = _item_arrays([Detection(box=Box(0, 0, 10, 10),
-                                      probs=np.array([0.75, 0.25]),
-                                      pass_index=0, image_id=0)])
-        _, preds = harness._detection_report(det_cfg(tmp_path), g, one, 0.75)
+        one = [Detection(box=Box(0, 0, 10, 10), probs=np.array([0.75, 0.25]),
+                         pass_index=0, image_id=0)]
+        _, preds = harness._cut_scorer(det_cfg(tmp_path), g, one, 0.75)(0.75)
         assert [p.correct for p in preds] == [True]
 
     def test_brier_over_true_positives_calibration_over_all(self, tmp_path,
                                                             monkeypatch):
-        labelled = []
-
-        def recording_label_tp_fp(*args, **kwargs):
-            labelled.append(label_tp_fp(*args, **kwargs))
-            return labelled[-1]
-
-        monkeypatch.setattr(harness, "label_tp_fp", recording_label_tp_fp)
-        cfg = det_cfg(tmp_path, conf_thresholds=[0.0])
-        result = run_sweep(cfg)
-        assert result.failures == []
-        assert len(labelled) == len(result.points) == 4
-        for (_, report), preds in zip(result.points, labelled):
-            tps = [p for p in preds if p.correct]
-            assert 0 < len(tps) < len(preds)
+        for mode in ("softmax", "sigmoid"):
+            cfg = det_cfg(tmp_path, conf_thresholds=[0.0, 0.4, 0.6],
+                          arch={"n_blocks": 2, "width": 16,
+                                "output_mode": mode})
+            result, cuts = sweep_with_cuts(cfg, monkeypatch)
+            assert result.failures == []
+            assert len(result.points) == 12
+            assert (result.points, []) == single_threshold_rows(cfg, cuts)
+            # the thresholds drop clusters, and the rows hold TPs and FPs
+            sizes = {len([c for c in cuts[0][4] if c.confidence >= thr])
+                     for thr in cfg.conf_thresholds}
+            assert len(sizes) > 1
+            gts = harness.load_task_data(cfg)[0]
+            _, preds = harness._cut_scorer(cfg, gts, cuts[-1][4], 0.0)(0.0)
+            assert 0 < sum(p.correct for p in preds) < len(preds)
             assert [p.true_label is not None for p in preds] \
                 == [p.correct for p in preds]
-            assert report.brier == brier(tps)
-            assert report.ece == ece(preds, n_bins=cfg.ece_bins)
-            assert report.auarc == auarc(preds)
-            assert report.mean_entropy \
-                == float(np.mean([p.uncertainty for p in preds]))
+
+
+def sweep_with_cuts(cfg, monkeypatch):
+    """The sweep's result and, per cell in grid order, the ``{T: clusters}``
+    that ``cluster_all`` gave it."""
+    cuts = []
+
+    def recording_cluster_all(*args, **kwargs):
+        cuts.append(cluster_all(*args, **kwargs))
+        return dict(cuts[-1])
+
+    monkeypatch.setattr(harness, "cluster_all", recording_cluster_all)
+    return run_sweep(cfg), cuts
+
+
+def single_threshold_rows(cfg, cuts):
+    """(points, failures) of a one-method, one-preset detection sweep, each
+    row scored by ``label_tp_fp`` and ``map_50_95`` on the clusters of
+    confidence >= its threshold, in input order."""
+    gts = harness.load_task_data(cfg)[0]
+    points, failures = [], []
+    for rate, fused in zip(cfg.drop_rates, cuts):
+        for T in cfg.Ts:
+            for thr in cfg.conf_thresholds:
+                kept = [c for c in fused[T] if c.confidence >= thr]
+                preds = label_tp_fp(kept, gts, tau=cfg.match_tau,
+                                    mode=cfg.arch["output_mode"])
+                try:
+                    report = EvalReport(
+                        map_50_95(kept, gts),
+                        brier([p for p in preds if p.true_label is not None]),
+                        ece(preds, n_bins=cfg.ece_bins), auarc(preds),
+                        float(np.mean([p.uncertainty for p in preds])))
+                except ValueError as exc:
+                    failures.append((f"MCD/rate={rate}/blocks=all/T={T}/"
+                                     f"conf={thr}", str(exc)))
+                    continue
+                points.append((ConfigPoint("MCD", rate, T, thr, "all"),
+                               report))
+    return points, failures
 
 
 WRITER_POINTS = [(ConfigPoint("MCSD", 0.1, 5, 0.0, "all"),

@@ -353,6 +353,12 @@ class TestExactOracles:
 
 
 class TestRejectsBadInputs:
+    def test_report_rejects_a_label_of_minus_one(self):
+        probs = np.array([[0.5, 0.5], [0.8, 0.2]])
+        with pytest.raises(ValueError,
+                           match=r"^row 0: true label outside \[0, 2\)$"):
+            classification_report(probs, np.array([-1, 0]), "softmax")
+
     def test_brier_negative_label(self):
         preds = [pred(probs=[0.5, 0.5], true_label=0),
                  pred(probs=[0.8, 0.2], true_label=-1)]
