@@ -7,8 +7,6 @@ prediction metrics, detection fusion, and Pareto sweeps.
 """
 
 from .nn_core import (
-    Parameter,
-    ResidualBlock,
     ResidualNet,
     TrainConfig,
     backward,

@@ -77,8 +77,5 @@ def deterministic_predict(net: ResidualNet, x: np.ndarray,
     (identity + p_keep * branch); unit and block drop are simply disabled
     at inference, so the pass equals the raw forward.
     """
-    if spec is not None and spec.kind == KIND_PATH:
-        logits = forward(net, x, scale_spec=spec)
-    else:
-        logits = forward(net, x)
-    return _probs(net, logits)
+    path = spec is not None and spec.kind == KIND_PATH
+    return _probs(net, forward(net, x, scale_spec=spec if path else None))

@@ -12,10 +12,12 @@ here is treated as an error state, not a value.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,93 +54,72 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
-@dataclass
-class Parameter:
-    """A learnable array with its gradient buffer and a stable id."""
+def _layout(in_dim: int, width: int, n_blocks: int,
+            n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's (id, shape) in buffer order: the stem, each
+    block's fc1 and fc2, then the head, each weight before its bias."""
+    layers = [("stem", in_dim, width),
+              *((f"block{l}.fc{k}", width, width)
+                for l in range(1, n_blocks + 1) for k in (1, 2)),
+              ("head", width, n_classes)]
+    return [entry for name, fan_in, fan_out in layers
+            for entry in ((f"{name}.w", (fan_in, fan_out)),
+                          (f"{name}.b", (fan_out,)))]
 
+
+class ParamView(NamedTuple):
+    """A parameter's stable id and its value and grad views."""
+
+    id: str
     value: np.ndarray
     grad: np.ndarray
-    id: str
-
-    @classmethod
-    def new(cls, id: str, value: np.ndarray) -> "Parameter":
-        value = np.asarray(value, dtype=np.float64)
-        return cls(value=value, grad=np.zeros_like(value), id=id)
-
-
-@dataclass
-class ResidualBlock:
-    """One residual stage: branch(x) = act(x @ w1 + b1) @ w2 + b2,
-    output = x + branch(x).  ``index`` is the 1-based position."""
-
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-    index: int
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 @dataclass
 class ResidualNet:
-    """Every parameter's value and grad is a reshape view into the flat
-    buffers ``values`` and ``grads``, in ``parameters()`` order, and every
-    block's flattened w1 and w2 is ``branch_values[l - 1, 0 or 1]``."""
+    """The architecture and two flat buffers, ``values`` and ``grads``,
+    laid out by ``_layout``.  Each parameter's value and grad is a reshape
+    view into them, built once; ``layers`` groups the views as stem
+    (w, b), each block (w1, b1, w2, b2) and head (w, b), and every block's
+    flattened w1 and w2 is ``branch_values[l - 1, 0 or 1]``."""
 
-    stem_w: Parameter
-    stem_b: Parameter
-    blocks: list[ResidualBlock]
-    head_w: Parameter
-    head_b: Parameter
+    in_dim: int
+    width: int
+    n_blocks: int
+    n_classes: int
     output_mode: str = MODE_SOFTMAX
     activation: str = ACT_RELU
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        params = self.parameters()
-        self.values = np.concatenate([p.value.ravel() for p in params])
-        self.grads = np.concatenate([p.grad.ravel() for p in params])
-        ends = np.cumsum([p.value.size for p in params])[:-1]
-        for p, value, grad in zip(params, np.split(self.values, ends),
-                                  np.split(self.grads, ends)):
-            p.value = value.reshape(p.value.shape)
-            p.grad = grad.reshape(p.value.shape)
-        # after the stem, each block is laid out [w1, b1, w2, b2]
-        w, lo = self.width, self.stem_w.value.size + self.stem_b.value.size
+        number("in_dim", self.in_dim, 1, integer=True)
+        number("n_classes", self.n_classes, 1, integer=True)
+        check_arch(self.n_blocks, self.width, self.output_mode,
+                   self.activation)
+        layout = _layout(self.in_dim, self.width, self.n_blocks,
+                         self.n_classes)
+        starts = np.cumsum([0] + [math.prod(s) for _, s in layout]).tolist()
+        self.values, self.grads = np.zeros(starts[-1]), np.zeros(starts[-1])
+        self._params = [
+            ParamView(id, *(buf[lo:hi].reshape(shape)
+                            for buf in (self.values, self.grads)))
+            for (id, shape), lo, hi in zip(layout, starts, starts[1:])]
+        self.layers = [tuple(views) for _, views in
+                       groupby(self._params, lambda p: p.id.split(".")[0])]
+        # the blocks fill [block1.fc1.w, head.w), each as fc1 then fc2
+        offset = dict(zip((id for id, _ in layout), starts))
         self.branch_values, self.branch_grads = (
-            buf[lo:lo + self.n_blocks * 2 * (w * w + w)].reshape(
-                self.n_blocks, 2, w * w + w)[:, :, :w * w]
+            buf[offset["block1.fc1.w"]:offset["head.w"]].reshape(
+                self.n_blocks, 2, -1)[:, :, :self.width ** 2]
             for buf in (self.values, self.grads))
 
     def __deepcopy__(self, memo):
-        # a field-by-field copy would give every view its own array, cut
-        # off from the buffers sgd_step updates; __init__ repacks the copies
-        return ResidualNet(*(copy.deepcopy(getattr(self, f.name), memo)
-                             for f in fields(self)))
+        twin = ResidualNet(**self.arch())
+        twin.values[...], twin.grads[...] = self.values, self.grads
+        return twin
 
-    @property
-    def in_dim(self) -> int:
-        return self.stem_w.value.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.stem_w.value.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.head_w.value.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def parameters(self) -> list[Parameter]:
-        params = [self.stem_w, self.stem_b]
-        for blk in self.blocks:
-            params.extend(blk.parameters())
-        params.extend([self.head_w, self.head_b])
-        return params
+    def parameters(self) -> list[ParamView]:
+        return list(self._params)
 
     def arch(self) -> dict:
         return {key: getattr(self, key) for key in ARCH_KEYS}
@@ -175,27 +156,16 @@ def check_arch(n_blocks: int, width: int, output_mode: str = MODE_SOFTMAX,
 def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
              output_mode: str = MODE_SOFTMAX, activation: str = ACT_RELU,
              seed: int = 0) -> ResidualNet:
-    """He-style scaled Gaussian weights, zero biases, all drawn from the
-    (seed, "init", parameter-name) substreams."""
-    check_arch(n_blocks, width, output_mode, activation)
-
-    def affine(name: str, fan_in: int, fan_out: int) -> tuple[Parameter, Parameter]:
-        gain = 2.0 if activation == ACT_RELU else 1.0
-        w = substream(seed, "init", name).normal(
-            0.0, np.sqrt(gain / fan_in), size=(fan_in, fan_out))
-        return (Parameter.new(f"{name}.w", w),
-                Parameter.new(f"{name}.b", np.zeros(fan_out)))
-
-    stem_w, stem_b = affine("stem", in_dim, width)
-    blocks = []
-    for l in range(1, n_blocks + 1):
-        w1, b1 = affine(f"block{l}.fc1", width, width)
-        w2, b2 = affine(f"block{l}.fc2", width, width)
-        blocks.append(ResidualBlock(w1=w1, b1=b1, w2=w2, b2=b2, index=l))
-    head_w, head_b = affine("head", width, n_classes)
-    return ResidualNet(stem_w=stem_w, stem_b=stem_b, blocks=blocks,
-                       head_w=head_w, head_b=head_b,
-                       output_mode=output_mode, activation=activation)
+    """He-style scaled Gaussian weights, each drawn from the (seed, "init",
+    layer name) substream, and zero biases."""
+    net = ResidualNet(in_dim, width, n_blocks, n_classes, output_mode,
+                      activation)
+    gain = 2.0 if activation == ACT_RELU else 1.0
+    for p in net.parameters():
+        if p.id.endswith(".w"):
+            p.value[...] = substream(seed, "init", p.id[:-2]).normal(
+                0.0, np.sqrt(gain / p.value.shape[0]), size=p.value.shape)
+    return net
 
 
 def _forward_cached(net: ResidualNet, x: np.ndarray,
@@ -206,11 +176,14 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatchError(
             f"stem expects input width {net.in_dim}, got shape {x.shape}")
-    if masks is not None:
-        for l in masks.per_block:
+    named_blocks = (("mask", () if masks is None else masks.per_block),
+                    ("scale_spec", () if scale_spec is None
+                     else scale_spec.adapted_blocks))
+    for what, blocks in named_blocks:
+        for l in sorted(blocks):
             if not 1 <= l <= net.n_blocks:
                 raise ShapeMismatchError(
-                    f"mask refers to block {l} outside [1..{net.n_blocks}]",
+                    f"{what} refers to block {l} outside [1..{net.n_blocks}]",
                     block_index=l)
 
     # Each array is computed in place once allocated, and never written
@@ -218,32 +191,32 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
     # ``branch * row_mult + h`` rounds as ``h + row_mult * branch`` does:
     # IEEE addition and multiplication are commutative.
     cache = {"x": x, "blocks": []}
-    h = x @ net.stem_w.value
-    h += net.stem_b.value
-    for blk in net.blocks:
+    (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
+    h = x @ stem_w.value
+    h += stem_b.value
+    for l, (w1, b1, w2, b2) in enumerate(blocks, 1):
         unit_mult = row_mult = None
         if masks is not None:
-            unit_mult, row_mult = multipliers(masks, blk.index, net.width,
-                                              x.shape[0])
+            unit_mult, row_mult = multipliers(masks, l, net.width, x.shape[0])
         if row_mult is None and scale_spec is not None \
-                and blk.index in scale_spec.adapted_blocks:
+                and l in scale_spec.adapted_blocks:
             row_mult = scale_spec.keep_prob  # deterministic scaled rule
-        hidden = h @ blk.w1.value
-        hidden += blk.b1.value
+        hidden = h @ w1.value
+        hidden += b1.value
         if net.activation == ACT_RELU:
             np.maximum(hidden, 0.0, out=hidden)
         if unit_mult is not None:
             hidden *= unit_mult
-        branch = hidden @ blk.w2.value
-        branch += blk.b2.value
+        branch = hidden @ w2.value
+        branch += b2.value
         if row_mult is not None:
             branch *= row_mult
         branch += h
         cache["blocks"].append({"in": h, "hidden": hidden,
                                 "unit_mult": unit_mult, "row_mult": row_mult})
         h = branch
-    logits = h @ net.head_w.value
-    logits += net.head_b.value
+    logits = h @ head_w.value
+    logits += head_b.value
     cache["head_in"] = h
     check_finite(logits, "logits")
     return logits, cache
@@ -354,16 +327,17 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
     value, dlogits = _task_loss(logits, y, net.output_mode)
     total = value + weight_decay * l2_penalty(net)
 
-    h = cache["head_in"]
-    np.matmul(h.T, dlogits, out=net.head_w.grad)
-    dlogits.sum(axis=0, out=net.head_b.grad)
-    g = dlogits @ net.head_w.value.T
+    (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
+    np.matmul(cache["head_in"].T, dlogits, out=head_w.grad)
+    dlogits.sum(axis=0, out=head_b.grad)
+    g = dlogits @ head_w.value.T
 
-    for blk, c in zip(reversed(net.blocks), reversed(cache["blocks"])):
+    for (w1, b1, w2, b2), c in zip(reversed(blocks),
+                                   reversed(cache["blocks"])):
         dbranch = g if c["row_mult"] is None else g * c["row_mult"]
-        np.matmul(c["hidden"].T, dbranch, out=blk.w2.grad)
-        dbranch.sum(axis=0, out=blk.b2.grad)
-        dpre = dbranch @ blk.w2.value.T
+        np.matmul(c["hidden"].T, dbranch, out=w2.grad)
+        dbranch.sum(axis=0, out=b2.grad)
+        dpre = dbranch @ w2.value.T
         if c["unit_mult"] is not None:
             dpre *= c["unit_mult"]
         if net.activation == ACT_RELU:
@@ -372,12 +346,12 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
             # dropped unit's gradient is already a signed zero (or NaN),
             # which times 0.0 or 1.0 leaves unchanged.
             dpre *= c["hidden"] > 0.0
-        np.matmul(c["in"].T, dpre, out=blk.w1.grad)
-        dpre.sum(axis=0, out=blk.b1.grad)
-        g = g + dpre @ blk.w1.value.T
+        np.matmul(c["in"].T, dpre, out=w1.grad)
+        dpre.sum(axis=0, out=b1.grad)
+        g = g + dpre @ w1.value.T
 
-    np.matmul(cache["x"].T, g, out=net.stem_w.grad)
-    g.sum(axis=0, out=net.stem_b.grad)
+    np.matmul(cache["x"].T, g, out=stem_w.grad)
+    g.sum(axis=0, out=stem_b.grad)
 
     if weight_decay != 0.0:
         net.branch_grads += 2.0 * weight_decay * net.branch_values
@@ -390,8 +364,8 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
 
 def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
              masks: MaskSample | None = None) -> dict[str, np.ndarray]:
-    """Fill every Parameter.grad with d(loss)/d(value) and return those views
-    keyed by parameter id.  Deterministic given masks and inputs."""
+    """Fill every parameter's grad with d(loss)/d(value) and return those
+    views keyed by parameter id.  Deterministic given masks and inputs."""
     y = _check_targets(targets, len(x), net.n_classes, net.output_mode)
     _loss_and_grads(net, x, y, weight_decay, masks=masks)
     return {p.id: p.grad for p in net.parameters()}
@@ -471,7 +445,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
     check_keys("checkpoint config", payload["config"], required=("arch",))
     arch = payload["config"]["arch"]
     check_keys("checkpoint config.arch", arch, ARCH_KEYS, ARCH_KEYS)
-    net = init_net(**arch, seed=0)
+    net = ResidualNet(**arch)
     ids = [p.id for p in net.parameters()]
     for section in ("shapes", "data"):
         check_keys(f"checkpoint {section}", payload[section], ids, ids)

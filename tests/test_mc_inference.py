@@ -17,6 +17,7 @@ from mcuq.stochastic import (
     KIND_UNIT,
     MODE_MC,
     MODE_TRAINING,
+    ShapeMismatchError,
     StochasticSpec,
     sample_mask,
 )
@@ -129,7 +130,8 @@ class TestPerPassProbsMatchLoopOracle:
                                              seed):
         net = init_net(2, 6, 2, n_classes, output_mode=output_mode,
                        seed=seed)
-        head_w, head_b = net.head_w.value, net.head_b.value
+        v = {p.id: p.value for p in net.parameters()}
+        head_w, head_b = v["head.w"], v["head.b"]
         # the first ``tied`` + 1 classes get equal logits in every row, so
         # with all classes tied every row's maximum is tied
         for j in range(1, min(tied, n_classes - 1) + 1):
@@ -195,6 +197,18 @@ class TestVarianceDecay:
 
 
 class TestDeterministicPredict:
+    def test_adapted_block_outside_the_net_is_rejected(self, small_net, x):
+        # as a mask on that block is in mc_predict, not silently ignored
+        spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.3,
+                              adapted_blocks={1, 5}, mode=MODE_MC)
+        with pytest.raises(RuntimeError,
+                           match=r"mask refers to block 5 outside \[1\.\.2\]"):
+            mc_predict(small_net, x, spec, T=2, base_seed=0)
+        with pytest.raises(ShapeMismatchError,
+                           match="scale_spec refers to block 5") as err:
+            deterministic_predict(small_net, x, spec)
+        assert err.value.block_index == 5
+
     def test_path_drop_zero_rate_equals_plain_forward(self, small_net, x):
         spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.0,
                               adapted_blocks={1, 2}, mode=MODE_MC)
@@ -216,10 +230,11 @@ class TestDeterministicPredict:
         p_keep = 0.8
         spec = StochasticSpec(kind=KIND_PATH, drop_rate=1 - p_keep,
                               adapted_blocks={1}, mode=MODE_MC)
-        blk = net.blocks[0]
-        stem = x @ net.stem_w.value + net.stem_b.value
-        branch = (stem @ blk.w1.value + blk.b1.value) @ blk.w2.value + blk.b2.value
-        logits = (stem + p_keep * branch) @ net.head_w.value + net.head_b.value
+        v = {p.id: p.value for p in net.parameters()}
+        stem = x @ v["stem.w"] + v["stem.b"]
+        branch = ((stem @ v["block1.fc1.w"] + v["block1.fc1.b"])
+                  @ v["block1.fc2.w"] + v["block1.fc2.b"])
+        logits = (stem + p_keep * branch) @ v["head.w"] + v["head.b"]
         assert np.allclose(deterministic_predict(net, x, spec),
                            softmax(logits), atol=1e-12)
 

@@ -16,6 +16,7 @@ from mcuq.nn_core import (
     TrainConfig,
     TrainingDivergedError,
     _forward_cached,
+    _layout,
     backward,
     check_finite,
     forward,
@@ -49,6 +50,18 @@ def zero_net(net: ResidualNet) -> ResidualNet:
     return net
 
 
+def views(net: ResidualNet) -> dict:
+    """Each parameter's (id, value, grad) views, keyed by id."""
+    return {p.id: p for p in net.parameters()}
+
+
+def weights(net: ResidualNet, l: int) -> tuple:
+    """Block ``l``'s w1, b1, w2, b2 values."""
+    v = views(net)
+    return tuple(v[f"block{l}.fc{k}.{kind}"].value
+                 for k in (1, 2) for kind in ("w", "b"))
+
+
 def straightline_forward(net: ResidualNet, x: np.ndarray) -> np.ndarray:
     """Independent re-implementation of the same arithmetic with explicit
     python loops; no shared code with the library path."""
@@ -62,16 +75,16 @@ def straightline_forward(net: ResidualNet, x: np.ndarray) -> np.ndarray:
             out.append(s)
         return out
 
+    p = {p.id: p.value.tolist() for p in net.parameters()}
     rows = []
     for row in x.tolist():
-        h = affine(row, net.stem_w.value.tolist(), net.stem_b.value.tolist())
-        for blk in net.blocks:
-            pre = affine(h, blk.w1.value.tolist(), blk.b1.value.tolist())
+        h = affine(row, p["stem.w"], p["stem.b"])
+        for l in range(1, net.n_blocks + 1):
+            pre = affine(h, p[f"block{l}.fc1.w"], p[f"block{l}.fc1.b"])
             act = [max(v, 0.0) for v in pre]
-            branch = affine(act, blk.w2.value.tolist(), blk.b2.value.tolist())
+            branch = affine(act, p[f"block{l}.fc2.w"], p[f"block{l}.fc2.b"])
             h = [a + b for a, b in zip(h, branch)]
-        rows.append(affine(h, net.head_w.value.tolist(),
-                           net.head_b.value.tolist()))
+        rows.append(affine(h, p["head.w"], p["head.b"]))
     return np.array(rows)
 
 
@@ -87,18 +100,18 @@ GOLDEN_LOGITS = np.array([
 class TestForward:
     def test_zero_weight_net_returns_head_bias(self):
         net = zero_net(init_net(2, 4, 2, 3, seed=0))
-        net.head_b.value[...] = [0.5, -1.0, 2.0]
+        views(net)["head.b"].value[...] = [0.5, -1.0, 2.0]
         logits = forward(net, np.random.default_rng(0).normal(size=(5, 2)))
         assert np.array_equal(logits, np.tile([0.5, -1.0, 2.0], (5, 1)))
 
     def test_zeroed_block_is_identity_path(self):
         net = init_net(2, 4, 1, 3, seed=1)
-        blk = net.blocks[0]
-        for p in blk.parameters():
-            p.value[...] = 0.0
+        for w in weights(net, 1):
+            w[...] = 0.0
+        p = views(net)
         x = np.array([[0.3, -0.7], [1.2, 0.4]])
-        stem = x @ net.stem_w.value + net.stem_b.value
-        expected = stem @ net.head_w.value + net.head_b.value
+        stem = x @ p["stem.w"].value + p["stem.b"].value
+        expected = stem @ p["head.w"].value + p["head.b"].value
         assert np.allclose(forward(net, x), expected, atol=1e-15)
 
     def test_matches_recorded_golden(self):
@@ -156,7 +169,7 @@ class TestLoss:
 
     def test_l2_term_arithmetic(self):
         net = zero_net(init_net(2, 4, 1, 3, seed=0))
-        net.blocks[0].w1.value[1, 2] = 3.0
+        views(net)["block1.fc1.w"].value[1, 2] = 3.0
         logits = np.zeros((1, 3))
         base = loss(logits, np.array([0]), net, 0.0)
         assert loss(logits, np.array([0]), net, 1.0) == pytest.approx(base + 9.0)
@@ -167,8 +180,8 @@ class TestLoss:
         y = np.array([0, 1, 2, 0, 1])
         logits = forward(net, x)
         lam = 0.37
-        penalty = sum(float(np.sum(b.w1.value ** 2) + np.sum(b.w2.value ** 2))
-                      for b in net.blocks)
+        penalty = sum(float(np.sum(w1 ** 2) + np.sum(w2 ** 2))
+                      for w1, _, w2, _ in (weights(net, l) for l in (1, 2)))
         assert loss(logits, y, net, lam) \
             == loss(logits, y, net, 0.0) + lam * penalty
 
@@ -221,7 +234,7 @@ class TestBackward:
     def test_zero_input_zero_weights_kills_stem_weight_grads(self):
         net = zero_net(init_net(2, 4, 1, 3, seed=0))
         grads = backward(net, np.zeros((3, 2)), np.array([0, 1, 2]), 0.0)
-        assert np.array_equal(grads[net.stem_w.id], np.zeros((2, 4)))
+        assert np.array_equal(grads["stem.w"], np.zeros((2, 4)))
 
     @pytest.mark.parametrize("output_mode", ["softmax", "sigmoid"])
     def test_matches_finite_differences(self, output_mode):
@@ -250,7 +263,7 @@ class TestBackward:
         # with zero input and zero first-layer parameters, the second-layer
         # branch weights never see data, so their gradient is 2*lam*value
         net = zero_net(init_net(2, 4, 1, 3, seed=0))
-        w2 = net.blocks[0].w2
+        w2 = views(net)["block1.fc2.w"]
         w2.value[0, 1] = 3.0
         lam = 0.25
         grads = backward(net, np.zeros((2, 2)), np.array([0, 1]), lam)
@@ -274,7 +287,7 @@ class TestSgdStep:
 
     def test_single_step_arithmetic(self):
         net = init_net(2, 4, 1, 3, seed=2)
-        p = net.stem_w
+        p = views(net)["stem.w"]
         p.value[...] = 1.0
         before = [q.value.copy() for q in net.parameters()]
         net.grads[...] = 0.0
@@ -355,8 +368,8 @@ class TestTrain:
         # finite logits (a zero stem keeps every activation at zero) but a
         # stem-weight gradient x.T @ g that overflows on 1e308 inputs
         net = init_net(2, 16, 2, 3, seed=3)
-        net.stem_w.value[...] = 0.0
-        net.head_w.value[...] *= 1e3
+        views(net)["stem.w"].value[...] = 0.0
+        views(net)["head.w"].value[...] *= 1e3
         before = net.values.copy()
         X = np.full((32, 2), 1e308)
         y = substream(4).integers(0, 3, size=32)
@@ -440,25 +453,27 @@ def loop_forward_cached(net, x, masks=None, scale_spec=None):
     """The forward before it computed in place: a fresh array for every
     affine map, activation, multiplier product and residual sum."""
     x = np.asarray(x, dtype=np.float64)
+    p = views(net)
     cache = {"x": x, "blocks": []}
-    h = x @ net.stem_w.value + net.stem_b.value
-    for blk in net.blocks:
+    h = x @ p["stem.w"].value + p["stem.b"].value
+    for l in range(1, net.n_blocks + 1):
+        w1, b1, w2, b2 = weights(net, l)
         unit_mult = row_mult = None
         if masks is not None:
-            unit_mult, row_mult = multipliers(masks, blk.index, net.width,
+            unit_mult, row_mult = multipliers(masks, l, net.width,
                                               x.shape[0])
         if row_mult is None and scale_spec is not None \
-                and blk.index in scale_spec.adapted_blocks:
+                and l in scale_spec.adapted_blocks:
             row_mult = scale_spec.keep_prob
-        pre = h @ blk.w1.value + blk.b1.value
+        pre = h @ w1 + b1
         act = np.maximum(pre, 0.0) if net.activation == "relu" else pre
         hidden = act if unit_mult is None else act * unit_mult
-        branch = hidden @ blk.w2.value + blk.b2.value
+        branch = hidden @ w2 + b2
         out = h + branch if row_mult is None else h + row_mult * branch
         cache["blocks"].append({"in": h, "pre": pre, "hidden": hidden,
                                 "unit_mult": unit_mult, "row_mult": row_mult})
         h = out
-    logits = h @ net.head_w.value + net.head_b.value
+    logits = h @ p["head.w"].value + p["head.b"].value
     cache["head_in"] = h
     check_finite(logits, "logits")
     return logits, cache
@@ -539,35 +554,38 @@ def loop_loss_and_grads(net, x, targets, weight_decay, masks=None):
                + np.log1p(np.exp(-np.abs(logits))))
         task = float(bce.sum(axis=1).mean())
         dlogits = (sigmoid(logits) - y) / batch
-    penalty = float(sum(np.sum(b.w1.value ** 2) + np.sum(b.w2.value ** 2)
-                        for b in net.blocks))
+    penalty = float(sum(np.sum(w1 ** 2) + np.sum(w2 ** 2)
+                        for w1, _, w2, _ in (weights(net, l) for l in
+                                             range(1, net.n_blocks + 1))))
     total = task + weight_decay * penalty
 
     grads = {}
     h = cache["head_in"]
-    grads[net.head_w.id] = h.T @ dlogits
-    grads[net.head_b.id] = dlogits.sum(axis=0)
-    g = dlogits @ net.head_w.value.T
-    for blk, c in zip(reversed(net.blocks), reversed(cache["blocks"])):
+    grads["head.w"] = h.T @ dlogits
+    grads["head.b"] = dlogits.sum(axis=0)
+    g = dlogits @ views(net)["head.w"].value.T
+    for l, c in zip(range(net.n_blocks, 0, -1), reversed(cache["blocks"])):
+        w1, _, w2, _ = weights(net, l)
         dbranch = g if c["row_mult"] is None else g * c["row_mult"]
-        grads[blk.w2.id] = c["hidden"].T @ dbranch
-        grads[blk.b2.id] = dbranch.sum(axis=0)
-        dhidden = dbranch @ blk.w2.value.T
+        grads[f"block{l}.fc2.w"] = c["hidden"].T @ dbranch
+        grads[f"block{l}.fc2.b"] = dbranch.sum(axis=0)
+        dhidden = dbranch @ w2.T
         dact = dhidden * c["unit_mult"] if c["unit_mult"] is not None else dhidden
         if net.activation == "relu":
             act_grad = (c["pre"] > 0.0).astype(np.float64)
         else:
             act_grad = np.ones_like(c["pre"])
         dpre = dact * act_grad
-        grads[blk.w1.id] = c["in"].T @ dpre
-        grads[blk.b1.id] = dpre.sum(axis=0)
-        g = g + dpre @ blk.w1.value.T
-    grads[net.stem_w.id] = cache["x"].T @ g
-    grads[net.stem_b.id] = g.sum(axis=0)
+        grads[f"block{l}.fc1.w"] = c["in"].T @ dpre
+        grads[f"block{l}.fc1.b"] = dpre.sum(axis=0)
+        g = g + dpre @ w1.T
+    grads["stem.w"] = cache["x"].T @ g
+    grads["stem.b"] = g.sum(axis=0)
     if weight_decay != 0.0:
-        for blk in net.blocks:
-            grads[blk.w1.id] = grads[blk.w1.id] + 2.0 * weight_decay * blk.w1.value
-            grads[blk.w2.id] = grads[blk.w2.id] + 2.0 * weight_decay * blk.w2.value
+        for l in range(1, net.n_blocks + 1):
+            for pid in (f"block{l}.fc1.w", f"block{l}.fc2.w"):
+                value = views(net)[pid].value
+                grads[pid] = grads[pid] + 2.0 * weight_decay * value
     for p in net.parameters():
         if not np.all(np.isfinite(grads[p.id])):
             raise FloatingPointError(f"non-finite values in grad of {p.id}")
@@ -631,7 +649,7 @@ def loop_train(net, dataset, cfg, stochastic=None):
                 value, grads = loop_loss_and_grads(
                     net, X[idx], y[idx], cfg.weight_decay, masks=masks)
             for p in net.parameters():
-                p.value -= cfg.learning_rate * grads[p.id]
+                p.value[...] -= cfg.learning_rate * grads[p.id]
             batch_losses.append(value)
         trace.append(float(np.mean(batch_losses)))
     return trace
@@ -690,13 +708,14 @@ class TestFlatBuffers:
                 == (net.n_blocks, 2, net.width ** 2)
             assert np.shares_memory(net.branch_values, net.values)
             assert np.shares_memory(net.branch_grads, net.grads)
-            for blk in net.blocks:
-                for j, p in enumerate((blk.w1, blk.w2)):
+            for l in range(1, net.n_blocks + 1):
+                for j in (0, 1):
+                    p = views(net)[f"block{l}.fc{j + 1}.w"]
                     p.value[...] = 1.0 + p.value
                     p.grad[...] = 2.0 + p.value
-                    assert np.array_equal(net.branch_values[blk.index - 1, j],
+                    assert np.array_equal(net.branch_values[l - 1, j],
                                           p.value.ravel())
-                    assert np.array_equal(net.branch_grads[blk.index - 1, j],
+                    assert np.array_equal(net.branch_grads[l - 1, j],
                                           p.grad.ravel())
 
         net = init_net(3, 5, 3, 4, seed=37)
@@ -708,10 +727,43 @@ class TestFlatBuffers:
         check(load_checkpoint(tmp_path / "model.json")[0])
 
 
+    def test_views_sit_at_their_layout_offsets(self, tmp_path):
+        def check(net):
+            layout = _layout(net.in_dim, net.width, net.n_blocks,
+                             net.n_classes)
+            assert [p.id for p in net.parameters()] == [i for i, _ in layout]
+            offset = 0
+            for p, (_, shape) in zip(net.parameters(), layout):
+                for view, buf in ((p.value, net.values), (p.grad, net.grads)):
+                    assert view.shape == shape
+                    assert np.shares_memory(view, buf)
+                    assert view.ctypes.data == buf.ctypes.data + 8 * offset
+                offset += p.value.size
+            assert net.values.size == net.grads.size == offset
+
+        net = init_net(3, 5, 2, 4, seed=38)
+        check(net)
+        backward(net, substream(39).normal(size=(4, 3)),
+                 np.array([0, 1, 2, 3]), 0.1)
+        clone = copy.deepcopy(net)
+        check(clone)
+        assert clone.values.tobytes() == net.values.tobytes()
+        assert clone.grads.tobytes() == net.grads.tobytes()
+        assert not np.shares_memory(clone.values, net.values)
+        assert not np.shares_memory(clone.grads, net.grads)
+        path = tmp_path / "model.json"
+        save_checkpoint(net, path)
+        again, _ = load_checkpoint(path)
+        check(again)
+        assert [p.id for p in again.parameters()] \
+            == list(json.loads(path.read_text())["shapes"])
+
+
 def loop_l2_penalty(net) -> float:
     """``l2_penalty`` as one sum per weight matrix, in block order."""
-    return float(sum(np.sum(b.w1.value ** 2) + np.sum(b.w2.value ** 2)
-                     for b in net.blocks))
+    return float(sum(np.sum(w1 ** 2) + np.sum(w2 ** 2)
+                     for w1, _, w2, _ in (weights(net, l) for l in
+                                          range(1, net.n_blocks + 1))))
 
 
 class TestL2MatchesPerMatrixLoops:
@@ -728,8 +780,9 @@ class TestL2MatchesPerMatrixLoops:
         y = substream(seed, "y").integers(0, 3, size=5)
         task = {k: g.copy() for k, g in backward(net, x, y, 0.0).items()}
         decayed = backward(net, x, y, weight_decay)
-        for blk in net.blocks:
-            for p in (blk.w1, blk.w2):
+        for l in range(1, n_blocks + 1):
+            for p in (views(net)[f"block{l}.fc1.w"],
+                      views(net)[f"block{l}.fc2.w"]):
                 task[p.id] = task[p.id] + 2.0 * weight_decay * p.value
         for key, grad in decayed.items():
             assert grad.tobytes() == task[key].tobytes(), key
@@ -783,10 +836,11 @@ class TestTrainMatchesLoopOracle:
 class TestIdentityPathInvariant:
     def test_zeroed_block_equals_net_without_it(self):
         full = init_net(2, 6, 2, 3, seed=21)
-        for p in full.blocks[1].parameters():
-            p.value[...] = 0.0
-        spliced = copy.deepcopy(full)
-        spliced.blocks = [spliced.blocks[0]]
+        for w in weights(full, 2):
+            w[...] = 0.0
+        spliced = init_net(2, 6, 1, 3, seed=0)
+        for p in spliced.parameters():  # stem.*, block1.* and head.*
+            p.value[...] = views(full)[p.id].value
         x = substream(22).normal(size=(5, 2))
         assert np.array_equal(forward(full, x), forward(spliced, x))
 
@@ -856,6 +910,22 @@ class TestCheckpointAndTrace:
     ], ids=["shapes", "data", "config", "arch", "arch-width", "stem.w-data"])
     def test_missing_section_or_key_and_bad_data_are_named(self, tmp_path,
                                                           edit, message):
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(self._tampered(tmp_path, edit))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
+    @pytest.mark.parametrize("key", ["in_dim", "n_classes"])
+    def test_in_dim_and_n_classes_must_be_positive_integers(self, tmp_path,
+                                                           key, bad):
+        message = f"{key} {bad!r} is not a positive integer"
+        arch = {"in_dim": 2, "width": 16, "n_blocks": 2, "n_classes": 3}
+        with pytest.raises(ValueError) as err:
+            init_net(**{**arch, key: bad})
+        assert str(err.value) == message
+
+        def edit(payload):
+            payload["config"]["arch"][key] = bad
         with pytest.raises(ValueError) as err:
             load_checkpoint(self._tampered(tmp_path, edit))
         assert str(err.value) == message

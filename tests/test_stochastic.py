@@ -237,8 +237,9 @@ class TestDeterministicScaled:
         assert np.array_equal(forward(net, x, scale_spec=full), forward(net, x))
         tiny = spec_of(KIND_PATH, 1.0 - 2.0 ** -30, blocks={1})
         scaled = forward(net, x, scale_spec=tiny)
-        for p in net.blocks[0].parameters():
-            p.value[...] = 0.0
+        for p in net.parameters():
+            if p.id.startswith("block1."):
+                p.value[...] = 0.0
         assert np.allclose(scaled, forward(net, x), atol=1e-6)
 
     def test_expectation_algebra(self):
