@@ -250,24 +250,36 @@ def _cell_spec(cfg: ExperimentConfig, method: str, drop_rate: float,
                           block_size=cfg.block_size, mode=mode)
 
 
+def train_cells(cfg: ExperimentConfig, cells: list[tuple[str, float, str]],
+                train_data, n_classes: int) -> list:
+    """Train the (method, drop rate, preset) cells' models in lockstep;
+    each is fully determined by the config.  Per cell, the net, its loss
+    trace and the stochastic spec it trained under, or the exception that
+    stopped its training."""
+    X, y = train_data
+    if cfg.arch["output_mode"] == "sigmoid" and y.ndim == 1:
+        y = np.eye(n_classes)[y]  # one-hot targets
+    seeds = [_cell_seed(cfg, "cell", *_cell_tags(*cell)) for cell in cells]
+    # the arch keys are init_net's parameters, checked at config load
+    nets = [init_net(in_dim=X.shape[1], n_classes=n_classes, seed=seed,
+                     **cfg.arch) for seed in seeds]
+    specs = [_cell_spec(cfg, *cell, cfg.arch["n_blocks"], MODE_TRAINING)
+             for cell in cells]
+    traces = train(nets, (X, y), [TrainConfig(seed=seed, **cfg.train)
+                                  for seed in seeds], stochastic=specs)
+    return [trace if isinstance(trace, Exception) else (net, trace, spec)
+            for net, trace, spec in zip(nets, traces, specs)]
+
+
 def train_cell(cfg: ExperimentConfig, method: str, drop_rate: float,
                preset: str, train_data, n_classes: int
                ) -> tuple[ResidualNet, list[float], StochasticSpec]:
-    """Train one sweep cell's model; fully determined by the config.
-    Returns the net, its loss trace, and the stochastic spec it trained
-    under."""
-    cell_seed = _cell_seed(cfg, "cell", *_cell_tags(method, drop_rate, preset))
-    # the arch keys are init_net's parameters, checked at config load
-    net = init_net(in_dim=train_data[0].shape[1], n_classes=n_classes,
-                   seed=cell_seed, **cfg.arch)
-    y = train_data[1]
-    if net.output_mode == "sigmoid" and y.ndim == 1:
-        y = np.eye(n_classes)[y]
-    spec = _cell_spec(cfg, method, drop_rate, preset, net.n_blocks,
-                      MODE_TRAINING)
-    tc = TrainConfig(seed=cell_seed, **cfg.train)
-    trace = train(net, (train_data[0], y), tc, stochastic=spec)
-    return net, trace, spec
+    """``train_cells`` for one cell, raising its training error."""
+    (result,) = train_cells(cfg, [(method, drop_rate, preset)], train_data,
+                            n_classes)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def save_cell(cfg: ExperimentConfig, method: str, net: ResidualNet,
@@ -410,13 +422,14 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full grid sweep.
 
-    One training run per (method, drop_rate, adapted preset) cell, one
-    evaluation per (T, conf_threshold) on that cell's model.  Emits
-    reports.csv (all rows), pareto_front.csv (the non-dominated subset) and
-    pareto_points.csv / arc_curve.csv plot data.  Failures are recorded
-    and the sweep continues: a training error under the cell's name, an
-    error building the cell's evaluator (such as a detector error) for
-    every row of the cell, and an evaluation error for its row.
+    One training run per (method, drop_rate, adapted preset) cell, all in
+    lockstep, then one evaluation per (T, conf_threshold) on that cell's
+    model.  Emits reports.csv (all rows), pareto_front.csv (the
+    non-dominated subset) and pareto_points.csv / arc_curve.csv plot
+    data.  Failures are recorded and the sweep continues: a training
+    error under the cell's name, an error building the cell's evaluator
+    (such as a detector error) for every row of the cell, and an
+    evaluation error for its row.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,11 +443,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     n_training_runs = 0
     last_preds: list[ScoredPrediction] = []
     data = load_task_data(cfg)
+    cells = list(product(cfg.methods, cfg.drop_rates, cfg.adapted_presets))
+    trained = (train_cells(cfg, cells, data[0], data[2])
+               if cfg.task == "classification" else [None] * len(cells))
 
-    for method, drop_rate, preset in product(cfg.methods, cfg.drop_rates,
-                                             cfg.adapted_presets):
+    for (method, drop_rate, preset), fit in zip(cells, trained):
         cell_name = f"{method}/rate={drop_rate}/blocks={preset}"
-        # drop the previous cell's model, passes and clusters first
+        # drop the previous cell's passes and clusters first
         net = evaluate = None
         if cfg.task == "classification":
             stem = f"{method}_{drop_rate}_{preset}"
@@ -443,8 +458,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             for path in cell_files:
                 path.unlink(missing_ok=True)
             try:
-                net, trace, spec = train_cell(cfg, method, drop_rate, preset,
-                                              data[0], data[2])
+                if isinstance(fit, Exception):
+                    raise fit
+                net, trace, spec = fit
                 n_training_runs += 1
                 save_cell(cfg, method, net, trace, spec, *cell_files)
             except Exception as exc:

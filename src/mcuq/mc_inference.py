@@ -43,6 +43,7 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     """Raw logits of T stochastic passes, shape [T, batch, C]."""
     number("T", T, 1, integer=True)
     choice("spec.mode", spec.mode, (MODE_MC,))
+    nn_core.check_blocks(net, "mask", spec.adapted_blocks)
     x = np.asarray(x, dtype=np.float64)
     batch = x.shape[0]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,7 +81,8 @@ class ResidualNet:
     laid out by ``_layout``.  Each parameter's value and grad is a reshape
     view into them, built once; ``layers`` groups the views as stem
     (w, b), each block (w1, b1, w2, b2) and head (w, b), and every block's
-    flattened w1 and w2 is ``branch_values[l - 1, 0 or 1]``."""
+    flattened w1 and w2 is ``branch_values[l - 1, 0 or 1]``.  Over [K, P]
+    buffers (``_stack``) every view has a leading axis of K nets."""
 
     in_dim: int
     width: int
@@ -96,22 +97,31 @@ class ResidualNet:
         number("n_classes", self.n_classes, 1, integer=True)
         check_arch(self.n_blocks, self.width, self.output_mode,
                    self.activation)
+        self._bind()
+
+    def _bind(self, values: np.ndarray | None = None,
+              grads: np.ndarray | None = None) -> None:
+        """Build the views over ``values`` and ``grads``, of shape [P], or
+        [K, P] for a stack; zero [P] buffers when not given."""
         layout = _layout(self.in_dim, self.width, self.n_blocks,
                          self.n_classes)
         starts = np.cumsum([0] + [math.prod(s) for _, s in layout]).tolist()
-        self.values, self.grads = np.zeros(starts[-1]), np.zeros(starts[-1])
+        if values is None:
+            values, grads = np.zeros(starts[-1]), np.zeros(starts[-1])
+        lead = values.shape[:-1]
+        self.values, self.grads = values, grads
         self._params = [
-            ParamView(id, *(buf[lo:hi].reshape(shape)
-                            for buf in (self.values, self.grads)))
+            ParamView(id, *(buf[..., lo:hi].reshape(*lead, *shape)
+                            for buf in (values, grads)))
             for (id, shape), lo, hi in zip(layout, starts, starts[1:])]
         self.layers = [tuple(views) for _, views in
                        groupby(self._params, lambda p: p.id.split(".")[0])]
         # the blocks fill [block1.fc1.w, head.w), each as fc1 then fc2
         offset = dict(zip((id for id, _ in layout), starts))
         self.branch_values, self.branch_grads = (
-            buf[offset["block1.fc1.w"]:offset["head.w"]].reshape(
-                self.n_blocks, 2, -1)[:, :, :self.width ** 2]
-            for buf in (self.values, self.grads))
+            buf[..., offset["block1.fc1.w"]:offset["head.w"]].reshape(
+                *lead, self.n_blocks, 2, -1)[..., :self.width ** 2]
+            for buf in (values, grads))
 
     def __deepcopy__(self, memo):
         twin = ResidualNet(**self.arch())
@@ -168,24 +178,41 @@ def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
     return net
 
 
-def _forward_cached(net: ResidualNet, x: np.ndarray,
-                    masks: MaskSample | None = None,
-                    scale_spec: StochasticSpec | None = None):
-    """Forward pass whose cache keeps what the backward pass reads."""
+def check_blocks(net: ResidualNet, what: str, blocks) -> None:
+    """Reject a 1-based block index outside ``net``, naming ``what``."""
+    for l in sorted(blocks):
+        if not 1 <= l <= net.n_blocks:
+            raise ShapeMismatchError(
+                f"{what} refers to block {l} outside [1..{net.n_blocks}]",
+                block_index=l)
+
+
+def _input(net: ResidualNet, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatchError(
             f"stem expects input width {net.in_dim}, got shape {x.shape}")
-    named_blocks = (("mask", () if masks is None else masks.per_block),
-                    ("scale_spec", () if scale_spec is None
-                     else scale_spec.adapted_blocks))
-    for what, blocks in named_blocks:
-        for l in sorted(blocks):
-            if not 1 <= l <= net.n_blocks:
-                raise ShapeMismatchError(
-                    f"{what} refers to block {l} outside [1..{net.n_blocks}]",
-                    block_index=l)
+    return x
 
+
+def _block_mults(net: ResidualNet, masks: MaskSample | None,
+                 scale_spec: StochasticSpec | None, batch: int) -> list:
+    """Each block's ``(unit_mult, row_mult)``, None where nothing
+    multiplies: the masks' multipliers, else path drop's scaled rule."""
+    check_blocks(net, "mask", () if masks is None else masks.per_block)
+    scaled = () if scale_spec is None else scale_spec.adapted_blocks
+    check_blocks(net, "scale_spec", scaled)
+    mults = [(None, None) if masks is None else
+             multipliers(masks, l, net.width, batch)
+             for l in range(1, net.n_blocks + 1)]
+    return [(unit, scale_spec.keep_prob if row is None and l in scaled
+             else row) for l, (unit, row) in enumerate(mults, 1)]
+
+
+def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list):
+    """Forward pass of one net (x [B, in]) or of K stacked nets (x
+    [K, B, in]) under each block's multipliers; the cache keeps what the
+    backward pass reads."""
     # Each array is computed in place once allocated, and never written
     # after it enters the cache, whose arrays the backward pass reads.
     # ``branch * row_mult + h`` rounds as ``h + row_mult * branch`` does:
@@ -193,22 +220,16 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
     cache = {"x": x, "blocks": []}
     (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
     h = x @ stem_w.value
-    h += stem_b.value
-    for l, (w1, b1, w2, b2) in enumerate(blocks, 1):
-        unit_mult = row_mult = None
-        if masks is not None:
-            unit_mult, row_mult = multipliers(masks, l, net.width, x.shape[0])
-        if row_mult is None and scale_spec is not None \
-                and l in scale_spec.adapted_blocks:
-            row_mult = scale_spec.keep_prob  # deterministic scaled rule
+    h += stem_b.value[..., None, :]
+    for (w1, b1, w2, b2), (unit_mult, row_mult) in zip(blocks, mults):
         hidden = h @ w1.value
-        hidden += b1.value
+        hidden += b1.value[..., None, :]
         if net.activation == ACT_RELU:
             np.maximum(hidden, 0.0, out=hidden)
         if unit_mult is not None:
             hidden *= unit_mult
         branch = hidden @ w2.value
-        branch += b2.value
+        branch += b2.value[..., None, :]
         if row_mult is not None:
             branch *= row_mult
         branch += h
@@ -216,9 +237,8 @@ def _forward_cached(net: ResidualNet, x: np.ndarray,
                                 "unit_mult": unit_mult, "row_mult": row_mult})
         h = branch
     logits = h @ head_w.value
-    logits += head_b.value
+    logits += head_b.value[..., None, :]
     cache["head_in"] = h
-    check_finite(logits, "logits")
     return logits, cache
 
 
@@ -231,8 +251,10 @@ def forward(net: ResidualNet, x: np.ndarray,
     adapted block; with neither argument the pass is fully deterministic.
     ``scale_spec`` applies the deterministic scaled rule for path drop.
     """
-    logits, _ = _forward_cached(net, x, masks=masks, scale_spec=scale_spec)
-    return logits
+    x = _input(net, x)
+    logits, _ = _forward_cached(net, x,
+                                _block_mults(net, masks, scale_spec, len(x)))
+    return check_finite(logits, "logits")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -266,9 +288,10 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
 
 def l2_penalty(net: ResidualNet) -> float:
     """Sum of squared residual-branch weight matrices (biases, stem and
-    head excluded; the penalty regularizes the branch weights only)."""
-    sums = np.add.reduce(np.square(net.branch_values), axis=2).tolist()
-    return float(sum(w1 + w2 for w1, w2 in sums))
+    head excluded; the penalty regularizes the branch weights only), one
+    per cell of a stack."""
+    sums = np.add.reduce(np.square(net.branch_values), axis=-1)
+    return sum(sums[..., l, 0] + sums[..., l, 1] for l in range(net.n_blocks))
 
 
 def _check_targets(targets, rows: int, n_classes: int,
@@ -291,23 +314,26 @@ def _check_targets(targets, rows: int, n_classes: int,
     return y
 
 
-def _task_loss(logits: np.ndarray, y: np.ndarray,
-               output_mode: str) -> tuple[float, np.ndarray]:
-    """The mean task loss and its gradient with respect to the logits."""
-    batch = logits.shape[0]
+def _task_loss(logits: np.ndarray, y: np.ndarray, output_mode: str):
+    """The mean task loss (one per cell of a stack) and its gradient with
+    respect to the logits."""
+    batch, n_classes = logits.shape[-2:]
     if output_mode == MODE_SOFTMAX:
         z = logits - _row_max(logits)
         e = np.exp(z)
-        total = e.sum(axis=1, keepdims=True)
-        value = float(-(z - np.log(total))[np.arange(batch), y].mean())
+        total = e.sum(axis=-1, keepdims=True)
+        # each row's label entry, picked over the rows of every cell
+        pick = np.arange(y.size), y.ravel()
+        logp = (z - np.log(total)).reshape(-1, n_classes)
+        value = -logp[pick].reshape(y.shape).mean(axis=-1)
         dlogits = e / total  # the softmax probabilities
-        dlogits[np.arange(batch), y] -= 1.0
+        dlogits.reshape(-1, n_classes)[pick] -= 1.0
         dlogits /= batch
         return value, dlogits
     # per-element stable BCE, summed over classes, mean over batch
     z = logits
     bce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(bce.sum(axis=1).mean()), (sigmoid(logits) - y) / batch
+    return bce.sum(axis=-1).mean(axis=-1), (sigmoid(logits) - y) / batch
 
 
 def loss(logits: np.ndarray, targets, net: ResidualNet,
@@ -320,24 +346,25 @@ def loss(logits: np.ndarray, targets, net: ResidualNet,
 
 
 def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
-                    weight_decay: float,
-                    masks: MaskSample | None = None) -> float:
-    """Return the loss and write its gradient into ``net.grads``."""
-    logits, cache = _forward_cached(net, x, masks=masks)
+                    weight_decay: float, mults: list):
+    """Write the loss gradient into ``net.grads`` and return the loss and
+    the logits, of one net or, one per cell, of a stack.  Non-finite values
+    are left for the caller to find."""
+    logits, cache = _forward_cached(net, x, mults)
     value, dlogits = _task_loss(logits, y, net.output_mode)
     total = value + weight_decay * l2_penalty(net)
 
     (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
-    np.matmul(cache["head_in"].T, dlogits, out=head_w.grad)
-    dlogits.sum(axis=0, out=head_b.grad)
-    g = dlogits @ head_w.value.T
+    np.matmul(cache["head_in"].swapaxes(-1, -2), dlogits, out=head_w.grad)
+    dlogits.sum(axis=-2, out=head_b.grad)
+    g = dlogits @ head_w.value.swapaxes(-1, -2)
 
     for (w1, b1, w2, b2), c in zip(reversed(blocks),
                                    reversed(cache["blocks"])):
         dbranch = g if c["row_mult"] is None else g * c["row_mult"]
-        np.matmul(c["hidden"].T, dbranch, out=w2.grad)
-        dbranch.sum(axis=0, out=b2.grad)
-        dpre = dbranch @ w2.value.T
+        np.matmul(c["hidden"].swapaxes(-1, -2), dbranch, out=w2.grad)
+        dbranch.sum(axis=-2, out=b2.grad)
+        dpre = dbranch @ w2.value.swapaxes(-1, -2)
         if c["unit_mult"] is not None:
             dpre *= c["unit_mult"]
         if net.activation == ACT_RELU:
@@ -346,20 +373,27 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
             # dropped unit's gradient is already a signed zero (or NaN),
             # which times 0.0 or 1.0 leaves unchanged.
             dpre *= c["hidden"] > 0.0
-        np.matmul(c["in"].T, dpre, out=w1.grad)
-        dpre.sum(axis=0, out=b1.grad)
-        g = g + dpre @ w1.value.T
+        np.matmul(c["in"].swapaxes(-1, -2), dpre, out=w1.grad)
+        dpre.sum(axis=-2, out=b1.grad)
+        g = g + dpre @ w1.value.swapaxes(-1, -2)
 
-    np.matmul(cache["x"].T, g, out=stem_w.grad)
-    g.sum(axis=0, out=stem_b.grad)
+    np.matmul(cache["x"].swapaxes(-1, -2), g, out=stem_w.grad)
+    g.sum(axis=-2, out=stem_b.grad)
 
     if weight_decay != 0.0:
         net.branch_grads += 2.0 * weight_decay * net.branch_values
+    return total, logits
 
-    if not np.isfinite(net.grads).all():  # name the first bad parameter
-        for p in net.parameters():
-            check_finite(p.grad, f"grad of {p.id}")
-    return total
+
+def _step_error(net: ResidualNet, logits: np.ndarray, total) -> str | None:
+    """The first non-finite result of one net's step, in the order it was
+    computed (its logits, each parameter's grad, its loss), or None."""
+    if not np.isfinite(logits).all():
+        return "non-finite values in logits"
+    if not np.isfinite(net.grads).all():
+        return next(f"non-finite values in grad of {p.id}"
+                    for p in net.parameters() if not np.isfinite(p.grad).all())
+    return None if np.isfinite(total) else f"loss is {total}"
 
 
 def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
@@ -367,7 +401,12 @@ def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
     """Fill every parameter's grad with d(loss)/d(value) and return those
     views keyed by parameter id.  Deterministic given masks and inputs."""
     y = _check_targets(targets, len(x), net.n_classes, net.output_mode)
-    _loss_and_grads(net, x, y, weight_decay, masks=masks)
+    x = _input(net, x)
+    mults = _block_mults(net, masks, None, len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, logits = _loss_and_grads(net, x, y, weight_decay, mults)
+    if error := _step_error(net, logits, total):
+        raise FloatingPointError(error)
     return {p.id: p.grad for p in net.parameters()}
 
 
@@ -376,47 +415,116 @@ def sgd_step(net: ResidualNet, lr: float) -> None:
     net.values -= lr * net.grads
 
 
-def train(net: ResidualNet, dataset: tuple[np.ndarray, np.ndarray],
-          cfg: TrainConfig,
-          stochastic: StochasticSpec | None = None) -> list[float]:
+def _stack(nets: list[ResidualNet]) -> ResidualNet:
+    """A net over [K, P] buffers whose row k holds ``nets[k]``'s values and
+    grads, each net's views rebound to its row; one net keeps its own."""
+    stack = ResidualNet(**nets[0].arch())
+    if len(nets) == 1:
+        stack._bind(nets[0].values[None], nets[0].grads[None])
+        return stack
+    stack._bind(np.stack([net.values for net in nets]),
+                np.stack([net.grads for net in nets]))
+    for net, values, grads in zip(nets, stack.values, stack.grads):
+        net._bind(values, grads)
+    return stack
+
+
+def _check_group(nets: list, cfgs, specs) -> None:
+    """Reject a lockstep group, naming the field: repeated nets, lists of
+    unequal lengths, nets of unequal arch, configs unequal but for seed."""
+    if not nets or len({id(n) for n in nets}) < len(nets):
+        raise ValueError("net: needs a list of distinct nets")
+    for name, entries in (("cfg", cfgs), ("stochastic", specs)):
+        if not isinstance(entries, (list, tuple)) or len(entries) != len(nets):
+            raise ValueError(f"{name}: needs one entry per net ({len(nets)})")
+    for name, items in (("net", [n.arch() for n in nets]),
+                        ("cfg", [{**vars(c), "seed": 0} for c in cfgs])):
+        for k, key in product(range(len(nets)), items[0]):
+            if items[k][key] != items[0][key]:
+                raise ValueError(f"{name}: {key} of entry {k} is "
+                                 f"{items[k][key]!r}, not {items[0][key]!r}")
+
+
+def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
+          cfg: TrainConfig | list,
+          stochastic: StochasticSpec | None | list = None) -> list:
     """Minibatch SGD on the task loss plus L2 penalty.
 
     When ``stochastic`` is given, a fresh mask is sampled per minibatch from
     the (cfg.seed, "mask", epoch, batch) substream, so runs with identical
     seeds and configs are bit-identical.  Returns the per-epoch mean loss.
+
+    Given a list of nets of one arch, and parallel lists of configs (equal
+    but for seed) and specs, the nets train in lockstep on one stack of
+    their weights, each bit for bit as alone; their buffers become its
+    rows.  Per net, the result is its trace or the exception that stopped
+    it alone.
     """
-    X, y = dataset
-    X = np.asarray(X, dtype=np.float64)
+    if isinstance(net, ResidualNet):
+        (result,) = train([net], dataset, [cfg], [stochastic])
+        if isinstance(result, Exception):
+            raise result
+        return result
+    nets, cfgs, specs = list(net), cfg, stochastic
+    _check_group(nets, cfgs, specs)
+    cfg, arch = cfgs[0], nets[0]
+    X = _input(arch, dataset[0])
     n = X.shape[0]
-    y = _check_targets(y, n, net.n_classes, net.output_mode)
-    spec = stochastic.with_mode(MODE_TRAINING) if stochastic is not None else None
-    trace: list[float] = []
+    y = _check_targets(dataset[1], n, arch.n_classes, arch.output_mode)
+    specs = [None if s is None else s.with_mode(MODE_TRAINING)
+             for s in specs]
+    results: list = [[] for _ in nets]
+    live, stack = list(range(len(nets))), _stack(nets)
     # divergence is detected explicitly below, so silence the transient
     # overflow warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = substream(cfg.seed, "shuffle", epoch).permutation(n)
-            batch_losses = []
+            orders = np.stack([substream(cfgs[k].seed, "shuffle",
+                                         epoch).permutation(n) for k in live])
+            losses = {k: [] for k in live}
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
-                idx = order[start:start + cfg.batch_size]
-                xb, yb = X[idx], y[idx]
-                masks = None
-                if spec is not None:
-                    rng = substream(cfg.seed, "mask", epoch, bi)
-                    masks = sample_mask(spec, net.width, xb.shape[0], rng)
-                try:
-                    value = _loss_and_grads(net, xb, yb, cfg.weight_decay,
-                                            masks=masks)
-                except FloatingPointError as exc:
-                    raise TrainingDivergedError(
-                        f"epoch {epoch} batch {bi}: {exc}") from exc
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(
-                        f"epoch {epoch} batch {bi}: loss is {value}")
-                sgd_step(net, cfg.learning_rate)
-                batch_losses.append(value)
-            trace.append(float(np.mean(batch_losses)))
-    return trace
+                idx = orders[:, start:start + cfg.batch_size]
+                rows = idx.shape[1]
+                # a net whose mechanism leaves a block alone multiplies by
+                # an exact 1.0 there: x * 1.0 is x, bit for bit
+                units = np.ones((arch.n_blocks, len(live), 1, arch.width))
+                row_mults = np.ones((arch.n_blocks, len(live), rows, 1))
+                failed = {}
+                for i, k in enumerate(live):
+                    try:
+                        masks = None if specs[k] is None else sample_mask(
+                            specs[k], arch.width, rows,
+                            substream(cfgs[k].seed, "mask", epoch, bi))
+                        for l, (unit, row) in enumerate(
+                                _block_mults(arch, masks, None, rows)):
+                            units[l, i] = 1.0 if unit is None else unit
+                            row_mults[l, i] = 1.0 if row is None else row
+                    except Exception as exc:  # this net's step is discarded
+                        failed[k] = exc
+                total, logits = _loss_and_grads(
+                    stack, X[idx], y[idx], cfg.weight_decay,
+                    list(zip(units, row_mults)))
+                finite = (np.isfinite(logits).all(axis=(-2, -1))
+                          & np.isfinite(stack.grads).all(axis=-1)
+                          & np.isfinite(total)).tolist()
+                for i, (k, value) in enumerate(zip(live, total.tolist())):
+                    if k not in failed and not finite[i]:
+                        failed[k] = TrainingDivergedError(
+                            f"epoch {epoch} batch {bi}: "
+                            f"{_step_error(nets[k], logits[i], value)}")
+                    elif k not in failed:
+                        sgd_step(nets[k], cfg.learning_rate)
+                        losses[k].append(value)
+                if failed:  # restack the nets still training
+                    results = [failed.get(k, r) for k, r in enumerate(results)]
+                    orders = orders[[k not in failed for k in live]]
+                    live = [k for k in live if k not in failed]
+                    if not live:
+                        return results
+                    stack = _stack([nets[k] for k in live])
+            for k in live:
+                results[k].append(float(np.mean(losses[k])))
+    return results
 
 
 def save_checkpoint(net: ResidualNet, path: str | Path,

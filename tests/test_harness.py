@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcuq import files, harness
+from mcuq import files, harness, nn_core
 from mcuq.datasets import ShiftSpec, save_classification
 from mcuq.detection import (Box, Detection, GroundTruth, cluster_all,
                             label_tp_fp, map_50_95, save_ground_truths)
@@ -207,6 +207,14 @@ class TestConfig:
         assert echoes[0] == echoes[1]
 
 
+def failing_block_drop(nets, data, cfgs, stochastic):
+    """``harness.train`` with the block-drop entry of the lockstep call
+    failing, as a diverged training run would."""
+    traces = nn_core.train(nets, data, cfgs, stochastic=stochastic)
+    return [RuntimeError("diverged") if spec.kind == "block-drop" else trace
+            for trace, spec in zip(traces, stochastic)]
+
+
 class TestSweep:
     def test_single_cell_grid_yields_one_row(self, tmp_path):
         result = run_sweep(small_cfg(tmp_path))
@@ -283,13 +291,6 @@ class TestSweep:
 
     def test_training_error_fails_its_cell_without_rows(self, tmp_path,
                                                         monkeypatch):
-        fit = harness.train
-
-        def failing_block_drop(net, data, tc, stochastic):
-            if stochastic.kind == "block-drop":
-                raise RuntimeError("diverged")
-            return fit(net, data, tc, stochastic=stochastic)
-
         monkeypatch.setattr(harness, "train", failing_block_drop)
         result = run_sweep(small_cfg(tmp_path, methods=["MCD", "MCDB"],
                                      Ts=[3, 5]))
@@ -317,13 +318,6 @@ class TestSweep:
         out_dir = Path(cfg.out_dir)
         first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         assert {"ckpt_MCDB_0.1_all.json", "trace_MCDB_0.1_all.csv"} <= set(first)
-        fit = harness.train
-
-        def failing_block_drop(net, data, tc, stochastic):
-            if stochastic.kind == "block-drop":
-                raise RuntimeError("diverged")
-            return fit(net, data, tc, stochastic=stochastic)
-
         monkeypatch.setattr(harness, "train", failing_block_drop)
         result = run_sweep(cfg)
         assert result.failures == [("MCDB/rate=0.1/blocks=all", "diverged")]

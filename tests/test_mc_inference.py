@@ -201,9 +201,11 @@ class TestDeterministicPredict:
         # as a mask on that block is in mc_predict, not silently ignored
         spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.3,
                               adapted_blocks={1, 5}, mode=MODE_MC)
-        with pytest.raises(RuntimeError,
-                           match=r"mask refers to block 5 outside \[1\.\.2\]"):
+        with pytest.raises(ShapeMismatchError,
+                           match=r"mask refers to block 5 outside \[1\.\.2\]"
+                           ) as err:
             mc_predict(small_net, x, spec, T=2, base_seed=0)
+        assert err.value.block_index == 5
         with pytest.raises(ShapeMismatchError,
                            match="scale_spec refers to block 5") as err:
             deterministic_predict(small_net, x, spec)

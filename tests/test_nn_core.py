@@ -15,6 +15,7 @@ from mcuq.nn_core import (
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
+    _block_mults,
     _forward_cached,
     _layout,
     backward,
@@ -515,8 +516,8 @@ class TestForwardMatchesLoopOracle:
             else:
                 masks = sample_mask(spec, width, batch,
                                     substream(seed, "mask"))
-        logits, cache = _forward_cached(net, x, masks=masks,
-                                        scale_spec=scale_spec)
+        logits, cache = _forward_cached(
+            net, x, _block_mults(net, masks, scale_spec, batch))
         want_logits, want = loop_forward_cached(net, x, masks=masks,
                                                 scale_spec=scale_spec)
         assert same_bytes(logits, want_logits)
@@ -831,6 +832,159 @@ class TestTrainMatchesLoopOracle:
             assert train(fast, (X, y), cfg, stochastic=spec) == want
         for p, q in zip(fast.parameters(), slow.parameters()):
             assert p.value.tobytes() == q.value.tobytes(), p.id
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(group=st.lists(st.tuples(
+               st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH]),
+               st.sets(st.integers(1, 3), min_size=1),
+               st.sampled_from([0.0, 0.2, 0.5]), st.integers(0, 2 ** 32)),
+               min_size=1, max_size=4),
+           output_mode=st.sampled_from(["softmax", "sigmoid"]),
+           activation=st.sampled_from(["relu", "identity"]),
+           weight_decay=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+           n_blocks=st.integers(1, 3), width=st.integers(1, 8),
+           batch_size=st.integers(2, 9), n_batches=st.integers(1, 3),
+           remainder=st.integers(1, 8), block_size=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32))
+    def test_lockstep_group_equals_solo_and_oracle(
+            self, group, output_mode, activation, weight_decay, n_blocks,
+            width, batch_size, n_batches, remainder, block_size, seed):
+        # mixed mechanisms and adapted blocks in one group; the last
+        # minibatch is short
+        n = batch_size * n_batches + min(remainder, batch_size - 1)
+        X = substream(seed, "x").normal(size=(n, 2))
+        y = substream(seed, "y").integers(0, 3, size=n)
+        if output_mode == "sigmoid":
+            y = np.eye(3)[y]
+        nets, cfgs, specs = [], [], []
+        for kind, blocks, drop_rate, net_seed in group:
+            nets.append(init_net(2, width, n_blocks, 3,
+                                 output_mode=output_mode,
+                                 activation=activation, seed=net_seed))
+            cfgs.append(TrainConfig(learning_rate=0.05,
+                                    weight_decay=weight_decay, epochs=2,
+                                    batch_size=batch_size, seed=net_seed))
+            specs.append(None if kind is None else StochasticSpec(
+                kind=kind, drop_rate=drop_rate, block_size=block_size,
+                adapted_blocks={min(b, n_blocks) for b in blocks}))
+        solos, oracles = ([copy.deepcopy(net) for net in nets]
+                          for _ in range(2))
+        results = train(nets, (X, y), cfgs, stochastic=specs)
+        assert len(results) == len(nets)
+        for net, solo, oracle, cfg, spec, got in zip(nets, solos, oracles,
+                                                     cfgs, specs, results):
+            try:
+                want = train(solo, (X, y), cfg, stochastic=spec)
+            except TrainingDivergedError as exc:
+                assert type(got) is TrainingDivergedError
+                assert str(got) == str(exc)
+                with pytest.raises(FloatingPointError):
+                    loop_train(oracle, (X, y), cfg, stochastic=spec)
+            else:
+                assert got == want
+                assert loop_train(oracle, (X, y), cfg, stochastic=spec) == want
+            assert net.values.tobytes() == solo.values.tobytes()
+            assert net.grads.tobytes() == solo.grads.tobytes()
+            assert net.values.tobytes() == oracle.values.tobytes()
+
+
+class TestLockstepFailures:
+    def test_a_failing_net_stops_alone_as_it_would_alone(self):
+        X, y = make_blobs(150, seed=40)
+        nets = [init_net(2, 8, 2, 3, seed=41 + k) for k in range(5)]
+        nets[1].values *= 1e200  # its activations overflow
+        unit = StochasticSpec(kind=KIND_UNIT, drop_rate=0.2,
+                              adapted_blocks={1, 2})
+        specs = [unit, unit,
+                 # block 5 of a 2-block net
+                 StochasticSpec(kind=KIND_PATH, drop_rate=0.2,
+                                adapted_blocks={1, 5}),
+                 # a single span, nearly always dropped: redraws run out
+                 StochasticSpec(kind=KIND_BLOCK, drop_rate=0.99,
+                                adapted_blocks={1}, block_size=8),
+                 None]
+        cfgs = [TrainConfig(learning_rate=0.05, weight_decay=1e-4, epochs=5,
+                            batch_size=16, seed=50 + k) for k in range(5)]
+        solos = [copy.deepcopy(net) for net in nets]
+        results = train(nets, (X, y), cfgs, stochastic=specs)
+        for net, solo, cfg, spec, got in zip(nets, solos, cfgs, specs,
+                                             results):
+            try:
+                want = train(solo, (X, y), cfg, stochastic=spec)
+            except Exception as exc:
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
+            else:
+                assert got == want
+            # a failed net keeps its weights after its last good update
+            assert net.values.tobytes() == solo.values.tobytes()
+        assert [type(r) for r in results] == [
+            list, TrainingDivergedError, ShapeMismatchError, RuntimeError,
+            list]
+        assert str(results[1]) == \
+            "epoch 0 batch 0: non-finite values in logits"
+        assert results[2].block_index == 5
+        assert "spans dropped in 100 consecutive draws" in str(results[3])
+        assert not str(results[3]).startswith("epoch 0 batch 0")
+
+
+    def test_an_overflowing_penalty_stops_only_its_net(self):
+        # zero inputs keep logits and grads finite, but the squared branch
+        # weights of the first net overflow the L2 penalty
+        X, y = np.zeros((20, 2)), np.arange(20) % 3
+        nets = [init_net(2, 4, 2, 3, seed=k) for k in range(2)]
+        nets[0].branch_values[...] = 1e154
+        solos = [copy.deepcopy(net) for net in nets]
+        cfgs = [TrainConfig(learning_rate=0.1, weight_decay=1e-4, epochs=2,
+                            batch_size=8, seed=k) for k in range(2)]
+        with pytest.raises(TrainingDivergedError,
+                           match="^epoch 0 batch 0: loss is inf$"):
+            train(solos[0], (X, y), cfgs[0])
+        got = train(nets, (X, y), cfgs, stochastic=[None, None])
+        assert str(got[0]) == "epoch 0 batch 0: loss is inf"
+        assert got[1] == train(solos[1], (X, y), cfgs[1])
+        for net, solo in zip(nets, solos):
+            assert net.values.tobytes() == solo.values.tobytes()
+
+
+class TestLockstepBoundaries:
+    @staticmethod
+    def group(**changes):
+        X, y = make_blobs(40, seed=60)
+        nets = [init_net(2, 4, 1, 3, seed=61 + k) for k in range(2)]
+        cfgs = [TrainConfig(learning_rate=0.1, epochs=1, seed=k)
+                for k in range(2)]
+        args = {"net": nets, "dataset": (X, y), "cfg": cfgs,
+                "stochastic": [None, None], **changes}
+        return args, [net.values.copy() for net in args["net"]]
+
+    @pytest.mark.parametrize("field", ["cfg", "stochastic"])
+    def test_list_lengths_must_match(self, field):
+        args, before = self.group()
+        args[field] = args[field][:1]
+        with pytest.raises(ValueError, match=f"^{field}: needs one entry"):
+            train(**args)
+        for net, values in zip(args["net"], before):
+            assert net.values.tobytes() == values.tobytes()
+
+    def test_nets_must_share_an_arch(self):
+        args, _ = self.group()
+        args["net"][1] = init_net(2, 5, 1, 3, seed=62)
+        with pytest.raises(ValueError,
+                           match="^net: width of entry 1 is 5, not 4"):
+            train(**args)
+        args["net"][1] = args["net"][0]
+        with pytest.raises(ValueError, match="^net: .*distinct"):
+            train(**args)
+
+    def test_configs_may_differ_only_in_seed(self):
+        args, before = self.group()
+        args["cfg"][1] = TrainConfig(learning_rate=0.2, epochs=1, seed=1)
+        with pytest.raises(ValueError, match="^cfg: learning_rate of entry 1"):
+            train(**args)
+        for net, values in zip(args["net"], before):
+            assert net.values.tobytes() == values.tobytes()
 
 
 class TestIdentityPathInvariant:
