@@ -44,7 +44,7 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     number("T", T, 1, integer=True)
     choice("spec.mode", spec.mode, (MODE_MC,))
     nn_core.check_blocks(net, "mask", spec.adapted_blocks)
-    x = np.asarray(x, dtype=np.float64)
+    x = nn_core.check_input(net, x)
     batch = x.shape[0]
 
     logits = np.empty((T, batch, net.n_classes))

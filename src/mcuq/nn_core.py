@@ -187,7 +187,7 @@ def check_blocks(net: ResidualNet, what: str, blocks) -> None:
                 block_index=l)
 
 
-def _input(net: ResidualNet, x) -> np.ndarray:
+def check_input(net: ResidualNet, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatchError(
@@ -197,16 +197,18 @@ def _input(net: ResidualNet, x) -> np.ndarray:
 
 def _block_mults(net: ResidualNet, masks: MaskSample | None,
                  scale_spec: StochasticSpec | None, batch: int) -> list:
-    """Each block's ``(unit_mult, row_mult)``, None where nothing
+    """Each block's ``[unit_mult, row_mult]``, None where nothing
     multiplies: the masks' multipliers, else path drop's scaled rule."""
-    check_blocks(net, "mask", () if masks is None else masks.per_block)
+    check_blocks(net, "mask", () if masks is None else masks.blocks)
     scaled = () if scale_spec is None else scale_spec.adapted_blocks
     check_blocks(net, "scale_spec", scaled)
-    mults = [(None, None) if masks is None else
-             multipliers(masks, l, net.width, batch)
+    mults = [[None, scale_spec.keep_prob if l in scaled else None]
              for l in range(1, net.n_blocks + 1)]
-    return [(unit, scale_spec.keep_prob if row is None and l in scaled
-             else row) for l, (unit, row) in enumerate(mults, 1)]
+    for j, mult in enumerate(() if masks is None else
+                             multipliers(masks, net.width, batch)):
+        for l, row in zip(masks.blocks, () if mult is None else mult):
+            mults[l - 1][j] = row
+    return mults
 
 
 def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list):
@@ -251,7 +253,7 @@ def forward(net: ResidualNet, x: np.ndarray,
     adapted block; with neither argument the pass is fully deterministic.
     ``scale_spec`` applies the deterministic scaled rule for path drop.
     """
-    x = _input(net, x)
+    x = check_input(net, x)
     logits, _ = _forward_cached(net, x,
                                 _block_mults(net, masks, scale_spec, len(x)))
     return check_finite(logits, "logits")
@@ -401,7 +403,7 @@ def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
     """Fill every parameter's grad with d(loss)/d(value) and return those
     views keyed by parameter id.  Deterministic given masks and inputs."""
     y = _check_targets(targets, len(x), net.n_classes, net.output_mode)
-    x = _input(net, x)
+    x = check_input(net, x)
     mults = _block_mults(net, masks, None, len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         total, logits = _loss_and_grads(net, x, y, weight_decay, mults)
@@ -468,13 +470,15 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
     nets, cfgs, specs = list(net), cfg, stochastic
     _check_group(nets, cfgs, specs)
     cfg, arch = cfgs[0], nets[0]
-    X = _input(arch, dataset[0])
+    X = check_input(arch, dataset[0])
     n = X.shape[0]
     y = _check_targets(dataset[1], n, arch.n_classes, arch.output_mode)
     specs = [None if s is None else s.with_mode(MODE_TRAINING)
              for s in specs]
+    slots = [None if s is None else np.array(sorted(s.adapted_blocks),
+                                             dtype=int) - 1 for s in specs]
     results: list = [[] for _ in nets]
-    live, stack = list(range(len(nets))), _stack(nets)
+    live, stack, stacks = list(range(len(nets))), _stack(nets), {}
     # divergence is detected explicitly below, so silence the transient
     # overflow warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -485,25 +489,34 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
                 idx = orders[:, start:start + cfg.batch_size]
                 rows = idx.shape[1]
-                # a net whose mechanism leaves a block alone multiplies by
-                # an exact 1.0 there: x * 1.0 is x, bit for bit
-                units = np.ones((arch.n_blocks, len(live), 1, arch.width))
-                row_mults = np.ones((arch.n_blocks, len(live), rows, 1))
+                if rows not in stacks:
+                    # one stack pair per live set and batch height; a net
+                    # writes only the blocks it adapts, and elsewhere
+                    # multiplies by an exact 1.0: x * 1.0 is x, bit for bit
+                    units = np.ones((arch.n_blocks, len(live), arch.width))
+                    row_mults = np.ones((arch.n_blocks, len(live), rows, 1))
+                    stacks[rows] = (units, row_mults,
+                                    list(zip(units[:, :, None], row_mults)))
+                units, row_mults, mults = stacks[rows]
                 failed = {}
                 for i, k in enumerate(live):
+                    if specs[k] is None:
+                        continue
                     try:
-                        masks = None if specs[k] is None else sample_mask(
+                        masks = sample_mask(
                             specs[k], arch.width, rows,
                             substream(cfgs[k].seed, "mask", epoch, bi))
-                        for l, (unit, row) in enumerate(
-                                _block_mults(arch, masks, None, rows)):
-                            units[l, i] = 1.0 if unit is None else unit
-                            row_mults[l, i] = 1.0 if row is None else row
+                        if epoch == bi == 0:  # once, after the draw
+                            check_blocks(arch, "mask", masks.blocks)
+                        # a net's multipliers for all its blocks, one write
+                        for buf, mult in zip((units, row_mults), multipliers(
+                                masks, arch.width, rows)):
+                            if mult is not None:
+                                buf[slots[k], i] = mult
                     except Exception as exc:  # this net's step is discarded
                         failed[k] = exc
                 total, logits = _loss_and_grads(
-                    stack, X[idx], y[idx], cfg.weight_decay,
-                    list(zip(units, row_mults)))
+                    stack, X[idx], y[idx], cfg.weight_decay, mults)
                 finite = (np.isfinite(logits).all(axis=(-2, -1))
                           & np.isfinite(stack.grads).all(axis=-1)
                           & np.isfinite(total)).tolist()
@@ -521,7 +534,7 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
                     live = [k for k in live if k not in failed]
                     if not live:
                         return results
-                    stack = _stack([nets[k] for k in live])
+                    stack, stacks = _stack([nets[k] for k in live]), {}
             for k in live:
                 results[k].append(float(np.mean(losses[k])))
     return results

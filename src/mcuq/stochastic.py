@@ -88,13 +88,14 @@ class StochasticSpec:
 class MaskSample:
     """One draw of masks for every adapted block.
 
-    ``per_block`` maps a 1-based block index to a {0,1} float array:
-    shape ``(width,)`` for unit drop, ``(n_spans,)`` for block drop, and
-    ``(batch,)`` for path drop (one survival bit per batch row).
+    Row i of ``draws`` is the {0,1} mask of block ``blocks[i]`` (1-based,
+    ascending): of length ``width`` for unit drop, ``n_spans`` for block
+    drop, and ``batch`` for path drop (one survival bit per batch row).
     """
 
     kind: str
-    per_block: dict[int, np.ndarray]
+    blocks: tuple[int, ...]
+    draws: np.ndarray
     keep_prob: float
     block_size: int = 1
 
@@ -109,74 +110,70 @@ def sample_mask(spec: StochasticSpec, hidden_width: int, batch_size: int,
                 rng: np.random.Generator) -> MaskSample:
     """Draw one independent Bernoulli mask set for every adapted block.
 
-    Each entry is kept with probability ``1 - drop_rate``.  Block-drop
-    samples that would drop every span are rejected and redrawn (at most
-    100 times) so the count-based rescale is always defined.
+    Each entry is kept with probability ``1 - drop_rate``.  Unit and path
+    drop draw every block at once: ``rng.random((L, n))`` takes from the
+    stream what L calls of ``rng.random(n)`` would, in block order.
+    Block-drop samples that would drop every span are rejected and redrawn
+    (at most 100 times) so the count-based rescale is always defined.
     """
-    keep = spec.keep_prob
-    per_block: dict[int, np.ndarray] = {}
-    for l in sorted(spec.adapted_blocks):
-        if spec.kind == KIND_UNIT:
-            m = (rng.random(hidden_width) < keep).astype(np.float64)
-        elif spec.kind == KIND_BLOCK:
-            spans = n_spans(hidden_width, spec.block_size)
+    keep, blocks = spec.keep_prob, tuple(sorted(spec.adapted_blocks))
+    if spec.kind != KIND_BLOCK:
+        size = hidden_width if spec.kind == KIND_UNIT else batch_size
+        draws = (rng.random((len(blocks), size)) < keep).astype(np.float64)
+    else:
+        spans = n_spans(hidden_width, spec.block_size)
+        draws = np.empty((len(blocks), spans))
+        for l, m in zip(blocks, draws):
             for _ in range(_MAX_REDRAWS):
-                m = (rng.random(spans) < keep).astype(np.float64)
+                m[...] = rng.random(spans) < keep
                 if m.any():
                     break
             else:
                 raise RuntimeError(
                     f"block {l}: all {spans} spans dropped in "
                     f"{_MAX_REDRAWS} consecutive draws")
-        else:  # path drop: one survival bit per batch row
-            m = (rng.random(batch_size) < keep).astype(np.float64)
-        per_block[l] = m
-    return MaskSample(kind=spec.kind, per_block=per_block, keep_prob=keep,
-                      block_size=spec.block_size)
+    return MaskSample(spec.kind, blocks, draws, keep, spec.block_size)
 
 
-def multipliers(masks: MaskSample, index: int, width: int, batch: int
+def multipliers(masks: MaskSample, width: int, batch: int
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Rescaled mask multipliers ``(unit_mult, row_mult)`` for block ``index``.
+    """Rescaled mask multipliers ``(unit_mult, row_mult)`` of every block
+    of ``masks``, row i for block ``masks.blocks[i]``.
 
     The network computes ``hidden = act * unit_mult`` and
     ``out = h + row_mult * branch``, and its backward pass reuses both, so
     this is the only place a mechanism zeroes and rescales:
 
-    * unit drop: ``unit_mult = m / keep_prob`` (inverted dropout);
+    * unit drop: ``unit_mult = m / keep_prob`` (inverted dropout), [L, width];
     * block drop: ``unit_mult`` is the per-unit span mask times
       ``width / kept``, so survivors carry the full feature magnitude even
-      when spans have unequal sizes;
-    * path drop: ``row_mult = m / keep_prob`` as a column, one entry per row.
+      when spans have unequal sizes, [L, width];
+    * path drop: ``row_mult = m / keep_prob`` as a column, one entry per
+      row, [L, batch, 1].
 
     Unit and path multipliers take only the values 0 and 1/keep_prob, so
-    each block is an unbiased estimator of its fully active self.  Both are
-    None for a block the masks do not adapt.
+    each block is an unbiased estimator of its fully active self.  The
+    other one of the pair is None.
     """
-    m = masks.per_block.get(index)
-    if m is None:
-        return None, None
+    m = masks.draws
     if masks.keep_prob <= 0.0:
         raise ValueError("keep_prob must be positive")
-    if masks.kind == KIND_UNIT:
-        if m.shape[-1] != width:
-            raise ShapeMismatchError(
-                f"block {index}: unit mask length {m.shape[-1]} != width {width}",
-                block_index=index)
-        return m / masks.keep_prob, None
-    if masks.kind == KIND_BLOCK:
-        spans = n_spans(width, masks.block_size)
-        if m.shape != (spans,):
-            raise ShapeMismatchError(
-                f"block {index}: span mask shape {m.shape}, expected ({spans},)",
-                block_index=index)
-        unit = np.repeat(m, masks.block_size)[:width]  # last span may be short
-        kept = unit.sum()
-        if kept == 0:
-            raise ValueError(f"block {index}: all spans dropped")
-        return unit * (width / kept), None
-    if m.shape[0] != batch:
+    size = {KIND_UNIT: width, KIND_BLOCK: n_spans(width, masks.block_size),
+            KIND_PATH: batch}[masks.kind]
+    if m.shape[-1] != size:
+        first = masks.blocks[0] if masks.blocks else None
         raise ShapeMismatchError(
-            f"block {index}: path mask has {m.shape[0]} rows, batch is {batch}",
-            block_index=index)
-    return None, m.reshape(-1, 1) / masks.keep_prob
+            f"block {first}: {masks.kind} mask length {m.shape[-1]}, "
+            f"expected {size}", block_index=first)
+    if masks.kind == KIND_BLOCK:
+        # the last span may be short
+        unit = np.repeat(m, masks.block_size, axis=-1)[:, :width]
+        kept = unit.sum(axis=-1, keepdims=True)
+        if not kept.all():
+            raise ValueError(
+                f"block {masks.blocks[kept.argmin()]}: all spans dropped")
+        return unit * (width / kept), None
+    scaled = m / masks.keep_prob
+    if masks.kind == KIND_UNIT:
+        return scaled, None
+    return None, scaled[..., None]

@@ -91,7 +91,7 @@ class TestCriterion2PerBlockUnbiasedness:
                                   adapted_blocks={1}, mode=MODE_MC)
             masks = sample_mask(spec, 4, n,
                                 substream(201, "unbias", int(p_drop * 100)))
-            _, row_mult = multipliers(masks, 1, 4, n)
+            _, (row_mult,) = multipliers(masks, 4, n)
             out = ident + row_mult * res  # the forward pass's block output
             dev = np.abs(out.mean(axis=0) - target) / np.abs(res[0])
             worst = max(worst, dev.max())

@@ -83,11 +83,32 @@ class TestMcPredict:
         with pytest.raises(ValueError):
             mc_predict(small_net, x, training, T=3, base_seed=0)
 
-    def test_failed_pass_is_tagged_with_index(self, small_net):
-        bad_x = np.ones((3, 5))  # wrong input width
-        with pytest.raises(RuntimeError, match="pass 0"):
-            mc_predict(small_net, bad_x, mc_spec(KIND_PATH, 0.2), T=2,
+    def test_failed_pass_is_tagged_with_index(self, small_net, x):
+        # a head scaled so that every pass's logits overflow
+        for p in small_net.parameters():
+            if p.id == "head.w":
+                p.value[...] *= 1e308
+        with pytest.raises(RuntimeError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            mc_predict(small_net, x, mc_spec(KIND_PATH, 0.2), T=2,
                        base_seed=0)
+        assert str(err.value) == \
+            "MC pass 0 failed: non-finite values in logits"
+        assert type(err.value.__cause__) is FloatingPointError
+
+    @pytest.mark.parametrize("bad_x", [np.ones((3, 5)), np.ones(2)],
+                             ids=["wrong-width", "1-d"])
+    def test_bad_input_is_rejected_before_any_pass(self, small_net, bad_x):
+        # as deterministic_predict rejects it, unwrapped
+        spec = mc_spec(KIND_PATH, 0.2)
+        message = ("stem expects input width 2, got shape "
+                   f"{bad_x.shape}")
+        for run in (mc_predict, mc_forward_logits, deterministic_predict):
+            args = (small_net, bad_x) if run is deterministic_predict \
+                else (small_net, bad_x, spec, 2, 0)
+            with pytest.raises(ShapeMismatchError) as err:
+                run(*args)
+            assert str(err.value) == message
 
     def test_linear_net_mc_mean_matches_deterministic(self):
         # on a linear 1-block net the per-block unbiasedness composes, so

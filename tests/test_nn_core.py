@@ -4,12 +4,14 @@ import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcuq import nn_core
 from mcuq.nn_core import (
     ResidualNet,
     ShapeMismatchError,
@@ -39,10 +41,10 @@ from mcuq.stochastic import (
     MODE_MC,
     MODE_TRAINING,
     StochasticSpec,
-    multipliers,
     sample_mask,
 )
 from mcuq.datasets import make_blobs
+from test_stochastic import loop_multipliers
 
 
 def zero_net(net: ResidualNet) -> ResidualNet:
@@ -461,8 +463,8 @@ def loop_forward_cached(net, x, masks=None, scale_spec=None):
         w1, b1, w2, b2 = weights(net, l)
         unit_mult = row_mult = None
         if masks is not None:
-            unit_mult, row_mult = multipliers(masks, l, net.width,
-                                              x.shape[0])
+            unit_mult, row_mult = loop_multipliers(masks, l, net.width,
+                                                   x.shape[0])
         if row_mult is None and scale_spec is not None \
                 and l in scale_spec.adapted_blocks:
             row_mult = scale_spec.keep_prob
@@ -838,7 +840,11 @@ class TestTrainMatchesLoopOracle:
     @given(group=st.lists(st.tuples(
                st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH]),
                st.sets(st.integers(1, 3), min_size=1),
-               st.sampled_from([0.0, 0.2, 0.5]), st.integers(0, 2 ** 32)),
+               st.sampled_from([0.0, 0.2, 0.5]), st.integers(0, 2 ** 32),
+               # a scaled net may overflow at any step, and a spec may
+               # adapt the block after the net's last
+               st.sampled_from([1.0, 1.0, 1.0, 1.5, 3.0]),
+               st.sampled_from([False, False, False, True])),
                min_size=1, max_size=4),
            output_mode=st.sampled_from(["softmax", "sigmoid"]),
            activation=st.sampled_from(["relu", "identity"]),
@@ -851,42 +857,124 @@ class TestTrainMatchesLoopOracle:
             self, group, output_mode, activation, weight_decay, n_blocks,
             width, batch_size, n_batches, remainder, block_size, seed):
         # mixed mechanisms and adapted blocks in one group; the last
-        # minibatch is short
+        # minibatch is short, and a net that fails restacks the others
+        # onto fresh multiplier stacks
         n = batch_size * n_batches + min(remainder, batch_size - 1)
         X = substream(seed, "x").normal(size=(n, 2))
         y = substream(seed, "y").integers(0, 3, size=n)
         if output_mode == "sigmoid":
             y = np.eye(3)[y]
         nets, cfgs, specs = [], [], []
-        for kind, blocks, drop_rate, net_seed in group:
+        for kind, blocks, drop_rate, net_seed, scale, outside in group:
             nets.append(init_net(2, width, n_blocks, 3,
                                  output_mode=output_mode,
                                  activation=activation, seed=net_seed))
+            nets[-1].values *= scale
             cfgs.append(TrainConfig(learning_rate=0.05,
                                     weight_decay=weight_decay, epochs=2,
                                     batch_size=batch_size, seed=net_seed))
+            blocks = {min(b, n_blocks) for b in blocks}
             specs.append(None if kind is None else StochasticSpec(
                 kind=kind, drop_rate=drop_rate, block_size=block_size,
-                adapted_blocks={min(b, n_blocks) for b in blocks}))
+                adapted_blocks=blocks | {n_blocks + 1} if outside
+                else blocks))
         solos, oracles = ([copy.deepcopy(net) for net in nets]
                           for _ in range(2))
+        before = [net.values.copy() for net in nets]
         results = train(nets, (X, y), cfgs, stochastic=specs)
         assert len(results) == len(nets)
-        for net, solo, oracle, cfg, spec, got in zip(nets, solos, oracles,
-                                                     cfgs, specs, results):
+        for net, solo, oracle, cfg, spec, got, values in zip(
+                nets, solos, oracles, cfgs, specs, results, before):
             try:
                 want = train(solo, (X, y), cfg, stochastic=spec)
+            except ShapeMismatchError as exc:
+                # the outside block fails the first step, before any update
+                assert type(got) is ShapeMismatchError
+                assert str(got) == str(exc)
+                assert got.block_index == n_blocks + 1
+                assert net.values.tobytes() == values.tobytes()
             except TrainingDivergedError as exc:
                 assert type(got) is TrainingDivergedError
                 assert str(got) == str(exc)
                 with pytest.raises(FloatingPointError):
                     loop_train(oracle, (X, y), cfg, stochastic=spec)
+                assert net.values.tobytes() == oracle.values.tobytes()
             else:
                 assert got == want
                 assert loop_train(oracle, (X, y), cfg, stochastic=spec) == want
+                assert net.values.tobytes() == oracle.values.tobytes()
             assert net.values.tobytes() == solo.values.tobytes()
             assert net.grads.tobytes() == solo.grads.tobytes()
-            assert net.values.tobytes() == oracle.values.tobytes()
+
+
+def loop_stacks(samples, n_blocks, width, rows):
+    """Each block's stacked multipliers as a lockstep step built them
+    before: fresh ones, then every block of every net written from its
+    per-block pair (1.0 where it has none)."""
+    units = np.ones((n_blocks, len(samples), 1, width))
+    row_mults = np.ones((n_blocks, len(samples), rows, 1))
+    for i, masks in enumerate(samples):
+        for l in range(1, n_blocks + 1):
+            unit, row = (None, None) if masks is None else \
+                loop_multipliers(masks, l, width, rows)
+            units[l - 1, i] = 1.0 if unit is None else unit
+            row_mults[l - 1, i] = 1.0 if row is None else row
+    return list(zip(units, row_mults))
+
+
+class TestMultiplierStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(group=st.lists(st.tuples(
+               st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH]),
+               st.sets(st.integers(1, 4), max_size=4)),
+               min_size=1, max_size=5),
+           n_blocks=st.integers(1, 4), width=st.integers(1, 8),
+           block_size=st.integers(1, 5), batch_size=st.integers(2, 9),
+           n_batches=st.integers(1, 3), remainder=st.integers(1, 8),
+           drop_rate=st.sampled_from([0.0, 0.2, 0.5]),
+           seed=st.integers(0, 2 ** 32))
+    def test_reused_stacks_equal_the_per_block_build(
+            self, group, n_blocks, width, block_size, batch_size, n_batches,
+            remainder, drop_rate, seed):
+        # every step's stacks, as the forward pass gets them, against the
+        # stacks built afresh from the same masks; two batch heights
+        n = batch_size * n_batches + min(remainder, batch_size - 1)
+        X = substream(seed, "x").normal(size=(n, 2))
+        y = substream(seed, "y").integers(0, 3, size=n)
+        nets = [init_net(2, width, n_blocks, 3, seed=seed + k)
+                for k in range(len(group))]
+        cfgs = [TrainConfig(learning_rate=0.01, epochs=2,
+                            batch_size=batch_size, seed=seed + k)
+                for k in range(len(group))]
+        specs = [None if kind is None else StochasticSpec(
+                     kind=kind, drop_rate=drop_rate, block_size=block_size,
+                     adapted_blocks={min(b, n_blocks) for b in blocks})
+                 for kind, blocks in group]
+        drawn, steps = [], []
+
+        def recording(*args):
+            drawn.append(sample_mask(*args))
+            return drawn[-1]
+
+        def checked_step(stack, x, targets, weight_decay, mults):
+            samples = [None if spec is None else drawn.pop(0)
+                       for spec in specs]
+            assert not drawn
+            want = loop_stacks(samples, n_blocks, width, x.shape[1])
+            assert len(mults) == len(want) == n_blocks
+            for got, expected in zip(mults, want):
+                assert same_bytes(got[0], expected[0])
+                assert same_bytes(got[1], expected[1])
+            steps.append(x.shape[1])
+            return loss_and_grads(stack, x, targets, weight_decay, mults)
+
+        loss_and_grads = nn_core._loss_and_grads
+        with mock.patch.object(nn_core, "sample_mask", recording), \
+                mock.patch.object(nn_core, "_loss_and_grads", checked_step):
+            results = train(nets, (X, y), cfgs, stochastic=specs)
+        assert all(isinstance(r, list) for r in results)
+        heights = [batch_size] * n_batches + [n - batch_size * n_batches]
+        assert steps == heights * 2
 
 
 class TestLockstepFailures:
@@ -928,6 +1016,44 @@ class TestLockstepFailures:
         assert "spans dropped in 100 consecutive draws" in str(results[3])
         assert not str(results[3]).startswith("epoch 0 batch 0")
 
+
+    def test_restacks_mid_epoch_leave_each_net_as_alone(self):
+        # 150 rows in batches of 16 end on a short batch of 6; the spec
+        # adapting block 5 of a 2-block net is second and fails step 0,
+        # and the scaled net overflows in the second epoch, after both
+        # batch heights have their stacks
+        X, y = make_blobs(150, seed=40)
+        nets = [init_net(2, 8, 2, 3, seed=k) for k in (41, 42, 43, 45, 46)]
+        nets[2].values *= 1.12
+        specs = [StochasticSpec(kind=KIND_PATH, drop_rate=0.2,
+                                adapted_blocks={2}),
+                 StochasticSpec(kind=KIND_UNIT, drop_rate=0.2,
+                                adapted_blocks={1, 5}),
+                 StochasticSpec(kind=KIND_UNIT, drop_rate=0.2,
+                                adapted_blocks={1, 2}),
+                 # width 8 in spans of 3: the last span is short
+                 StochasticSpec(kind=KIND_BLOCK, drop_rate=0.3,
+                                adapted_blocks={1}, block_size=3),
+                 None]
+        cfgs = [TrainConfig(learning_rate=0.05, weight_decay=1e-4, epochs=3,
+                            batch_size=16, seed=50 + k) for k in range(5)]
+        solos = [copy.deepcopy(net) for net in nets]
+        results = train(nets, (X, y), cfgs, stochastic=specs)
+        for net, solo, cfg, spec, got in zip(nets, solos, cfgs, specs,
+                                             results):
+            try:
+                want = train(solo, (X, y), cfg, stochastic=spec)
+            except Exception as exc:
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
+            else:
+                assert got == want
+            assert net.values.tobytes() == solo.values.tobytes()
+        assert [type(r) for r in results] == [
+            list, ShapeMismatchError, TrainingDivergedError, list, list]
+        assert str(results[1]) == "mask refers to block 5 outside [1..2]"
+        assert str(results[2]).startswith("epoch 1 batch ")
+        assert not str(results[2]).startswith("epoch 1 batch 0:")
 
     def test_an_overflowing_penalty_stops_only_its_net(self):
         # zero inputs keep logits and grads finite, but the squared branch
