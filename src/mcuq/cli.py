@@ -131,11 +131,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "train":
         if cfg.task != "classification":
             raise ValueError("train applies to the classification task")
-        train_data, _, n_classes = load_task_data(cfg)
         point = first_point(cfg)
-        net, trace, spec = train_cell(cfg, point.method, point.drop_rate,
-                                      point.adapted_blocks, train_data,
-                                      n_classes)
+        net, trace, spec = train_cell(cfg, point, load_task_data(cfg))
         out = args.checkpoint or Path(cfg.out_dir) / "model.json"
         out.parent.mkdir(parents=True, exist_ok=True)
         save_cell(cfg, point.method, net, trace, spec, out,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -225,17 +224,9 @@ def cluster_all(dets: list[Detection], theta_iou: float = 0.5,
     return {T: errors.get(T, held[T]) for T in cuts}
 
 
-class ItemArrays(NamedTuple):
-    """N detections or fused observations, read into arrays once."""
-    boxes: np.ndarray      # [N, 4] corners
-    probs: np.ndarray      # [N, C]; [0, 0] when there are no items
-    image_ids: np.ndarray  # [N]
-
-
-def _item_arrays(items) -> ItemArrays:
-    """The ``ItemArrays`` of items; an ``ItemArrays`` passes through."""
-    if isinstance(items, ItemArrays):
-        return items
+def _item_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N detections or fused observations read into arrays once: boxes
+    [N, 4] (corners), probs [N, C] ([0, 0] for no items), image ids [N]."""
     items = list(items)
     n = len(items)
     boxes = np.array([(it.box.x1, it.box.y1, it.box.x2, it.box.y2)
@@ -243,7 +234,7 @@ def _item_arrays(items) -> ItemArrays:
     probs = np.array([it.mean_probs if hasattr(it, "mean_probs") else it.probs
                       for it in items] or np.empty((0, 0)), dtype=np.float64)
     image_ids = np.array([it.image_id for it in items], dtype=np.int64)
-    return ItemArrays(boxes, probs, image_ids)
+    return boxes, probs, image_ids
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -345,7 +336,7 @@ def average_precision(tp_flags: np.ndarray, n_gt: int) -> float:
 
 
 def map_50_95(items, gts: list[GroundTruth]) -> float:
-    """COCO-style mAP over IoU thresholds 0.50:0.95; takes ``ItemArrays`` too.
+    """COCO-style mAP over IoU thresholds 0.50:0.95.
 
     AP is averaged over every class with at least one ground truth and over
     the ten thresholds; detections of classes without ground truths are
@@ -381,7 +372,7 @@ def _mean_ap(flags: np.ndarray, probs: np.ndarray,
 
 def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
                 mode: str = "softmax") -> list[ScoredPrediction]:
-    """Score fused observations (or their ``ItemArrays``) as TP/FP.
+    """Score fused observations as TP/FP.
 
     Greedy confidence-descending matching at IoU >= tau with class
     agreement: an observation takes the unmatched ground truth of its image

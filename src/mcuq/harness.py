@@ -271,12 +271,12 @@ def train_cells(cfg: ExperimentConfig, cells: list[tuple[str, float, str]],
             for net, trace, spec in zip(nets, traces, specs)]
 
 
-def train_cell(cfg: ExperimentConfig, method: str, drop_rate: float,
-               preset: str, train_data, n_classes: int
+def train_cell(cfg: ExperimentConfig, point: ConfigPoint, data
                ) -> tuple[ResidualNet, list[float], StochasticSpec]:
-    """``train_cells`` for one cell, raising its training error."""
-    (result,) = train_cells(cfg, [(method, drop_rate, preset)], train_data,
-                            n_classes)
+    """``train_cells`` for ``point``'s cell on what ``load_task_data``
+    returns, raising its training error."""
+    (result,) = train_cells(cfg, [(point.method, point.drop_rate,
+                                   point.adapted_blocks)], data[0], data[2])
     if isinstance(result, Exception):
         raise result
     return result
@@ -328,11 +328,12 @@ def _cut_scorer(cfg: ExperimentConfig, gts, clusters, floor: float):
     clusters for thresholds >= ``floor``, from one match: a threshold keeps
     a prefix of ``_match``'s stable confidence ranking, and a greedy match
     depends only on the items ranked before it."""
-    items = _item_arrays(clusters)
+    boxes, probs, image_ids = _item_arrays(clusters)
     # initial: the [0, 0] probs of no clusters have no maximum otherwise
-    conf = items.probs.max(axis=1, initial=-np.inf)
+    conf = probs.max(axis=1, initial=-np.inf)
     cut = conf >= floor
-    boxes, probs, image_ids, conf = (a[cut] for a in (*items, conf))
+    boxes, probs, image_ids, conf = (a[cut] for a in
+                                     (boxes, probs, image_ids, conf))
     flags = _match(boxes, probs, image_ids, gts,
                    (cfg.match_tau, *IOU_THRESHOLDS))
     # the true positives at match_tau, and only them, carry a true label
@@ -354,7 +355,8 @@ def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
     threshold only filters detection observations.  The detector runs once,
     at ``max(Ts)``: pass t draws from its own stream, so the passes with
     ``pass_index < T`` are exactly a T-pass run.  One fusion walk cuts every
-    T's prefix, and each T's clusters are matched and scored once."""
+    T's prefix, and each T's clusters are matched and scored once.  A
+    detector error, like a fusion error, is raised by each T it fails."""
     tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
@@ -374,12 +376,15 @@ def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
     # raises the synthetic detector's miss probability, playing the role a
     # stronger stochastic mechanism would
     noise = replace(noise, miss_prob=min(0.95, noise.miss_prob + drop_rate))
-    dets = synth_detector(gts, noise, T=max(Ts),
-                          seed=_cell_seed(cfg, "detector", *tags),
-                          n_classes=n_classes,
-                          mode=cfg.arch["output_mode"])
-    # T -> its clusters, their scorer once built, or its fusion error
-    fused = cluster_all(dets, theta_iou=cfg.theta_iou, Ts=Ts)
+    # T -> its clusters, their scorer once built, or its error
+    try:
+        dets = synth_detector(gts, noise, T=max(Ts),
+                              seed=_cell_seed(cfg, "detector", *tags),
+                              n_classes=n_classes,
+                              mode=cfg.arch["output_mode"])
+        fused = cluster_all(dets, theta_iou=cfg.theta_iou, Ts=Ts)
+    except Exception as exc:
+        fused = dict.fromkeys(Ts, exc)
 
     def evaluate(T, conf_threshold):
         if isinstance(fused[T], Exception):
@@ -427,9 +432,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     model.  Emits reports.csv (all rows), pareto_front.csv (the
     non-dominated subset) and pareto_points.csv / arc_curve.csv plot
     data.  Failures are recorded and the sweep continues: a training
-    error under the cell's name, an error building the cell's evaluator
-    (such as a detector error) for every row of the cell, and an
-    evaluation error for its row.
+    error under the cell's name, and an evaluation error under its row's;
+    a detector error fails every row of its cell, a fusion error every
+    row of its T.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -466,24 +471,17 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             except Exception as exc:
                 failures.append((cell_name, str(exc)))
                 continue
-        cell_error = None
-        try:
-            evaluate = _cell_evaluator(cfg, data, net, method, drop_rate,
-                                       preset, cfg.Ts, cfg.conf_thresholds)
-        except Exception as exc:
-            cell_error = str(exc)
+        evaluate = _cell_evaluator(cfg, data, net, method, drop_rate, preset,
+                                   cfg.Ts, cfg.conf_thresholds)
         for T, conf_threshold in product(cfg.Ts, cfg.conf_thresholds):
             point = ConfigPoint(method=method, drop_rate=drop_rate, T=T,
                                 conf_threshold=conf_threshold,
                                 adapted_blocks=preset)
-            row_name = f"{cell_name}/T={T}/conf={conf_threshold}"
-            if cell_error is not None:
-                failures.append((row_name, cell_error))
-                continue
             try:
                 report, preds = evaluate(T, conf_threshold)
             except Exception as exc:
-                failures.append((row_name, str(exc)))
+                failures.append((f"{cell_name}/T={T}/conf={conf_threshold}",
+                                 str(exc)))
                 continue
             points.append((point, report))
             last_preds = preds
@@ -505,8 +503,7 @@ def rerun_row(cfg: ExperimentConfig, point: ConfigPoint) -> EvalReport:
     data = load_task_data(cfg)
     net = None
     if cfg.task == "classification":
-        net, _, _ = train_cell(cfg, point.method, point.drop_rate,
-                               point.adapted_blocks, data[0], data[2])
+        net, _, _ = train_cell(cfg, point, data)
     return evaluate_point(cfg, net, data, point)[0]
 
 
@@ -522,17 +519,17 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
         raise ValueError("shift runs are defined for the classification task")
     if not shift.levels:
         raise ValueError("shift: the ladder has no levels")
-    train_data, (X, labels), n_classes = load_task_data(cfg)
+    data = load_task_data(cfg)
+    X, labels = data[1]
     point = first_point(cfg)
-    net, _, _ = train_cell(cfg, point.method, point.drop_rate,
-                           point.adapted_blocks, train_data, n_classes)
+    net, _, _ = train_cell(cfg, point, data)
     rows = []
     for level in shift.levels:
         Xc = corrupt(X, labels, level, seed=_cell_seed(cfg, "shift-noise"))
         # the same eval substream as the sweep, so the zero-corruption level
         # reproduces the in-distribution report exactly
-        report, _ = evaluate_point(cfg, net, (train_data, (Xc, labels),
-                                              n_classes), point)
+        report, _ = evaluate_point(cfg, net, (data[0], (Xc, labels), data[2]),
+                                   point)
         rows.append((level.name, report.map_50_95, report.mean_entropy))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -247,8 +247,9 @@ def save_reports(points: list[tuple[ConfigPoint, EvalReport]],
 
 
 def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
-    """Rows of a reports CSV.  A missing or unparsable cell raises
-    ValueError naming the column, the data row (from 1) and the value."""
+    """Rows of a reports CSV.  A missing, unparsable or non-finite cell
+    raises ValueError naming the column, the data row (from 1) and the
+    value."""
     points = []
     with open(path, newline="") as f:
         for n, row in enumerate(csv.DictReader(f), start=1):
@@ -259,6 +260,8 @@ def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
                     if raw is None:
                         raise ValueError
                     values[name] = convert(raw)
+                    if convert is float and not math.isfinite(values[name]):
+                        raise ValueError
                 except ValueError:
                     raise ValueError(f"{path}: data row {n}, column {name!r}: "
                                      f"bad value {raw!r}") from None

@@ -25,7 +25,6 @@ from .fields import check_keys, choice, number
 from .files import atomic_write, write_csv
 from .rng import substream
 from .stochastic import (
-    MODE_TRAINING,
     MaskSample,
     ShapeMismatchError,
     StochasticSpec,
@@ -473,8 +472,6 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
     X = check_input(arch, dataset[0])
     n = X.shape[0]
     y = _check_targets(dataset[1], n, arch.n_classes, arch.output_mode)
-    specs = [None if s is None else s.with_mode(MODE_TRAINING)
-             for s in specs]
     slots = [None if s is None else np.array(sorted(s.adapted_blocks),
                                              dtype=int) - 1 for s in specs]
     results: list = [[] for _ in nets]

@@ -15,7 +15,6 @@ from mcuq.detection import (
     ClusteredObservation,
     Detection,
     GroundTruth,
-    ItemArrays,
     NoiseSpec,
     _item_arrays,
     _match,
@@ -28,6 +27,7 @@ from mcuq.detection import (
     save_ground_truths,
     synth_detector,
 )
+from mcuq.metrics import entropy_for_mode
 
 
 def det(box, probs, pass_index=0, image_id=0):
@@ -582,31 +582,33 @@ class TestThresholdKeepsAMatchPrefix:
         assert flags.tolist() == [False, True, True, False, True, True]
 
 
-class TestItemArraysScoreAsTheList:
+class TestClustersScoreAsTheLoops:
     @settings(max_examples=200, deadline=None, database=None)
     @given(scenes(), st.sampled_from(MATCH_TAUS),
            st.sampled_from(["softmax", "sigmoid"]))
-    def test_labels_and_map_equal(self, scene, tau, mode):
+    def test_labels_and_map_equal_the_loops(self, scene, tau, mode):
+        # fused observations are read through mean_probs, detections
+        # through probs; each cluster scores as the per-item loops say
         dets, gts = scene
         clusters = cluster_all(dets)
-        record = _item_arrays(clusters)
-        assert isinstance(record, ItemArrays)
-
-        def rows(preds):
-            return [(p.probs.tobytes(), p.confidence, p.correct, p.true_label,
-                     p.uncertainty) for p in preds]
-        assert rows(label_tp_fp(record, gts, tau, mode)) \
-            == rows(label_tp_fp(clusters, gts, tau, mode))
+        preds = label_tp_fp(clusters, gts, tau, mode)
+        flags = loop_greedy_match(clusters, gts, tau)
+        assert [(p.probs.tobytes(), p.confidence, p.correct, p.true_label,
+                 p.uncertainty) for p in preds] \
+            == [(c.mean_probs.tobytes(), c.confidence, tp,
+                 c.class_id if tp else None,
+                 entropy_for_mode(c.mean_probs, mode))
+                for c, tp in zip(clusters, flags)]
         if gts:
-            assert map_50_95(record, gts) == map_50_95(clusters, gts) \
-                == loop_map_50_95(clusters, gts)
+            assert map_50_95(clusters, gts) == loop_map_50_95(clusters, gts)
 
-    def test_an_empty_record(self):
+    def test_an_empty_list(self):
         g = [gt((0, 0, 10, 10))]
-        empty = _item_arrays([])
-        assert empty.boxes.shape == (0, 4) and empty.probs.shape == (0, 0)
-        assert label_tp_fp(empty, g) == []
-        assert map_50_95(empty, g) == 0.0
+        boxes, probs, image_ids = _item_arrays([])
+        assert (boxes.shape, probs.shape, image_ids.shape) \
+            == ((0, 4), (0, 0), (0,))
+        assert label_tp_fp([], g) == []
+        assert map_50_95([], g) == 0.0
 
 
 class TestLabelTpFp:

@@ -497,7 +497,9 @@ class TestReportCsv:
                           "map_50_95,brier,ece,auarc,mean_entropy")
 
     @pytest.mark.parametrize("column,cell,shown", [
-        ("T", "x5", "'x5'"), ("drop_rate", "", "''"), ("ece", None, "None")])
+        ("T", "x5", "'x5'"), ("drop_rate", "", "''"), ("ece", None, "None"),
+        ("auarc", "nan", "'nan'"), ("drop_rate", "inf", "'inf'"),
+        ("map_50_95", "-inf", "'-inf'")])
     def test_bad_cell_names_column_row_and_value(self, tmp_path, column,
                                                  cell, shown):
         pts = [(ConfigPoint("MCD", 0.1, 5, 0.0, "all"),
