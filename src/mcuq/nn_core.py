@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import check_keys, choice, number
 from .files import atomic_write, write_csv
-from .rng import substream
+from .rng import substream, substream_words, words_stream
 from .stochastic import (
     MaskSample,
     ShapeMismatchError,
@@ -37,6 +37,10 @@ ACT_IDENTITY = "identity"
 
 MODE_SOFTMAX = "softmax"
 MODE_SIGMOID = "sigmoid"
+
+# The most mask streams whose seed words ``train`` holds at once per net,
+# 32 bytes each: whole epochs of them, at least one.
+MASK_WORDS_BLOCK = 4096
 
 # The keys of ``ResidualNet.arch``, which a checkpoint's config echoes.
 ARCH_KEYS = ("in_dim", "width", "n_blocks", "n_classes", "output_mode",
@@ -476,14 +480,21 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
                                              dtype=int) - 1 for s in specs]
     results: list = [[] for _ in nets]
     live, stack, stacks = list(range(len(nets))), _stack(nets), {}
+    batches = range(0, n, cfg.batch_size)
+    span = max(1, MASK_WORDS_BLOCK // len(batches))  # epochs of mask words
     # divergence is detected explicitly below, so silence the transient
     # overflow warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
+            if epoch % span == 0:
+                grid = range(epoch, min(epoch + span, cfg.epochs)), \
+                    range(len(batches))
+                words = {k: substream_words(cfgs[k].seed, "mask", grid=grid)
+                         for k in live if specs[k] is not None}
             orders = np.stack([substream(cfgs[k].seed, "shuffle",
                                          epoch).permutation(n) for k in live])
             losses = {k: [] for k in live}
-            for bi, start in enumerate(range(0, n, cfg.batch_size)):
+            for bi, start in enumerate(batches):
                 idx = orders[:, start:start + cfg.batch_size]
                 rows = idx.shape[1]
                 if rows not in stacks:
@@ -502,7 +513,7 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
                     try:
                         masks = sample_mask(
                             specs[k], arch.width, rows,
-                            substream(cfgs[k].seed, "mask", epoch, bi))
+                            words_stream(words[k][epoch % span, bi]))
                         if epoch == bi == 0:  # once, after the draw
                             check_blocks(arch, "mask", masks.blocks)
                         # a net's multipliers for all its blocks, one write

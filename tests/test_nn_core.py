@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcuq import nn_core
@@ -840,7 +840,12 @@ class TestTrainMatchesLoopOracle:
     @given(group=st.lists(st.tuples(
                st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH]),
                st.sets(st.integers(1, 3), min_size=1),
-               st.sampled_from([0.0, 0.2, 0.5]), st.integers(0, 2 ** 32),
+               st.sampled_from([0.0, 0.2, 0.5]),
+               # one-word, two-word (a sweep cell's, below 2**62) and
+               # negative net seeds
+               st.one_of(st.integers(0, 2 ** 32),
+                         st.integers(2 ** 32, 2 ** 62),
+                         st.integers(-2 ** 63, -1)),
                # a scaled net may overflow at any step, and a spec may
                # adapt the block after the net's last
                st.sampled_from([1.0, 1.0, 1.0, 1.5, 3.0]),
@@ -851,13 +856,26 @@ class TestTrainMatchesLoopOracle:
            weight_decay=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
            n_blocks=st.integers(1, 3), width=st.integers(1, 8),
            batch_size=st.integers(2, 9), n_batches=st.integers(1, 3),
-           remainder=st.integers(1, 8), block_size=st.integers(1, 4),
-           seed=st.integers(0, 2 ** 32))
+           remainder=st.integers(0, 8), epochs=st.sampled_from([2, 2, 2, 0]),
+           block_size=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+    # no epoch at all, and a single batch each epoch
+    @example(group=[(KIND_UNIT, {1}, 0.2, -7, 1.0, False),
+                    (KIND_PATH, {2}, 0.5, 2 ** 61 + 3, 1.0, False)],
+             output_mode="softmax", activation="relu", weight_decay=0.0,
+             n_blocks=2, width=4, batch_size=4, n_batches=2, remainder=1,
+             epochs=0, block_size=1, seed=5)
+    @example(group=[(KIND_BLOCK, {1, 2}, 0.2, 2 ** 40, 1.0, False),
+                    (KIND_UNIT, {2}, 0.5, -2 ** 63, 1.0, False),
+                    (None, {1}, 0.0, 9, 1.0, False)],
+             output_mode="softmax", activation="relu", weight_decay=1e-3,
+             n_blocks=2, width=4, batch_size=5, n_batches=1, remainder=0,
+             epochs=2, block_size=2, seed=6)
     def test_lockstep_group_equals_solo_and_oracle(
             self, group, output_mode, activation, weight_decay, n_blocks,
-            width, batch_size, n_batches, remainder, block_size, seed):
+            width, batch_size, n_batches, remainder, epochs, block_size,
+            seed):
         # mixed mechanisms and adapted blocks in one group; the last
-        # minibatch is short, and a net that fails restacks the others
+        # minibatch may be short, and a net that fails restacks the others
         # onto fresh multiplier stacks
         n = batch_size * n_batches + min(remainder, batch_size - 1)
         X = substream(seed, "x").normal(size=(n, 2))
@@ -871,7 +889,7 @@ class TestTrainMatchesLoopOracle:
                                  activation=activation, seed=net_seed))
             nets[-1].values *= scale
             cfgs.append(TrainConfig(learning_rate=0.05,
-                                    weight_decay=weight_decay, epochs=2,
+                                    weight_decay=weight_decay, epochs=epochs,
                                     batch_size=batch_size, seed=net_seed))
             blocks = {min(b, n_blocks) for b in blocks}
             specs.append(None if kind is None else StochasticSpec(
@@ -905,6 +923,26 @@ class TestTrainMatchesLoopOracle:
                 assert net.values.tobytes() == oracle.values.tobytes()
             assert net.values.tobytes() == solo.values.tobytes()
             assert net.grads.tobytes() == solo.grads.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 4096])
+    def test_mask_words_are_derived_whole_epochs_at_a_time(self, block):
+        # 23 rows in batches of 8: three batches an epoch, so a block of
+        # 1 or 5 streams holds one epoch, 7 holds two and 4096 all five
+        X, y = make_blobs(23, seed=60)
+        spec = StochasticSpec(kind=KIND_UNIT, drop_rate=0.3,
+                              adapted_blocks={1, 2})
+        cfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=8,
+                          seed=2 ** 40 + 61)
+        net, oracle = (init_net(2, 6, 2, 3, seed=62) for _ in range(2))
+        derive = mock.Mock(wraps=nn_core.substream_words)
+        with mock.patch.object(nn_core, "MASK_WORDS_BLOCK", block), \
+                mock.patch.object(nn_core, "substream_words", derive):
+            got = train(net, (X, y), cfg, stochastic=spec)
+        assert got == loop_train(oracle, (X, y), cfg, stochastic=spec)
+        assert net.values.tobytes() == oracle.values.tobytes()
+        span = max(1, block // 3)
+        assert [c.kwargs["grid"] for c in derive.call_args_list] == [
+            (range(e, min(e + span, 5)), range(3)) for e in range(0, 5, span)]
 
 
 def loop_stacks(samples, n_blocks, width, rows):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcuq.rng import pass_stream, substream
+from mcuq.rng import (_words_seed, pass_stream, substream, substream_words,
+                      words_stream)
 
 MASK = 0xFFFFFFFFFFFFFFFF
 EDGE_SEEDS = [0, -1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
@@ -60,6 +61,65 @@ class TestSubstreamMatchesOracle:
         first = substream(3, "block1.fc1").bit_generator.state
         assert substream(3, "block1.fc1").bit_generator.state == first
         assert substream(3, "block1.fc2").bit_generator.state != first
+
+
+prefix_tags = st.lists(st.one_of(
+    st.text(max_size=12),
+    st.integers(-2 ** 70, -1),
+    st.integers(2 ** 32, 2 ** 70),
+    st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    st.builds(np.uint32, st.integers(0, 2 ** 32 - 1)),
+    st.booleans(),
+), max_size=4)
+axes = st.lists(st.lists(st.one_of(st.integers(0, 40),
+                                   st.sampled_from([2 ** 32 - 1])),
+                         max_size=4), min_size=1, max_size=3)
+
+
+class TestSubstreamWords:
+    """Every stream of a batched family is the ``substream`` of its
+    index, the same ``PCG64`` state word for word."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS),
+                          st.sampled_from([-2 ** 70, 2 ** 70]),
+                          st.integers(-2 ** 70, 2 ** 70)),
+           tags=prefix_tags, grid=axes)
+    def test_every_stream_equals_substream(self, seed, tags, grid):
+        words = substream_words(seed, *tags, grid=grid)
+        assert words.shape == (*map(len, grid), 4)
+        assert words.dtype == np.uint64
+        for at in np.ndindex(words.shape[:-1]):
+            index = [axis[i] for axis, i in zip(grid, at)]
+            assert words_stream(words[at]).bit_generator.state \
+                == substream(seed, *tags, *index).bit_generator.state
+
+    @pytest.mark.parametrize("grid", [(range(0),), (range(3), range(0)),
+                                      (range(0), range(2), range(5))])
+    def test_a_zero_size_grid(self, grid):
+        words = substream_words(7, "mask", grid=grid)
+        assert words.shape == (*map(len, grid), 4)
+        assert words.dtype == np.uint64
+
+    def test_no_grid_is_the_stream_itself(self):
+        assert words_stream(substream_words(2 ** 70, "init", -1)) \
+            .bit_generator.state \
+            == substream(2 ** 70, "init", -1).bit_generator.state
+
+    @pytest.mark.parametrize("bad", [2 ** 32, 2 ** 40, -1])
+    def test_an_index_that_is_not_one_word_is_refused_by_value(self, bad):
+        with pytest.raises(ValueError, match=f"grid index {bad} "):
+            substream_words(3, "mask", grid=(range(2), [0, bad]))
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (2, np.uint64), (8, np.uint64), (8, np.uint32)])
+    def test_seed_words_serve_only_pcg64s_request(self, n_words, dtype):
+        # a numpy that seeded PCG64 another way would fail here, loudly,
+        # not hand it other words
+        seed = _words_seed()(substream_words(5, "mask"))
+        with pytest.raises(ValueError, match="4 uint64"):
+            seed.generate_state(n_words, dtype)
+        assert seed.generate_state(4, np.uint64).dtype == np.uint64
 
 
 def test_golden_draws():
