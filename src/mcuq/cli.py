@@ -119,8 +119,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not points:
             raise ValueError("empty report file")
         best = ipp_select(points)
-        d = min(ipp_distance(rep) for cfg, rep in points
-                if cfg.key() == best.key())
+        d = min(ipp_distance(rep) for _, rep in points)
         print(f"selected: method={best.method} drop_rate={best.drop_rate} "
               f"T={best.T} conf_threshold={best.conf_threshold} "
               f"adapted_blocks={best.adapted_blocks} (distance {d:.4f})")

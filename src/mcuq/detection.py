@@ -387,6 +387,28 @@ def label_tp_fp(items, gts: list[GroundTruth], tau: float = 0.5,
                    mode)
 
 
+def threshold_scorer(items, gts: list[GroundTruth], tau: float = 0.5,
+                     mode: str = "softmax"):
+    """``score(conf_threshold) -> (map_50_95, predictions)``: what
+    ``map_50_95`` and ``label_tp_fp`` give for the items of confidence >=
+    the threshold, in input order, from one match of all items at ``tau``
+    and the mAP IoU thresholds.  Exact, since a threshold keeps a prefix of
+    ``_match``'s stable confidence ranking and an item's greedy match
+    depends only on the items ranked before it."""
+    number("tau", tau, 0, 1)
+    boxes, probs, image_ids = _item_arrays(items)
+    # initial: the [0, 0] probs of no items have no maximum otherwise
+    conf = probs.max(axis=1, initial=-np.inf)
+    flags = _match(boxes, probs, image_ids, gts, (tau, *IOU_THRESHOLDS))
+    preds = _scored(probs, flags[0], mode)
+
+    def score(conf_threshold):
+        keep = np.flatnonzero(conf >= conf_threshold)
+        return (_mean_ap(flags[1:, keep], probs[keep], gts),
+                [preds[i] for i in keep])
+    return score
+
+
 def _scored(probs: np.ndarray, is_tp: np.ndarray,
             mode: str) -> list[ScoredPrediction]:
     """The ``ScoredPrediction`` of N items; only a TP carries a label."""

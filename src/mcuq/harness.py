@@ -29,16 +29,12 @@ from .datasets import (
     make_moons,
 )
 from .detection import (
-    IOU_THRESHOLDS,
     NoiseSpec,
-    _item_arrays,
-    _match,
-    _mean_ap,
-    _scored,
     cluster_all,
     label_tp_fp,  # noqa: F401 -- bench/tracing.py times it under this name
     map_50_95,  # noqa: F401 -- likewise
     synth_detector,
+    threshold_scorer,
 )
 from .fields import check_keys, choice, number
 from .files import write_csv
@@ -323,53 +319,24 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
                          + ", ".join(wrong))
 
 
-def _cut_scorer(cfg: ExperimentConfig, gts, clusters, floor: float):
-    """``report(conf_threshold) -> (report, predictions)`` of one T's
-    clusters for thresholds >= ``floor``, from one match: a threshold keeps
-    a prefix of ``_match``'s stable confidence ranking, and a greedy match
-    depends only on the items ranked before it."""
-    boxes, probs, image_ids = _item_arrays(clusters)
-    # initial: the [0, 0] probs of no clusters have no maximum otherwise
-    conf = probs.max(axis=1, initial=-np.inf)
-    cut = conf >= floor
-    boxes, probs, image_ids, conf = (a[cut] for a in
-                                     (boxes, probs, image_ids, conf))
-    flags = _match(boxes, probs, image_ids, gts,
-                   (cfg.match_tau, *IOU_THRESHOLDS))
-    # the true positives at match_tau, and only them, carry a true label
-    preds = _scored(probs, flags[0], cfg.arch["output_mode"])
-
-    def report(conf_threshold):
-        keep = np.flatnonzero(conf >= conf_threshold)
-        kept = [preds[i] for i in keep]
-        return _report(_mean_ap(flags[1:, keep], probs[keep], gts), kept,
-                       cfg.ece_bins), kept
-    return report
-
-
 def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
-                    method: str, drop_rate: float, preset: str, Ts: list[int],
-                    conf_thresholds: list[float]):
+                    method: str, drop_rate: float, preset: str, Ts: list[int]):
     """Build what one cell needs once; return ``evaluate(T, conf_threshold)
-    -> (report, predictions)`` over ``Ts`` and ``conf_thresholds``; the
-    threshold only filters detection observations.  The detector runs once,
-    at ``max(Ts)``: pass t draws from its own stream, so the passes with
-    ``pass_index < T`` are exactly a T-pass run.  One fusion walk cuts every
-    T's prefix, and each T's clusters are matched and scored once.  A
-    detector error, like a fusion error, is raised by each T it fails."""
+    -> (report, predictions)`` over ``Ts``; the threshold only filters
+    detection observations.  The detector runs once, at ``max(Ts)``: pass t
+    draws from its own stream, so the passes with ``pass_index < T`` are
+    exactly a T-pass run.  One fusion walk cuts every T's prefix, and each
+    T's ``threshold_scorer`` is built the first time that T is evaluated.
+    A detector error, like a fusion error, is raised by each T it fails."""
     tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
         spec = _cell_spec(cfg, method, drop_rate, preset, net.n_blocks,
                           MODE_MC)
         eval_seed = _cell_seed(cfg, "eval", *tags)
-
-        def evaluate(T, conf_threshold):
-            summary = mc_predict(net, X, spec, T=T, base_seed=eval_seed)
-            return classification_report(summary.mean_probs, labels,
-                                         mode=net.output_mode,
-                                         ece_bins=cfg.ece_bins)
-        return evaluate
+        return lambda T, conf_threshold: classification_report(
+            mc_predict(net, X, spec, T=T, base_seed=eval_seed).mean_probs,
+            labels, mode=net.output_mode, ece_bins=cfg.ece_bins)
 
     gts, noise, n_classes = data
     # there is no trained vision model for detection; the drop rate instead
@@ -390,8 +357,10 @@ def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
         if isinstance(fused[T], Exception):
             raise fused[T]
         if isinstance(fused[T], list):
-            fused[T] = _cut_scorer(cfg, gts, fused[T], min(conf_thresholds))
-        return fused[T](conf_threshold)
+            fused[T] = threshold_scorer(fused[T], gts, cfg.match_tau,
+                                        cfg.arch["output_mode"])
+        performance, preds = fused[T](conf_threshold)
+        return _report(performance, preds, cfg.ece_bins), preds
     return evaluate
 
 
@@ -419,8 +388,7 @@ def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
     ``load_task_data`` returns.  A detection point draws and fuses its own
     T passes."""
     evaluate = _cell_evaluator(cfg, data, net, point.method, point.drop_rate,
-                               point.adapted_blocks, [point.T],
-                               [point.conf_threshold])
+                               point.adapted_blocks, [point.T])
     return evaluate(point.T, point.conf_threshold)
 
 
@@ -472,7 +440,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 failures.append((cell_name, str(exc)))
                 continue
         evaluate = _cell_evaluator(cfg, data, net, method, drop_rate, preset,
-                                   cfg.Ts, cfg.conf_thresholds)
+                                   cfg.Ts)
         for T, conf_threshold in product(cfg.Ts, cfg.conf_thresholds):
             point = ConfigPoint(method=method, drop_rate=drop_rate, T=T,
                                 conf_threshold=conf_threshold,
@@ -524,8 +492,9 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
     point = first_point(cfg)
     net, _, _ = train_cell(cfg, point, data)
     rows = []
+    noise_seed = _cell_seed(cfg, "shift-noise")
     for level in shift.levels:
-        Xc = corrupt(X, labels, level, seed=_cell_seed(cfg, "shift-noise"))
+        Xc = corrupt(X, labels, level, seed=noise_seed)
         # the same eval substream as the sweep, so the zero-corruption level
         # reproduces the in-distribution report exactly
         report, _ = evaluate_point(cfg, net, (data[0], (Xc, labels), data[2]),

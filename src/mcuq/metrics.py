@@ -199,25 +199,27 @@ def ipp_distance(report: EvalReport) -> float:
     return math.sqrt((1.0 - report.auarc) ** 2 + (1.0 - report.map_50_95) ** 2)
 
 
+def _check_points(points: list[tuple[ConfigPoint, EvalReport]]) -> None:
+    """Reject an empty point list and, naming it, a point whose performance
+    or AUARC is not finite."""
+    if not points:
+        raise ValueError("empty point list")
+    finite = np.isfinite([(r.map_50_95, r.auarc) for _, r in points])
+    _first_bad(~finite.all(axis=1), "performance and AUARC must be finite")
+
+
 def ipp_select(points: list[tuple[ConfigPoint, EvalReport]]) -> ConfigPoint:
     """Configuration closest to the ideal performance point; ties go to the
     first occurrence in input order."""
-    if not points:
-        raise ValueError("empty point list")
-    best_cfg, best_d = None, float("inf")
-    for cfg, report in points:
-        d = ipp_distance(report)
-        if d < best_d:
-            best_cfg, best_d = cfg, d
-    return best_cfg
+    _check_points(points)
+    return min(points, key=lambda point: ipp_distance(point[1]))[0]
 
 
 def pareto_front(points: list[tuple[ConfigPoint, EvalReport]]) -> list[tuple[ConfigPoint, EvalReport]]:
     """Points not dominated in (performance, AUARC): a point is dominated
     when another is at least as good in both coordinates and strictly
     better in one."""
-    if not points:
-        raise ValueError("empty point list")
+    _check_points(points)
 
     def dominates(a: EvalReport, b: EvalReport) -> bool:  # irreflexive
         return (a.map_50_95 >= b.map_50_95 and a.auarc >= b.auarc

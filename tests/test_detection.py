@@ -26,6 +26,7 @@ from mcuq.detection import (
     map_50_95,
     save_ground_truths,
     synth_detector,
+    threshold_scorer,
 )
 from mcuq.metrics import entropy_for_mode
 
@@ -580,6 +581,51 @@ class TestThresholdKeepsAMatchPrefix:
         flags = _match(boxes, probs, image_ids, gts, (0.5,))[0]
         # the 0.9 item takes image 0's class-0 truth before its tie does
         assert flags.tolist() == [False, True, True, False, True, True]
+
+
+def pred_fields(preds):
+    return [(p.probs.tobytes(), p.confidence, p.correct, p.uncertainty,
+             p.true_label) for p in preds]
+
+
+# The confidences of PROB_VECTORS (ties at the threshold), values between
+# them, and 0.95, above all of them.
+SCORER_THRESHOLDS = [0.0, 0.4, 0.45, 0.5, 0.55, 0.6, 0.75, 0.9, 0.95]
+
+
+class TestThresholdScorer:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(scenes(), st.sampled_from(MATCH_TAUS),
+           st.sampled_from(["softmax", "sigmoid"]),
+           st.lists(st.one_of(st.sampled_from(SCORER_THRESHOLDS),
+                              st.floats(0, 1)), min_size=1, max_size=4))
+    @example(([], [gt((0, 0, 10, 10))]), 0.5, "softmax", [0.0, 0.6])
+    @example(TIED_SCENE, 0.95, "sigmoid", [0.6, 0.95, 0.0, 0.6])
+    # class 2 has no ground truth: its items are FPs and add no AP term
+    @example(([det((0, 0, 10, 10), (0.05, 0.05, 0.9)),
+               det((0, 0, 10, 10), (0.6, 0.2, 0.2)),
+               det((0, 0, 10, 10), (0.2, 0.2, 0.6))],
+              [gt((0, 0, 10, 10), class_id=0)]), 0.5, "softmax", [0.0, 0.6])
+    def test_equals_the_single_threshold_scorers(self, scene, tau, mode,
+                                                 thresholds):
+        # one scorer serves every threshold, in any order and repeated
+        items, gts = scene
+        score = threshold_scorer(items, gts, tau, mode)
+        for thr in thresholds:
+            kept = [it for it in items if it.confidence >= thr]
+            if not gts:
+                for scorer in (score, lambda _: map_50_95(kept, gts)):
+                    with pytest.raises(ValueError, match="no ground truths"):
+                        scorer(thr)
+                continue
+            performance, preds = score(thr)
+            assert performance == map_50_95(kept, gts)
+            assert pred_fields(preds) \
+                == pred_fields(label_tp_fp(kept, gts, tau, mode))
+
+    def test_tau_is_checked(self):
+        with pytest.raises(ValueError, match="tau"):
+            threshold_scorer([], [gt((0, 0, 10, 10))], tau=1.5)
 
 
 class TestClustersScoreAsTheLoops:

@@ -9,7 +9,8 @@ import pytest
 from mcuq import files, harness, nn_core
 from mcuq.datasets import ShiftSpec, save_classification
 from mcuq.detection import (Box, Detection, GroundTruth, cluster_all,
-                            label_tp_fp, map_50_95, save_ground_truths)
+                            label_tp_fp, map_50_95, save_ground_truths,
+                            threshold_scorer)
 from mcuq.files import atomic_write
 from mcuq.harness import (
     ExperimentConfig,
@@ -470,7 +471,7 @@ class TestDetectionSweep:
         # a cluster of peaked detections sits at the sharpness 0.9 exactly;
         # every row, failed or not, is what the single-threshold scorers
         # make of the clusters its threshold keeps, also when the lowest
-        # threshold already drops clusters before the match
+        # threshold drops clusters
         cfg = det_cfg(tmp_path, conf_thresholds=[0.999, 0.9])
         result, cuts = sweep_with_cuts(cfg, monkeypatch)
         assert any(c.confidence == 0.9 for fused in cuts
@@ -478,13 +479,17 @@ class TestDetectionSweep:
         assert (result.points, result.failures) \
             == single_threshold_rows(cfg, cuts)
         # and so does a T whose fusion holds no cluster at all
-        g = [GroundTruth(box=Box(0, 0, 10, 10), class_id=0, image_id=0)]
-        with pytest.raises(ValueError, match="^empty prediction set$"):
-            harness._cut_scorer(det_cfg(tmp_path), g, [], 0.0)(0.0)
+        monkeypatch.setattr(harness, "cluster_all",
+                            lambda dets, theta_iou, Ts: dict.fromkeys(Ts, []))
+        result = run_sweep(det_cfg(tmp_path))
+        assert result.points == [] and len(result.failures) == 8
+        assert {message for _, message in result.failures} \
+            == {"empty prediction set"}
         # a threshold keeps the observations whose confidence equals it
+        g = [GroundTruth(box=Box(0, 0, 10, 10), class_id=0, image_id=0)]
         one = [Detection(box=Box(0, 0, 10, 10), probs=np.array([0.75, 0.25]),
                          pass_index=0, image_id=0)]
-        _, preds = harness._cut_scorer(det_cfg(tmp_path), g, one, 0.75)(0.75)
+        _, preds = threshold_scorer(one, g)(0.75)
         assert [p.correct for p in preds] == [True]
 
     def test_brier_over_true_positives_calibration_over_all(self, tmp_path,
@@ -502,7 +507,8 @@ class TestDetectionSweep:
                      for thr in cfg.conf_thresholds}
             assert len(sizes) > 1
             gts = harness.load_task_data(cfg)[0]
-            _, preds = harness._cut_scorer(cfg, gts, cuts[-1][4], 0.0)(0.0)
+            _, preds = threshold_scorer(cuts[-1][4], gts, cfg.match_tau,
+                                        mode)(0.0)
             assert 0 < sum(p.correct for p in preds) < len(preds)
             assert [p.true_label is not None for p in preds] \
                 == [p.correct for p in preds]
@@ -792,6 +798,17 @@ class TestShift:
         # full-precision repr floats, e.g. "level0,0.95,0.1"
         assert lines[1:] == [f"{name},{float(perf)!r},{float(ent)!r}"
                              for name, perf, ent in rows]
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        # criterion 9 compares run_sweep's directory only
+        ladder = ShiftSpec.default_ladder(n_levels=3)
+        written = []
+        for name in ("a", "b"):
+            run_shift(small_cfg(tmp_path, out_dir=str(tmp_path / name)),
+                      ladder)
+            written.append((tmp_path / name / "shift.csv").read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 4
 
 
 class TestEmitCurves:

@@ -437,6 +437,13 @@ class TestIppSelect:
         with pytest.raises(ValueError):
             ipp_select([])
 
+    def test_ties_go_to_the_first_occurrence(self):
+        # (0.6, 0.8) and (0.8, 0.6) lie at the same distance from (1, 1)
+        pts = [(point("A"), report(0.5, 0.5)), (point("B"), report(0.6, 0.8)),
+               (point("C"), report(0.8, 0.6)), (point("D"), report(0.6, 0.8))]
+        assert ipp_select(pts) is pts[1][0]
+        assert ipp_select(pts[2:]) is pts[2][0]
+
 
 def pareto_oracle(points):
     keep = []
@@ -474,6 +481,19 @@ class TestParetoFront:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pareto_front([])
+
+
+@pytest.mark.parametrize("select", [ipp_select, pareto_front])
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (0.5, math.nan),
+                                 (math.inf, 0.5), (0.5, -math.inf)])
+def test_non_finite_axis_rejected_by_row(select, bad):
+    # NaN is never dominated and never closer than anything
+    pts = [(point(), report(0.3, 0.4)), (point(), report(*bad))]
+    with pytest.raises(ValueError, match="^row 1: performance and AUARC "
+                                         "must be finite$"):
+        select(pts)
+    with pytest.raises(ValueError, match="^row 0: "):
+        select(pts[1:])
 
 
 class TestReportCsv:
