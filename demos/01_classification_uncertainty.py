@@ -44,21 +44,19 @@ trace = train(net, (X[train_idx], y[train_idx]),
               stochastic=spec)
 print(f"  loss {trace[0]:.3f} -> {trace[-1]:.3f} over {len(trace)} epochs")
 
+summary = mc_predict(net, X[test_idx], spec.with_mode("mc-inference"), T=20,
+                     base_seed=SEED + 1000)
 print("\nevaluating on 400 held-out points (15% of labels are flipped):")
 for name, probs in [
     ("deterministic scaled pass",
      deterministic_predict(net, X[test_idx], spec)),
-    ("Monte Carlo, T=20 sampled passes",
-     mc_predict(net, X[test_idx], spec.with_mode("mc-inference"), T=20,
-                base_seed=SEED + 1000).mean_probs),
+    ("Monte Carlo, T=20 sampled passes", summary.mean_probs),
 ]:
     report, _ = classification_report(probs, y[test_idx], mode="softmax")
     print(f"  {name:34s} accuracy={report.map_50_95:.3f} "
           f"ECE={report.ece:.4f} Brier={report.brier:.4f} "
           f"AUARC={report.auarc:.4f}")
 
-summary = mc_predict(net, X[test_idx], spec.with_mode("mc-inference"), T=20,
-                     base_seed=SEED + 1000)
 spread = summary.per_pass_probs.std(axis=0).max(axis=1)
 print(f"\nper-pass disagreement (max class std over 20 passes): "
       f"median {np.median(spread):.3f}, max {spread.max():.3f}")

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .datasets import DATASET_KINDS, ShiftSpec, make_dataset
+from .fields import check_keys
 from .harness import (
     DEFAULT_TRAIN,
     ExperimentConfig,
@@ -29,38 +30,35 @@ from .metrics import ipp_distance, ipp_select, load_reports
 from .nn_core import load_checkpoint
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON experiment config")
-    p.add_argument("--task", choices=["classification", "detection"])
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--methods", nargs="+")
-    p.add_argument("--drop-rates", dest="drop_rates", nargs="+", type=float)
-    p.add_argument("--ts", dest="Ts", nargs="+", type=int)
-    p.add_argument("--conf-thresholds", dest="conf_thresholds", nargs="+",
-                   type=float)
-    p.add_argument("--presets", dest="adapted_presets", nargs="+")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
+# The experiment flags of train, eval, sweep and shift.  A flag that is not
+# given is absent from the namespace; a given one overrides the config field
+# that its dest names, or else that key of the train block.
+CONFIG_FLAGS = argparse.ArgumentParser(add_help=False,
+                                       argument_default=argparse.SUPPRESS)
+CONFIG_FLAGS.add_argument("--config", type=Path, help="JSON experiment config")
+CONFIG_FLAGS.add_argument("--task", choices=["classification", "detection"])
+CONFIG_FLAGS.add_argument("--out", dest="out_dir")
+CONFIG_FLAGS.add_argument("--seed", type=int)
+CONFIG_FLAGS.add_argument("--methods", nargs="+")
+CONFIG_FLAGS.add_argument("--drop-rates", nargs="+", type=float)
+CONFIG_FLAGS.add_argument("--ts", dest="Ts", nargs="+", type=int)
+CONFIG_FLAGS.add_argument("--conf-thresholds", nargs="+", type=float)
+CONFIG_FLAGS.add_argument("--presets", dest="adapted_presets", nargs="+")
+CONFIG_FLAGS.add_argument("--epochs", type=int)
+CONFIG_FLAGS.add_argument("--learning-rate", type=float)
+CONFIG_FLAGS.add_argument("--weight-decay", type=float)
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-    for name in ("task", "out_dir", "seed", "methods", "drop_rates", "Ts",
-                 "conf_thresholds", "adapted_presets"):
-        value = getattr(args, name, None)
-        if value is not None:
-            raw[name] = value
-    train_flags = {name: getattr(args, name) for name in
-                   ("epochs", "learning_rate", "weight_decay")
-                   if getattr(args, name, None) is not None}
-    if train_flags:
-        # the flags override single keys of the config's train block, or
-        # of the default one when the config has none
-        raw["train"] = {**raw.get("train", DEFAULT_TRAIN), **train_flags}
+    flags = vars(args)
+    raw = json.loads(flags["config"].read_text()) if "config" in flags else {}
+    check_keys("config", raw)
+    fields = ExperimentConfig.__dataclass_fields__
+    raw.update({name: v for name, v in flags.items() if name in fields})
+    train = {name: v for name, v in flags.items() if name in DEFAULT_TRAIN}
+    if train:  # over the file's train block, or else the default one
+        check_keys("train", raw.setdefault("train", DEFAULT_TRAIN))
+        raw["train"] = {**raw["train"], **train}
     return ExperimentConfig.from_dict(raw)
 
 
@@ -77,20 +75,20 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--params", default="{}",
                    help="generator parameters as JSON, e.g. '{\"n\": 400}'")
 
-    p = sub.add_parser("train", help="train one model cell and checkpoint it")
-    _add_config_flags(p)
+    p = sub.add_parser("train", parents=[CONFIG_FLAGS],
+                       help="train one model cell and checkpoint it")
     p.add_argument("--checkpoint", type=Path,
                    help="checkpoint path (default <out>/model.json)")
 
-    p = sub.add_parser("eval", help="evaluate one grid point on a checkpoint")
-    _add_config_flags(p)
+    p = sub.add_parser("eval", parents=[CONFIG_FLAGS],
+                       help="evaluate one grid point on a checkpoint")
     p.add_argument("--checkpoint", type=Path, help="classification only")
 
-    p = sub.add_parser("sweep", help="run the full hyperparameter sweep")
-    _add_config_flags(p)
+    sub.add_parser("sweep", parents=[CONFIG_FLAGS],
+                   help="run the full hyperparameter sweep")
 
-    p = sub.add_parser("shift", help="evaluate across the corruption ladder")
-    _add_config_flags(p)
+    p = sub.add_parser("shift", parents=[CONFIG_FLAGS],
+                       help="evaluate across the corruption ladder")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--max-noise", dest="max_noise", type=float, default=1.2)
 

@@ -169,6 +169,7 @@ def _dataset_parts(cfg: ExperimentConfig
                    ) -> tuple[str, dict, NoiseSpec | None]:
     """The dataset kind, its generator parameters and, for detection, the
     synthetic detector's noise; raises ``ValueError`` naming a bad key."""
+    check_keys("dataset", cfg.dataset)
     ds = dict(cfg.dataset)
     kinds = TASK_DATASETS[cfg.task]
     kind = choice("dataset: kind", ds.pop("kind", kinds[0]), kinds)
@@ -309,6 +310,7 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
     wrong = []
     for section, want in expected.items():
         stored = echo.get(section, want)
+        check_keys(f"checkpoint config.{section}", stored)
         wrong += [f"{section}.{key} is {stored.get(key)!r}, expected {value!r}"
                   for key, value in want.items() if stored.get(key) != value]
     if echo.get("method", point.method) != point.method:

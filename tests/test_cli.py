@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from mcuq import files
-from mcuq.cli import main
+from mcuq import cli, files
+from mcuq.cli import CONFIG_FLAGS, main
 from mcuq.harness import ExperimentConfig, first_point, rerun_row
 
 
@@ -98,6 +98,22 @@ class TestSweepCommand:
         assert echoed == {"learning_rate": 0.05, "weight_decay": 0.0,
                           "epochs": 8, "batch_size": 32}
 
+    def test_list_config_is_refused_before_a_flag_merges(self, tmp_path,
+                                                         capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["sweep", "--config", str(cfg_path), "--ts", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config: [1, 2] is not a mapping\n")
+
+    def test_list_train_block_is_refused_before_a_train_flag_merges(
+            self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, train=[1])
+        assert main(["sweep", "--config", str(cfg_path), "--epochs", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: train: [1] is not a mapping\n")
+        assert not (tmp_path / "out").exists()
+
     def test_partial_failure_exits_two(self, tmp_path):
         cfg_path = write_config(
             tmp_path, task="detection",
@@ -119,6 +135,48 @@ class TestSweepCommand:
             conf_thresholds=[0.999])
         rc = main(["sweep", "--config", str(cfg_path)])
         assert rc == 1
+
+
+# Each flag of the parent parser: its arguments, the config field or train
+# key it sets, and the value that must reach the built config.  "--config"
+# is given in every case; its own case checks the file's seed.
+FLAG_VALUES = {
+    "--config": ([], "seed", 5),
+    "--task": (["detection"], "task", "detection"),
+    "--out": (["elsewhere"], "out_dir", "elsewhere"),
+    "--seed": (["7"], "seed", 7),
+    "--methods": (["MCD", "MCDB"], "methods", ["MCD", "MCDB"]),
+    "--drop-rates": (["0.2", "0.3"], "drop_rates", [0.2, 0.3]),
+    "--ts": (["2", "4"], "Ts", [2, 4]),
+    "--conf-thresholds": (["0.1", "0.5"], "conf_thresholds", [0.1, 0.5]),
+    "--presets": (["single-last"], "adapted_presets", ["single-last"]),
+    "--epochs": (["3"], "epochs", 3),
+    "--learning-rate": (["0.02"], "learning_rate", 0.02),
+    "--weight-decay": (["0.0"], "weight_decay", 0.0),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "shift"])
+@pytest.mark.parametrize("flag", [action.option_strings[0]
+                                  for action in CONFIG_FLAGS._actions])
+def test_every_config_flag_reaches_the_config(tmp_path, monkeypatch,
+                                              command, flag):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"dataset": {}, "seed": 5}))
+    values, name, want = FLAG_VALUES[flag]
+    argv = [command, "--config", str(cfg_path)]
+    if flag != "--config":
+        argv += [flag, *values]
+    parsed = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(args))
+    main(argv)
+    cfg = cli._build_config(parsed[0])
+    got = cfg.train[name] if name in cfg.train else getattr(cfg, name)
+    assert got == want
+    # the value differs from the default, so a dropped flag fails
+    default = ExperimentConfig(dataset={})
+    assert got != (default.train[name] if name in default.train
+                   else getattr(default, name))
 
 
 def rerun_line(cfg_path):
@@ -208,6 +266,21 @@ class TestTrainEval:
         assert main(["eval", "--config", str(wider),
                      "--checkpoint", str(ckpt)]) == 1
         assert "arch.width is 10, expected 12" in capsys.readouterr().err
+
+    def test_eval_refuses_an_echoed_section_that_is_not_a_mapping(
+            self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+        payload = json.loads(ckpt.read_text())
+        payload["config"]["stochastic"] = ["x"]
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint config.stochastic: ['x'] is not a mapping\n")
 
     def test_classification_eval_needs_checkpoint(self, tmp_path, capsys):
         assert main(["eval", "--config", str(write_config(tmp_path))]) == 1

@@ -164,6 +164,10 @@ class TestConfig:
         ("conf_thresholds", [], "[] is not a non-empty list"),
         ("methods", {"MCSD": 1}, "{'MCSD': 1} is not a non-empty list"),
         ("out_dir", 5, "5 is not a string"),
+        ("dataset", 5, "5 is not a mapping"),
+        ("dataset", "abc", "'abc' is not a mapping"),
+        ("dataset", [["kind", "blobs-classification"], ["n", 50]],
+         "[['kind', 'blobs-classification'], ['n', 50]] is not a mapping"),
     ])
     def test_bad_grid_value_rejected_at_load(self, tmp_path, field, value, bad):
         with pytest.raises(ValueError) as err:
