@@ -8,17 +8,16 @@ Exit codes: 0 success, 1 hard failure, 2 partial sweep failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .datasets import DATASET_KINDS, ShiftSpec, make_dataset
-from .fields import check_keys
+from .fields import check_keys, parse_json
 from .harness import (
     DEFAULT_TRAIN,
     ExperimentConfig,
+    cell_evaluator,
     check_checkpoint,
-    evaluate_point,
     first_point,
     load_task_data,
     run_shift,
@@ -51,7 +50,8 @@ CONFIG_FLAGS.add_argument("--weight-decay", type=float)
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = vars(args)
-    raw = json.loads(flags["config"].read_text()) if "config" in flags else {}
+    path = flags.get("config")
+    raw = parse_json(f"config {path}", path.read_text()) if path else {}
     check_keys("config", raw)
     fields = ExperimentConfig.__dataclass_fields__
     raw.update({name: v for name, v in flags.items() if name in fields})
@@ -106,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "make-data":
-        files = make_dataset(args.kind, json.loads(args.params), args.seed,
-                             args.out)
+        files = make_dataset(args.kind, parse_json("--params", args.params),
+                             args.seed, args.out)
         for f in files:
             print(f)
         return 0
@@ -145,7 +145,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if cfg.task == "classification":
             net, echo = load_checkpoint(args.checkpoint)
             check_checkpoint(cfg, data, point, echo)
-        report, _ = evaluate_point(cfg, net, data, point)
+        report, _ = cell_evaluator(cfg, data, net, point.method,
+                                   point.drop_rate, point.adapted_blocks,
+                                   [point.T])(point.T, point.conf_threshold)
         print(f"performance={report.map_50_95:.4f} brier={report.brier:.4f} "
               f"ece={report.ece:.4f} auarc={report.auarc:.4f} "
               f"mean_entropy={report.mean_entropy:.4f}")

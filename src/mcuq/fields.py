@@ -1,11 +1,12 @@
-"""Boundary checks for config and spec fields: one rule each for a number,
-a choice and a mapping's keys.  A rejection is a ``ValueError`` naming the
-field, the bad value and what the field accepts; ``name`` is printed just
+"""Boundary checks for config and spec fields: one rule each for a number, a
+choice, a mapping's keys and JSON text.  A rejection is a ``ValueError`` naming
+the field, the bad value and what the field accepts; ``name`` is printed just
 before the value, as a key (``"epochs"``), a section and key (``"dataset:
 spread"``) or a top-level config field with a colon (``"Ts:"``)."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -58,3 +59,11 @@ def check_keys(name: str, d, allowed=None, required=()) -> None:
     for key in required:
         if key not in d:
             raise ValueError(f"{name}: missing key {key!r}")
+
+
+def parse_json(name: str, text: str):
+    """``text`` decoded as JSON; a decode error names ``name``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: {exc}") from None

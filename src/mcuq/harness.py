@@ -321,15 +321,16 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
                          + ", ".join(wrong))
 
 
-def _cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
-                    method: str, drop_rate: float, preset: str, Ts: list[int]):
-    """Build what one cell needs once; return ``evaluate(T, conf_threshold)
-    -> (report, predictions)`` over ``Ts``; the threshold only filters
-    detection observations.  The detector runs once, at ``max(Ts)``: pass t
-    draws from its own stream, so the passes with ``pass_index < T`` are
-    exactly a T-pass run.  One fusion walk cuts every T's prefix, and each
-    T's ``threshold_scorer`` is built the first time that T is evaluated.
-    A detector error, like a fusion error, is raised by each T it fails."""
+def cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
+                   method: str, drop_rate: float, preset: str, Ts: list[int]):
+    """Build what one cell needs once; return ``evaluate(T, conf_threshold) ->
+    (report, predictions)`` over ``Ts``; the threshold only filters detection
+    observations.  ``data`` is what ``load_task_data`` returns; ``net`` is None
+    for detection.  The detector runs once, at ``max(Ts)``: pass t draws from
+    its own stream, so the passes with ``pass_index < T`` are exactly a T-pass
+    run.  One fusion walk cuts every T's prefix, and each T's
+    ``threshold_scorer`` is built the first time that T is evaluated.  A
+    detector or fusion error is raised by each T it fails."""
     tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
@@ -382,18 +383,6 @@ def first_point(cfg: ExperimentConfig) -> ConfigPoint:
                        adapted_blocks=cfg.adapted_presets[0])
 
 
-def evaluate_point(cfg: ExperimentConfig, net: ResidualNet | None, data,
-                   point: ConfigPoint
-                   ) -> tuple[EvalReport, list[ScoredPrediction]]:
-    """Metrics for one grid point on an already trained net (unused by the
-    synthetic detector, so None there).  ``data`` is what
-    ``load_task_data`` returns.  A detection point draws and fuses its own
-    T passes."""
-    evaluate = _cell_evaluator(cfg, data, net, point.method, point.drop_rate,
-                               point.adapted_blocks, [point.T])
-    return evaluate(point.T, point.conf_threshold)
-
-
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Full grid sweep.
 
@@ -441,8 +430,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             except Exception as exc:
                 failures.append((cell_name, str(exc)))
                 continue
-        evaluate = _cell_evaluator(cfg, data, net, method, drop_rate, preset,
-                                   cfg.Ts)
+        evaluate = cell_evaluator(cfg, data, net, method, drop_rate, preset,
+                                  cfg.Ts)
         for T, conf_threshold in product(cfg.Ts, cfg.conf_thresholds):
             point = ConfigPoint(method=method, drop_rate=drop_rate, T=T,
                                 conf_threshold=conf_threshold,
@@ -467,16 +456,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                        last_predictions=last_preds)
 
 
-def rerun_row(cfg: ExperimentConfig, point: ConfigPoint) -> EvalReport:
-    """Re-run a single emitted row standalone; training and evaluation use
-    the same derived seeds, so the metrics reproduce exactly."""
-    data = load_task_data(cfg)
-    net = None
-    if cfg.task == "classification":
-        net, _, _ = train_cell(cfg, point, data)
-    return evaluate_point(cfg, net, data, point)[0]
-
-
 def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
               ) -> list[tuple[str, float, float]]:
     """Evaluate one trained model across the corruption ladder.
@@ -499,8 +478,10 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
         Xc = corrupt(X, labels, level, seed=noise_seed)
         # the same eval substream as the sweep, so the zero-corruption level
         # reproduces the in-distribution report exactly
-        report, _ = evaluate_point(cfg, net, (data[0], (Xc, labels), data[2]),
-                                   point)
+        evaluate = cell_evaluator(cfg, (data[0], (Xc, labels), data[2]), net,
+                                  point.method, point.drop_rate,
+                                  point.adapted_blocks, [point.T])
+        report, _ = evaluate(point.T, point.conf_threshold)
         rows.append((level.name, report.map_50_95, report.mean_entropy))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -249,12 +249,18 @@ def save_reports(points: list[tuple[ConfigPoint, EvalReport]],
 
 
 def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
-    """Rows of a reports CSV.  A missing, unparsable or non-finite cell
-    raises ValueError naming the column, the data row (from 1) and the
-    value."""
+    """Rows of a reports CSV.  A ValueError names the path and the missing
+    columns of a header that lacks a report column, and the column, the data
+    row (from 1) and the value of a missing, unparsable or non-finite cell."""
     points = []
     with open(path, newline="") as f:
-        for n, row in enumerate(csv.DictReader(f), start=1):
+        reader = csv.DictReader(f)
+        missing = [name for name in REPORT_COLUMNS
+                   if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: header lacks the report columns "
+                             f"{missing}")
+        for n, row in enumerate(reader, start=1):
             values = {}
             for name, convert in REPORT_COLUMNS.items():
                 raw = row.get(name)

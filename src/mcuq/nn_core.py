@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import check_keys, choice, number
+from .fields import check_keys, choice, number, parse_json
 from .files import atomic_write, write_csv
 from .rng import substream, substream_words, words_stream
 from .stochastic import (
@@ -569,7 +569,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
     the shape ``arch`` implies; every value must be a finite number.
     Errors name the offending section, key or parameter id.
     """
-    payload = json.loads(Path(path).read_text())
+    payload = parse_json(f"checkpoint {path}", Path(path).read_text())
     check_keys("checkpoint", payload, required=("shapes", "data", "config"))
     check_keys("checkpoint config", payload["config"], required=("arch",))
     arch = payload["config"]["arch"]

@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mcuq import cli, files
 from mcuq.cli import CONFIG_FLAGS, main
-from mcuq.harness import ExperimentConfig, first_point, rerun_row
+from mcuq.harness import ExperimentConfig, first_point, run_sweep
+from mcuq.metrics import REPORT_COLUMNS, save_reports
 
 
 def write_config(tmp_path, drop=(), **overrides):
@@ -43,6 +45,15 @@ class TestMakeData:
         rc = main(["make-data", "--kind", "blobs-classification",
                    "--out", str(tmp_path / "d"), "--params", '{"bogus": 1}'])
         assert rc == 1
+
+    def test_params_that_are_not_json_are_named(self, tmp_path, capsys):
+        rc = main(["make-data", "--kind", "blobs-classification",
+                   "--out", str(tmp_path / "d"), "--params", "{"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --params: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)\n")
+        assert not (tmp_path / "d").exists()
 
     def test_empty_or_negative_count_fails(self, tmp_path, capsys):
         for n in (0, -5):
@@ -105,6 +116,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg_path), "--ts", "2"]) == 1
         assert capsys.readouterr().err == (
             "error: config: [1, 2] is not a mapping\n")
+
+    def test_truncated_config_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text('{"Ts": [2')
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {cfg_path}: Expecting ',' delimiter: "
+            "line 1 column 10 (char 9)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_list_train_block_is_refused_before_a_train_flag_merges(
             self, tmp_path, capsys):
@@ -180,9 +200,17 @@ def test_every_config_flag_reaches_the_config(tmp_path, monkeypatch,
 
 
 def rerun_line(cfg_path):
-    """What ``mcuq eval`` prints for the config's first grid point."""
+    """What ``mcuq eval`` prints for the config's first grid point: that
+    point's row in a one-point sweep into a fresh directory."""
     cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
-    report = rerun_row(cfg, first_point(cfg))
+    point = first_point(cfg)
+    result = run_sweep(replace(
+        cfg, methods=[point.method], drop_rates=[point.drop_rate],
+        Ts=[point.T], conf_thresholds=[point.conf_threshold],
+        adapted_presets=[point.adapted_blocks],
+        out_dir=str(cfg_path.parent / "rerun")))
+    (row_point, report), = result.points
+    assert row_point == point
     return (f"performance={report.map_50_95:.4f} brier={report.brier:.4f} "
             f"ece={report.ece:.4f} auarc={report.auarc:.4f} "
             f"mean_entropy={report.mean_entropy:.4f}")
@@ -282,6 +310,20 @@ class TestTrainEval:
         assert capsys.readouterr().err == (
             "error: checkpoint config.stochastic: ['x'] is not a mapping\n")
 
+    def test_eval_names_a_truncated_checkpoint(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+        ckpt.write_text(ckpt.read_text()[:11])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == (f"error: checkpoint {ckpt}: Expecting value: "
+                           "line 1 column 12 (char 11)\n")
+
     def test_classification_eval_needs_checkpoint(self, tmp_path, capsys):
         assert main(["eval", "--config", str(write_config(tmp_path))]) == 1
         assert "--checkpoint" in capsys.readouterr().err
@@ -359,6 +401,19 @@ class TestSelectCommand:
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["select", "--reports", str(tmp_path / "nope.csv")]) == 1
+
+    def test_header_alone_is_an_empty_report_file(self, tmp_path, capsys):
+        reports = tmp_path / "reports.csv"
+        save_reports([], reports)
+        assert main(["select", "--reports", str(reports)]) == 1
+        assert capsys.readouterr().err == "error: empty report file\n"
+
+    def test_json_reports_are_refused_by_header(self, tmp_path, capsys):
+        reports = write_config(tmp_path)  # one line of JSON, not a CSV
+        assert main(["select", "--reports", str(reports)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {reports}: header lacks the report columns "
+            f"{list(REPORT_COLUMNS)}\n")
 
 
 def test_module_entry_point(tmp_path):

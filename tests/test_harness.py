@@ -15,7 +15,6 @@ from mcuq.files import atomic_write
 from mcuq.harness import (
     ExperimentConfig,
     emit_curves,
-    rerun_row,
     resolve_preset,
     run_shift,
     run_sweep,
@@ -68,6 +67,14 @@ def det_cfg(tmp_path, **overrides):
         out_dir=str(tmp_path / "det"), seed=9)
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def one_point_sweep(cfg, point, out_dir):
+    """The sweep of ``point`` alone, into ``out_dir``: a standalone row."""
+    return run_sweep(replace(
+        cfg, methods=[point.method], drop_rates=[point.drop_rate],
+        Ts=[point.T], conf_thresholds=[point.conf_threshold],
+        adapted_presets=[point.adapted_blocks], out_dir=str(out_dir)))
 
 
 class TestPresets:
@@ -274,8 +281,12 @@ class TestSweep:
                     det_cfg(tmp_path)):
             result = run_sweep(cfg)
             assert result.failures == [] and len(result.points) >= 4
-            for point, report in result.points:
-                assert vars(rerun_row(cfg, point)) == vars(report)
+            for n, (point, report) in enumerate(result.points):
+                again = one_point_sweep(cfg, point,
+                                        tmp_path / f"{cfg.task}{n}")
+                assert again.failures == []
+                assert [(vars(p), vars(r)) for p, r in again.points] == [
+                    (vars(point), vars(report))]
 
     def test_failures_recorded_without_aborting(self, tmp_path):
         # a confidence threshold above every cluster confidence leaves
@@ -382,12 +393,13 @@ class TestSweep:
             for c in (0.0, 0.5)]
         assert {p.T for p, _ in result.points} == {2}
         assert len(result.points) == 4
-        # the per-T path, fusing a T's prefix on its own, fails the same way
-        for point in (replace(result.points[0][0], T=T) for T in (4, 6)):
-            message = dict(result.failures)[
-                f"MCD/rate=0.05/blocks=all/T={point.T}/conf=0.0"]
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                rerun_row(cfg, point)
+        # a one-point sweep, fusing its T on its own, fails the same way
+        for T in (4, 6):
+            name = f"MCD/rate=0.05/blocks=all/T={T}/conf=0.0"
+            again = one_point_sweep(cfg, replace(result.points[0][0], T=T),
+                                    tmp_path / f"T{T}")
+            assert again.points == []
+            assert again.failures == [(name, dict(result.failures)[name])]
 
 
 class TestDetectionSweep:
@@ -435,9 +447,11 @@ class TestDetectionSweep:
         assert result.failures == []
         assert len(result.points) == 12
         assert len(calls) == 2  # one walk per drop rate, cut at T = 4 and 8
-        # each row equals its standalone rerun, which walks its own single T
-        for point, report in result.points:
-            again = rerun_row(cfg, point)
+        # each row equals its one-point sweep, which walks its own single T
+        for n, (point, report) in enumerate(result.points):
+            (again_point, again), = one_point_sweep(
+                cfg, point, tmp_path / f"row{n}").points
+            assert again_point == point
             for name in ("map_50_95", "brier", "ece", "auarc", "mean_entropy"):
                 assert getattr(again, name) == getattr(report, name)
 
@@ -578,7 +592,8 @@ def write_shift(out, monkeypatch):
     # fixed metrics per level, so the bytes pin the writer, not training
     report = EvalReport(0.75, 0.125, 0.0625, 0.5, 0.25)
     monkeypatch.setattr(harness, "train_cell", lambda *a: (None, None, None))
-    monkeypatch.setattr(harness, "evaluate_point", lambda *a: (report, []))
+    monkeypatch.setattr(harness, "cell_evaluator",
+                        lambda *a: lambda T, conf_threshold: (report, []))
     cfg = ExperimentConfig(dataset={"kind": "blobs-classification", "n": 10},
                            out_dir=str(out))
     run_shift(cfg, ShiftSpec.default_ladder(n_levels=2))

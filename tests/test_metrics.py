@@ -516,6 +516,28 @@ class TestReportCsv:
         assert header == ("method,drop_rate,T,conf_threshold,adapted_blocks,"
                           "map_50_95,brier,ece,auarc,mean_entropy")
 
+    @pytest.mark.parametrize("text,missing", [
+        ('{"Ts": [2], "seed": 3}\n', None),
+        ("method,T,score\nMCD,5,0.5\n",
+         ["drop_rate", "conf_threshold", "adapted_blocks", "map_50_95",
+          "brier", "ece", "auarc", "mean_entropy"]),
+        ("", None)], ids=["json", "another-header", "empty-file"])
+    def test_header_without_the_report_columns_is_refused(self, tmp_path,
+                                                           text, missing):
+        missing = missing or list(REPORT_COLUMNS)
+        path = tmp_path / "reports.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_reports(path)
+        assert str(err.value) == (f"{path}: header lacks the report columns "
+                                  f"{missing}")
+
+    def test_header_alone_has_no_rows(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        save_reports([], path)
+        assert path.read_text() == ",".join(REPORT_COLUMNS) + "\n"
+        assert load_reports(path) == []
+
     @pytest.mark.parametrize("column,cell,shown", [
         ("T", "x5", "'x5'"), ("drop_rate", "", "''"), ("ece", None, "None"),
         ("auarc", "nan", "'nan'"), ("drop_rate", "inf", "'inf'"),
@@ -528,17 +550,14 @@ class TestReportCsv:
         save_reports(pts, path)
         lines = path.read_text().splitlines()
         k = lines[0].split(",").index(column)
-        if cell is None:  # drop the whole column
-            lines = [",".join(c for i, c in enumerate(line.split(","))
-                              if i != k) for line in lines]
-            row = 1
+        fields = lines[2].split(",")
+        if cell is None:  # a short row: its cells from the column on are gone
+            fields = fields[:k]
         else:
-            fields = lines[2].split(",")
             fields[k] = cell
-            lines[2] = ",".join(fields)
-            row = 2
+        lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
             load_reports(path)
-        assert f"data row {row}, column {column!r}: bad value {shown}" \
+        assert f"data row 2, column {column!r}: bad value {shown}" \
             in str(err.value)
