@@ -51,7 +51,7 @@ CONFIG_FLAGS.add_argument("--weight-decay", type=float)
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = vars(args)
     path = flags.get("config")
-    raw = parse_json(f"config {path}", path.read_text()) if path else {}
+    raw = parse_json(f"config {path}", path.read_bytes()) if path else {}
     check_keys("config", raw)
     fields = ExperimentConfig.__dataclass_fields__
     raw.update({name: v for name, v in flags.items() if name in fields})

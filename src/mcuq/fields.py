@@ -61,9 +61,10 @@ def check_keys(name: str, d, allowed=None, required=()) -> None:
             raise ValueError(f"{name}: missing key {key!r}")
 
 
-def parse_json(name: str, text: str):
-    """``text`` decoded as JSON; a decode error names ``name``."""
+def parse_json(name: str, text: str | bytes):
+    """``text``, or UTF-8, -16 or -32 bytes, as JSON; an error names
+    ``name``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON or a Unicode decode error
         raise ValueError(f"{name}: {exc}") from None

@@ -51,7 +51,9 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     for t in range(T):
         masks = sample_mask(spec, net.width, batch, pass_stream(base_seed, t))
         try:
-            logits[t] = forward(net, x, masks=masks)
+            if t == 0:  # the deterministic prefix all passes share, once
+                prefix = nn_core.forward_prefix(net, x, masks)
+            logits[t] = forward(net, x, masks=masks, prefix=prefix)
         except Exception as exc:
             raise RuntimeError(f"MC pass {t} failed: {exc}") from exc
     return logits

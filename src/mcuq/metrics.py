@@ -7,6 +7,7 @@ All functions here are pure and operate on immutable inputs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,30 +250,36 @@ def save_reports(points: list[tuple[ConfigPoint, EvalReport]],
 
 
 def load_reports(path: str | Path) -> list[tuple[ConfigPoint, EvalReport]]:
-    """Rows of a reports CSV.  A ValueError names the path and the missing
-    columns of a header that lacks a report column, and the column, the data
-    row (from 1) and the value of a missing, unparsable or non-finite cell."""
+    """Rows of a reports CSV.  A ValueError names the path and the bytes
+    that are not UTF-8, the columns a header lacks or repeats, or the
+    column, the data row (from 1) and the value of a missing, unparsable or
+    non-finite cell."""
     points = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [name for name in REPORT_COLUMNS
-                   if name not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: header lacks the report columns "
-                             f"{missing}")
-        for n, row in enumerate(reader, start=1):
-            values = {}
-            for name, convert in REPORT_COLUMNS.items():
-                raw = row.get(name)
-                try:
-                    if raw is None:
-                        raise ValueError
-                    values[name] = convert(raw)
-                    if convert is float and not math.isfinite(values[name]):
-                        raise ValueError
-                except ValueError:
-                    raise ValueError(f"{path}: data row {n}, column {name!r}: "
-                                     f"bad value {raw!r}") from None
-            cfg = {k: values.pop(k) for k in ConfigPoint.__dataclass_fields__}
-            points.append((ConfigPoint(**cfg), EvalReport(**values)))
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    missing = [name for name in REPORT_COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks the report columns {missing}")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{path}: header repeats the columns {repeated}")
+    for n, row in enumerate(reader, start=1):
+        values = {}
+        for name, convert in REPORT_COLUMNS.items():
+            raw = row.get(name)
+            try:
+                if raw is None:
+                    raise ValueError
+                values[name] = convert(raw)
+                if convert is float and not math.isfinite(values[name]):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: data row {n}, column {name!r}: "
+                                 f"bad value {raw!r}") from None
+        cfg = {k: values.pop(k) for k in ConfigPoint.__dataclass_fields__}
+        points.append((ConfigPoint(**cfg), EvalReport(**values)))
     return points

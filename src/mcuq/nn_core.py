@@ -214,33 +214,52 @@ def _block_mults(net: ResidualNet, masks: MaskSample | None,
     return mults
 
 
-def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list):
+def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
+                    start: tuple | None = None, stop: bool = False):
     """Forward pass of one net (x [B, in]) or of K stacked nets (x
     [K, B, in]) under each block's multipliers; the cache keeps what the
-    backward pass reads."""
+    backward pass reads.  With ``stop`` it returns instead the state before
+    the first multiplier, ``(l, h, part)``: block l (0-based; n_blocks at
+    the head), its input h, and its activation if a unit multiplier
+    follows, else its branch; ``start`` resumes a pass from that state."""
     # Each array is computed in place once allocated, and never written
-    # after it enters the cache, whose arrays the backward pass reads.
+    # after it enters the cache, whose arrays the backward pass reads; nor
+    # is a start state's ``part``, which many passes share.
     # ``branch * row_mult + h`` rounds as ``h + row_mult * branch`` does:
     # IEEE addition and multiplication are commutative.
     cache = {"x": x, "blocks": []}
     (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
-    h = x @ stem_w.value
-    h += stem_b.value[..., None, :]
-    for (w1, b1, w2, b2), (unit_mult, row_mult) in zip(blocks, mults):
-        hidden = h @ w1.value
-        hidden += b1.value[..., None, :]
-        if net.activation == ACT_RELU:
-            np.maximum(hidden, 0.0, out=hidden)
+    first, h, part = start or (0, None, None)
+    if h is None:
+        h = x @ stem_w.value
+        h += stem_b.value[..., None, :]
+    for l in range(first, len(blocks)):
+        (w1, b1, w2, b2), (unit_mult, row_mult) = blocks[l], mults[l]
+        hidden, branch = (None, part) if unit_mult is None else (part, None)
+        if part is None:
+            hidden = h @ w1.value
+            hidden += b1.value[..., None, :]
+            if net.activation == ACT_RELU:
+                np.maximum(hidden, 0.0, out=hidden)
         if unit_mult is not None:
-            hidden *= unit_mult
-        branch = hidden @ w2.value
-        branch += b2.value[..., None, :]
+            if stop:
+                return l, h, hidden
+            hidden = np.multiply(hidden, unit_mult,
+                                 out=None if hidden is part else hidden)
+        if branch is None:
+            branch = hidden @ w2.value
+            branch += b2.value[..., None, :]
         if row_mult is not None:
-            branch *= row_mult
+            if stop:
+                return l, h, branch
+            branch = np.multiply(branch, row_mult,
+                                 out=None if branch is part else branch)
         branch += h
         cache["blocks"].append({"in": h, "hidden": hidden,
                                 "unit_mult": unit_mult, "row_mult": row_mult})
-        h = branch
+        h, part = branch, None
+    if stop:
+        return len(blocks), h, None
     logits = h @ head_w.value
     logits += head_b.value[..., None, :]
     cache["head_in"] = h
@@ -249,17 +268,27 @@ def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list):
 
 def forward(net: ResidualNet, x: np.ndarray,
             masks: MaskSample | None = None,
-            scale_spec: StochasticSpec | None = None) -> np.ndarray:
+            scale_spec: StochasticSpec | None = None,
+            prefix: tuple | None = None) -> np.ndarray:
     """Compute logits of shape [batch, n_classes].
 
     With ``masks`` the corresponding stochastic mechanism is applied to each
     adapted block; with neither argument the pass is fully deterministic.
     ``scale_spec`` applies the deterministic scaled rule for path drop.
+    A ``prefix`` from ``forward_prefix`` starts the pass where it ends.
     """
     x = check_input(net, x)
-    logits, _ = _forward_cached(net, x,
-                                _block_mults(net, masks, scale_spec, len(x)))
+    mults = _block_mults(net, masks, scale_spec, len(x))
+    logits, _ = _forward_cached(net, x, mults, prefix)
     return check_finite(logits, "logits")
+
+
+def forward_prefix(net: ResidualNet, x: np.ndarray, masks: MaskSample):
+    """``forward``'s ``prefix``: a pass under ``masks`` up to its first
+    multiplier, alike for every pass on ``x`` under masks like these."""
+    x = check_input(net, x)
+    return _forward_cached(net, x, _block_mults(net, masks, None, len(x)),
+                           stop=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -569,7 +598,7 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
     the shape ``arch`` implies; every value must be a finite number.
     Errors name the offending section, key or parameter id.
     """
-    payload = parse_json(f"checkpoint {path}", Path(path).read_text())
+    payload = parse_json(f"checkpoint {path}", Path(path).read_bytes())
     check_keys("checkpoint", payload, required=("shapes", "data", "config"))
     check_keys("checkpoint config", payload["config"], required=("arch",))
     arch = payload["config"]["arch"]

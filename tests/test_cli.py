@@ -126,6 +126,15 @@ class TestSweepCommand:
             "line 1 column 10 (char 9)\n")
         assert not (tmp_path / "out").exists()
 
+    def test_config_that_is_not_unicode_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bin.json"
+        cfg_path.write_bytes(b"\xff\xfe{")
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {cfg_path}: 'utf-16-le' codec can't decode "
+            "byte 0x7b in position 2: truncated data\n")
+        assert not (tmp_path / "out").exists()
+
     def test_list_train_block_is_refused_before_a_train_flag_merges(
             self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, train=[1])
@@ -324,6 +333,22 @@ class TestTrainEval:
         assert err.err == (f"error: checkpoint {ckpt}: Expecting value: "
                            "line 1 column 12 (char 11)\n")
 
+    def test_eval_names_a_checkpoint_that_is_not_utf8(self, tmp_path,
+                                                      capsys):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+        ckpt.write_bytes(ckpt.read_bytes()[:11] + b"\xff")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == (f"error: checkpoint {ckpt}: 'utf-8' codec can't "
+                           "decode byte 0xff in position 11: invalid start "
+                           "byte\n")
+
     def test_classification_eval_needs_checkpoint(self, tmp_path, capsys):
         assert main(["eval", "--config", str(write_config(tmp_path))]) == 1
         assert "--checkpoint" in capsys.readouterr().err
@@ -414,6 +439,27 @@ class TestSelectCommand:
         assert capsys.readouterr().err == (
             f"error: {reports}: header lacks the report columns "
             f"{list(REPORT_COLUMNS)}\n")
+
+    def test_repeated_column_is_refused(self, tmp_path, capsys):
+        # the trailing method cell says MCSD, the row's first one MCD
+        reports = tmp_path / "reports.csv"
+        reports.write_text(
+            "method,drop_rate,T,conf_threshold,adapted_blocks,"
+            "map_50_95,brier,ece,auarc,mean_entropy,method\n"
+            "MCD,0.2,20,0.15,all,0.505,0.0,0.0,0.668,0.0,MCSD\n")
+        assert main(["select", "--reports", str(reports)]) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == (f"error: {reports}: header repeats the columns "
+                           "['method']\n")
+
+    def test_reports_that_are_not_utf8_are_named(self, tmp_path, capsys):
+        reports = tmp_path / "reports.csv"
+        reports.write_bytes(b"method\xff\n")
+        assert main(["select", "--reports", str(reports)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {reports}: 'utf-8' codec can't decode byte 0xff in "
+            "position 6: invalid start byte\n")
 
 
 def test_module_entry_point(tmp_path):

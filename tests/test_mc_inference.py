@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcuq.harness import PRESETS, resolve_preset
 from mcuq.mc_inference import (
     PredictiveSummary,
     deterministic_predict,
@@ -15,6 +16,7 @@ from mcuq.stochastic import (
     KIND_BLOCK,
     KIND_PATH,
     KIND_UNIT,
+    KINDS,
     MODE_MC,
     MODE_TRAINING,
     ShapeMismatchError,
@@ -96,6 +98,21 @@ class TestMcPredict:
             "MC pass 0 failed: non-finite values in logits"
         assert type(err.value.__cause__) is FloatingPointError
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflow_in_the_shared_prefix_fails_pass_0(self, small_net, x,
+                                                        kind):
+        # a stem scaled to overflow, in the prefix every pass shares
+        with pytest.raises(RuntimeError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            for p in small_net.parameters():
+                if p.id == "stem.w":
+                    p.value[...] *= 1e308
+            mc_forward_logits(small_net, x, mc_spec(kind, 0.2, {2}), T=3,
+                              base_seed=0)
+        assert str(err.value) == \
+            "MC pass 0 failed: non-finite values in logits"
+        assert type(err.value.__cause__) is FloatingPointError
+
     @pytest.mark.parametrize("bad_x", [np.ones((3, 5)), np.ones(2)],
                              ids=["wrong-width", "1-d"])
     def test_bad_input_is_rejected_before_any_pass(self, small_net, bad_x):
@@ -120,6 +137,41 @@ class TestMcPredict:
         target = forward(net, x)
         rel = np.abs(logits.mean(axis=0) - target) / np.abs(target)
         assert rel.max() < 0.01
+
+
+def loop_forward_logits(net, x, spec, T, base_seed):
+    """``mc_forward_logits`` as it was before the passes shared their
+    deterministic prefix: every pass a whole forward from the stem."""
+    return np.stack([
+        forward(net, x, masks=sample_mask(spec, net.width, len(x),
+                                          pass_stream(base_seed, t)))
+        for t in range(T)])
+
+
+class TestSharedPrefixMatchesLoopOracle:
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+    @pytest.mark.parametrize("preset", [*PRESETS, "none"])
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(KINDS),
+           activation=st.sampled_from(["relu", "identity"]),
+           output_mode=st.sampled_from(["softmax", "sigmoid"]),
+           rate=st.sampled_from([0.0, 0.3, 0.8]),
+           T=st.integers(1, 5), batch=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32))
+    def test_bit_identical_to_whole_passes(self, n_blocks, preset, kind,
+                                           activation, output_mode, rate,
+                                           T, batch, seed):
+        # "none" adapts no block: the prefix runs up to the head
+        blocks = set() if preset == "none" else resolve_preset(preset,
+                                                               n_blocks)
+        net = init_net(2, 6, n_blocks, 3, output_mode=output_mode,
+                       activation=activation, seed=seed)
+        spec = mc_spec(kind, rate, blocks, block_size=4)
+        x = substream(seed, "x").normal(size=(batch, 2))
+        logits = mc_forward_logits(net, x, spec, T=T, base_seed=seed)
+        expected = loop_forward_logits(net, x, spec, T, seed)
+        assert logits.shape == expected.shape
+        assert logits.tobytes() == expected.tobytes()
 
 
 def loop_softmax(logits):

@@ -532,6 +532,28 @@ class TestReportCsv:
         assert str(err.value) == (f"{path}: header lacks the report columns "
                                   f"{missing}")
 
+    def test_header_that_repeats_a_column_is_refused(self, tmp_path):
+        # csv.DictReader would read the row's last ``method`` cell, MCSD
+        path = tmp_path / "reports.csv"
+        save_reports([(ConfigPoint("MCD", 0.1, 5, 0.0, "all"),
+                       EvalReport(0.6, 0.2, 0.15, 0.7, 0.9))], path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header},method,T\n{row},MCSD,7\n")
+        with pytest.raises(ValueError) as err:
+            load_reports(path)
+        assert str(err.value) == \
+            f"{path}: header repeats the columns ['T', 'method']"
+
+    def test_bytes_that_are_not_utf8_are_named(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        save_reports([], path)
+        path.write_bytes(path.read_bytes() + b"MCD,\xff\n")
+        with pytest.raises(ValueError) as err:
+            load_reports(path)
+        assert str(err.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(','.join(REPORT_COLUMNS)) + 5}: invalid start byte")
+
     def test_header_alone_has_no_rows(self, tmp_path):
         path = tmp_path / "reports.csv"
         save_reports([], path)
