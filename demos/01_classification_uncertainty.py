@@ -4,14 +4,17 @@
 Trains a small residual MLP on noisy Gaussian blobs with residual path
 drop active, then compares two ways of predicting:
 
-* the standard deterministic pass, where each adapted block scales its
-  branch by the survival probability, and
+* the deterministic pass, with every branch active: training rescales a
+  kept branch by the inverse survival probability, so this is each
+  block's mean, and
 * Monte Carlo sampling, where the drop stays active and T stochastic
   passes are averaged.
 
-The sampled predictor is usually better calibrated (lower ECE and Brier)
-because averaging over sub-networks tempers the overconfidence a network
-picks up when it fits noisy labels.
+On this seed the single pass is the better calibrated one (lower ECE,
+Brier about equal) and the two rank their errors alike (AUARC).  Over
+the five seeds of acceptance criterion 7 the sampled predictor's mean
+ECE is lower (0.0788 against 0.0813): a small margin, not a rule for
+every split.
 """
 
 import numpy as np
@@ -48,8 +51,7 @@ summary = mc_predict(net, X[test_idx], spec.with_mode("mc-inference"), T=20,
                      base_seed=SEED + 1000)
 print("\nevaluating on 400 held-out points (15% of labels are flipped):")
 for name, probs in [
-    ("deterministic scaled pass",
-     deterministic_predict(net, X[test_idx], spec)),
+    ("deterministic pass", deterministic_predict(net, X[test_idx])),
     ("Monte Carlo, T=20 sampled passes", summary.mean_probs),
 ]:
     report, _ = classification_report(probs, y[test_idx], mode="softmax")

@@ -180,7 +180,20 @@ def _dataset_parts(cfg: ExperimentConfig
                                  for key, default in DETECTOR_NOISE.items()})
         except ValueError as exc:
             raise ValueError(f"dataset: {exc}") from None
-    return kind, dataset_params(kind, ds), noise
+    params = dataset_params(kind, ds)
+    if cfg.task == "detection" and params["n_classes"] == 1 \
+            and cfg.arch["output_mode"] == "softmax":
+        raise ValueError("dataset: n_classes 1 needs arch: output_mode "
+                         "sigmoid; a one-class softmax is constant")
+    n = params.get("n")  # classification only
+    if n is not None and not 0 < (n_test := _n_test(cfg, n)) < n:
+        raise ValueError(f"test_fraction: {cfg.test_fraction!r} splits n {n} "
+                         f"into {n_test} test and {n - n_test} training rows")
+    return kind, params, noise
+
+
+def _n_test(cfg: ExperimentConfig, n: int) -> int:
+    return int(round(cfg.test_fraction * n))
 
 
 def load_task_data(cfg: ExperimentConfig):
@@ -198,7 +211,7 @@ def load_task_data(cfg: ExperimentConfig):
         X, y = make_blobs(**params, seed=data_seed)
     n_classes = params.get("n_classes", 2)  # moons are two classes
     perm = substream(cfg.seed, "split").permutation(len(y))
-    n_test = int(round(cfg.test_fraction * len(y)))
+    n_test = _n_test(cfg, len(y))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     return (X[train_idx], y[train_idx]), (X[test_idx], y[test_idx]), n_classes
 

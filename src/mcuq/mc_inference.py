@@ -17,7 +17,7 @@ from . import nn_core
 from .fields import choice, number
 from .nn_core import MODE_SOFTMAX, ResidualNet, forward
 from .rng import pass_stream
-from .stochastic import KIND_PATH, MODE_MC, StochasticSpec, sample_mask
+from .stochastic import MODE_MC, StochasticSpec, sample_mask
 
 
 @dataclass
@@ -43,7 +43,7 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
     """Raw logits of T stochastic passes, shape [T, batch, C]."""
     number("T", T, 1, integer=True)
     choice("spec.mode", spec.mode, (MODE_MC,))
-    nn_core.check_blocks(net, "mask", spec.adapted_blocks)
+    nn_core.check_blocks(net, spec.adapted_blocks)
     x = nn_core.check_input(net, x)
     batch = x.shape[0]
 
@@ -72,13 +72,8 @@ def mc_predict(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
                              per_pass_probs=per_pass)
 
 
-def deterministic_predict(net: ResidualNet, x: np.ndarray,
-                          spec: StochasticSpec | None = None) -> np.ndarray:
-    """Single mask-free pass, no RNG consumed.
-
-    For path drop the adapted blocks use the scaled rule
-    (identity + p_keep * branch); unit and block drop are simply disabled
-    at inference, so the pass equals the raw forward.
-    """
-    path = spec is not None and spec.kind == KIND_PATH
-    return _probs(net, forward(net, x, scale_spec=spec if path else None))
+def deterministic_predict(net: ResidualNet, x: np.ndarray) -> np.ndarray:
+    """Single mask-free pass, no RNG consumed.  Every mechanism rescales
+    what it keeps (``stochastic.multipliers``), so one plain pass serves
+    them all."""
+    return _probs(net, forward(net, x))

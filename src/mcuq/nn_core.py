@@ -181,12 +181,12 @@ def init_net(in_dim: int, width: int, n_blocks: int, n_classes: int,
     return net
 
 
-def check_blocks(net: ResidualNet, what: str, blocks) -> None:
-    """Reject a 1-based block index outside ``net``, naming ``what``."""
+def check_blocks(net: ResidualNet, blocks) -> None:
+    """Reject a mask's 1-based block index outside ``net``."""
     for l in sorted(blocks):
         if not 1 <= l <= net.n_blocks:
             raise ShapeMismatchError(
-                f"{what} refers to block {l} outside [1..{net.n_blocks}]",
+                f"mask refers to block {l} outside [1..{net.n_blocks}]",
                 block_index=l)
 
 
@@ -199,14 +199,11 @@ def check_input(net: ResidualNet, x) -> np.ndarray:
 
 
 def _block_mults(net: ResidualNet, masks: MaskSample | None,
-                 scale_spec: StochasticSpec | None, batch: int) -> list:
-    """Each block's ``[unit_mult, row_mult]``, None where nothing
-    multiplies: the masks' multipliers, else path drop's scaled rule."""
-    check_blocks(net, "mask", () if masks is None else masks.blocks)
-    scaled = () if scale_spec is None else scale_spec.adapted_blocks
-    check_blocks(net, "scale_spec", scaled)
-    mults = [[None, scale_spec.keep_prob if l in scaled else None]
-             for l in range(1, net.n_blocks + 1)]
+                 batch: int) -> list:
+    """Each block's ``[unit_mult, row_mult]`` under ``masks``, None where
+    nothing multiplies."""
+    check_blocks(net, () if masks is None else masks.blocks)
+    mults = [[None, None] for _ in range(net.n_blocks)]
     for j, mult in enumerate(() if masks is None else
                              multipliers(masks, net.width, batch)):
         for l, row in zip(masks.blocks, () if mult is None else mult):
@@ -268,17 +265,15 @@ def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
 
 def forward(net: ResidualNet, x: np.ndarray,
             masks: MaskSample | None = None,
-            scale_spec: StochasticSpec | None = None,
             prefix: tuple | None = None) -> np.ndarray:
     """Compute logits of shape [batch, n_classes].
 
     With ``masks`` the corresponding stochastic mechanism is applied to each
-    adapted block; with neither argument the pass is fully deterministic.
-    ``scale_spec`` applies the deterministic scaled rule for path drop.
-    A ``prefix`` from ``forward_prefix`` starts the pass where it ends.
+    adapted block; without, the pass is fully deterministic.  A ``prefix``
+    from ``forward_prefix`` starts the pass where it ends.
     """
     x = check_input(net, x)
-    mults = _block_mults(net, masks, scale_spec, len(x))
+    mults = _block_mults(net, masks, len(x))
     logits, _ = _forward_cached(net, x, mults, prefix)
     return check_finite(logits, "logits")
 
@@ -287,7 +282,7 @@ def forward_prefix(net: ResidualNet, x: np.ndarray, masks: MaskSample):
     """``forward``'s ``prefix``: a pass under ``masks`` up to its first
     multiplier, alike for every pass on ``x`` under masks like these."""
     x = check_input(net, x)
-    return _forward_cached(net, x, _block_mults(net, masks, None, len(x)),
+    return _forward_cached(net, x, _block_mults(net, masks, len(x)),
                            stop=True)
 
 
@@ -436,7 +431,7 @@ def backward(net: ResidualNet, x: np.ndarray, targets, weight_decay: float,
     views keyed by parameter id.  Deterministic given masks and inputs."""
     y = _check_targets(targets, len(x), net.n_classes, net.output_mode)
     x = check_input(net, x)
-    mults = _block_mults(net, masks, None, len(x))
+    mults = _block_mults(net, masks, len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         total, logits = _loss_and_grads(net, x, y, weight_decay, mults)
     if error := _step_error(net, logits, total):
@@ -544,7 +539,7 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
                             specs[k], arch.width, rows,
                             words_stream(words[k][epoch % span, bi]))
                         if epoch == bi == 0:  # once, after the draw
-                            check_blocks(arch, "mask", masks.blocks)
+                            check_blocks(arch, masks.blocks)
                         # a net's multipliers for all its blocks, one write
                         for buf, mult in zip((units, row_mults), multipliers(
                                 masks, arch.width, rows)):

@@ -67,10 +67,6 @@ class StochasticSpec:
             int(number("adapted_blocks", b, 1, integer=True))
             for b in self.adapted_blocks)
 
-    @property
-    def keep_prob(self) -> float:
-        return 1.0 - self.drop_rate
-
     def with_mode(self, mode: str) -> "StochasticSpec":
         return replace(self, mode=mode)
 
@@ -116,7 +112,7 @@ def sample_mask(spec: StochasticSpec, hidden_width: int, batch_size: int,
     Block-drop samples that would drop every span are rejected and redrawn
     (at most 100 times) so the count-based rescale is always defined.
     """
-    keep, blocks = spec.keep_prob, tuple(sorted(spec.adapted_blocks))
+    keep, blocks = 1.0 - spec.drop_rate, tuple(sorted(spec.adapted_blocks))
     if spec.kind != KIND_BLOCK:
         size = hidden_width if spec.kind == KIND_UNIT else batch_size
         draws = (rng.random((len(blocks), size)) < keep).astype(np.float64)

@@ -272,7 +272,7 @@ def calibration_run(seed):
                     base_seed=seed + 1000)
     mc_rep, _ = classification_report(mc.mean_probs, y[te], "softmax")
     det_rep, _ = classification_report(
-        deterministic_predict(net, X[te], CALIB_SPEC), y[te], "softmax")
+        deterministic_predict(net, X[te]), y[te], "softmax")
     return mc_rep, det_rep
 
 

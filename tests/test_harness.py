@@ -121,6 +121,10 @@ class TestConfig:
         ("ece_bins", 10.0, "10.0"),
         ("test_fraction", 0.0, "0.0"),
         ("test_fraction", 1.0, "1.0"),
+        ("test_fraction", 0.999,
+         "0.999 splits n 240 into 240 test and 0 training rows"),
+        ("test_fraction", 0.001,
+         "0.001 splits n 240 into 0 test and 240 training rows"),
         ("conf_thresholds", [0.0, 1.5], "1.5"),
         ("conf_thresholds", [-0.1], "-0.1"),
         ("theta_iou", -1, "-1"),
@@ -189,12 +193,21 @@ class TestConfig:
          "box_jitter '1' is not a non-negative number"),
         ({"kind": "boxes-detection", "n_images": 4, "spread": 0.5},
          "unknown keys ['spread']"),
+        ({"kind": "boxes-detection", "n_images": 4, "n_classes": 1},
+         "n_classes 1 needs arch: output_mode sigmoid"),
     ])
     def test_bad_detection_dataset_rejected_at_load(self, tmp_path, dataset,
                                                     bad):
         with pytest.raises(ValueError) as err:
             det_cfg(tmp_path, dataset=dataset)
         assert f"dataset: {bad}" in str(err.value)
+
+    def test_one_class_sigmoid_detection_is_scored(self, tmp_path):
+        result = run_sweep(det_cfg(
+            tmp_path, dataset={"kind": "boxes-detection", "n_images": 4,
+                               "n_classes": 1},
+            arch={"n_blocks": 2, "width": 16, "output_mode": "sigmoid"}))
+        assert result.failures == [] and len(result.points) == 8
 
     def test_dataset_defaults_follow_the_task(self, tmp_path):
         assert small_cfg(tmp_path, dataset={}).dataset == {}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from mcuq.stochastic import (
     KINDS,
     MODE_MC,
     MODE_TRAINING,
+    MaskSample,
     ShapeMismatchError,
     StochasticSpec,
     sample_mask,
@@ -126,6 +129,15 @@ class TestMcPredict:
             with pytest.raises(ShapeMismatchError) as err:
                 run(*args)
             assert str(err.value) == message
+
+    def test_adapted_block_outside_the_net_is_rejected(self, small_net, x):
+        spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.3,
+                              adapted_blocks={1, 5}, mode=MODE_MC)
+        with pytest.raises(ShapeMismatchError,
+                           match=r"mask refers to block 5 outside \[1\.\.2\]"
+                           ) as err:
+            mc_predict(small_net, x, spec, T=2, base_seed=0)
+        assert err.value.block_index == 5
 
     def test_linear_net_mc_mean_matches_deterministic(self):
         # on a linear 1-block net the per-block unbiasedness composes, so
@@ -270,52 +282,29 @@ class TestVarianceDecay:
 
 
 class TestDeterministicPredict:
-    def test_adapted_block_outside_the_net_is_rejected(self, small_net, x):
-        # as a mask on that block is in mc_predict, not silently ignored
-        spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.3,
-                              adapted_blocks={1, 5}, mode=MODE_MC)
-        with pytest.raises(ShapeMismatchError,
-                           match=r"mask refers to block 5 outside \[1\.\.2\]"
-                           ) as err:
-            mc_predict(small_net, x, spec, T=2, base_seed=0)
-        assert err.value.block_index == 5
-        with pytest.raises(ShapeMismatchError,
-                           match="scale_spec refers to block 5") as err:
-            deterministic_predict(small_net, x, spec)
-        assert err.value.block_index == 5
-
-    def test_path_drop_zero_rate_equals_plain_forward(self, small_net, x):
-        spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.0,
-                              adapted_blocks={1, 2}, mode=MODE_MC)
-        expected = softmax(forward(small_net, x))
-        assert np.array_equal(deterministic_predict(small_net, x, spec),
-                              expected)
-
-    def test_unit_drop_is_disabled_at_inference(self, small_net, x):
-        expected = softmax(forward(small_net, x))
-        for rate in (0.1, 0.5, 0.9):
-            spec = StochasticSpec(kind=KIND_UNIT, drop_rate=rate,
-                                  adapted_blocks={1, 2}, mode=MODE_MC)
-            assert np.array_equal(deterministic_predict(small_net, x, spec),
-                                  expected)
-
-    def test_scaled_rule_closed_form_on_linear_net(self):
-        net = init_net(2, 5, 1, 3, activation="identity", seed=37)
+    @pytest.mark.parametrize("keep", [0.3, 0.8])
+    @pytest.mark.parametrize("n_adapted", [1, 2, 3])
+    def test_is_the_exact_path_drop_ensemble_mean_on_identity_net(
+            self, n_adapted, keep):
+        # with identity activations the logits are multilinear in the row
+        # multipliers z_l / keep, each of mean 1, so the weighted sum over
+        # all 2^L whole-batch on/off patterns is the mask-free forward
+        net = init_net(2, 5, 3, 3, activation="identity", seed=37 + n_adapted)
         x = np.random.default_rng(38).normal(size=(4, 2))
-        p_keep = 0.8
-        spec = StochasticSpec(kind=KIND_PATH, drop_rate=1 - p_keep,
-                              adapted_blocks={1}, mode=MODE_MC)
-        v = {p.id: p.value for p in net.parameters()}
-        stem = x @ v["stem.w"] + v["stem.b"]
-        branch = ((stem @ v["block1.fc1.w"] + v["block1.fc1.b"])
-                  @ v["block1.fc2.w"] + v["block1.fc2.b"])
-        logits = (stem + p_keep * branch) @ v["head.w"] + v["head.b"]
-        assert np.allclose(deterministic_predict(net, x, spec),
-                           softmax(logits), atol=1e-12)
+        blocks = tuple(range(4 - n_adapted, 4))
+        mean = np.zeros((len(x), net.n_classes))
+        for pattern in product((0.0, 1.0), repeat=n_adapted):
+            z = np.array(pattern)
+            masks = MaskSample(KIND_PATH, blocks,
+                               np.repeat(z[:, None], len(x), axis=1), keep)
+            weight = np.prod(np.where(z == 1.0, keep, 1.0 - keep))
+            mean += weight * forward(net, x, masks=masks)
+        plain = forward(net, x)
+        assert np.abs(mean - plain).max() <= 1e-12 * np.abs(plain).max()
+        assert deterministic_predict(net, x).tobytes() == \
+            softmax(plain).tobytes()
 
     def test_consumes_no_rng(self, small_net, x):
-        spec = StochasticSpec(kind=KIND_PATH, drop_rate=0.3,
-                              adapted_blocks={1, 2}, mode=MODE_MC)
-        a = deterministic_predict(small_net, x, spec)
-        b = deterministic_predict(small_net, x, spec)
+        a = deterministic_predict(small_net, x)
+        b = deterministic_predict(small_net, x)
         assert np.array_equal(a, b)

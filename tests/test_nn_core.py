@@ -452,7 +452,7 @@ class TestTrain:
         assert trace_a == trace_b
 
 
-def loop_forward_cached(net, x, masks=None, scale_spec=None):
+def loop_forward_cached(net, x, masks=None):
     """The forward before it computed in place: a fresh array for every
     affine map, activation, multiplier product and residual sum."""
     x = np.asarray(x, dtype=np.float64)
@@ -465,9 +465,6 @@ def loop_forward_cached(net, x, masks=None, scale_spec=None):
         if masks is not None:
             unit_mult, row_mult = loop_multipliers(masks, l, net.width,
                                                    x.shape[0])
-        if row_mult is None and scale_spec is not None \
-                and l in scale_spec.adapted_blocks:
-            row_mult = scale_spec.keep_prob
         pre = h @ w1 + b1
         act = np.maximum(pre, 0.0) if net.activation == "relu" else pre
         hidden = act if unit_mult is None else act * unit_mult
@@ -492,8 +489,7 @@ def same_bytes(a, b) -> bool:
 
 class TestForwardMatchesLoopOracle:
     @settings(max_examples=150, deadline=None)
-    @given(kind=st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH,
-                                 "scaled"]),
+    @given(kind=st.sampled_from([None, KIND_UNIT, KIND_BLOCK, KIND_PATH]),
            activation=st.sampled_from(["relu", "identity"]),
            output_mode=st.sampled_from(["softmax", "sigmoid"]),
            n_blocks=st.integers(1, 3), width=st.integers(1, 8),
@@ -506,25 +502,18 @@ class TestForwardMatchesLoopOracle:
         net = init_net(3, width, n_blocks, 4, output_mode=output_mode,
                        activation=activation, seed=seed)
         x = substream(seed, "x").normal(size=(batch, 3))
-        masks = scale_spec = None
+        masks = None
         if kind is not None:
             spec = StochasticSpec(
-                kind=KIND_PATH if kind == "scaled" else kind,
-                drop_rate=drop_rate,
+                kind=kind, drop_rate=drop_rate,
                 adapted_blocks=range(1, n_blocks + 1), block_size=block_size,
                 mode=MODE_MC)
-            if kind == "scaled":
-                scale_spec = spec
-            else:
-                masks = sample_mask(spec, width, batch,
-                                    substream(seed, "mask"))
-        logits, cache = _forward_cached(
-            net, x, _block_mults(net, masks, scale_spec, batch))
-        want_logits, want = loop_forward_cached(net, x, masks=masks,
-                                                scale_spec=scale_spec)
+            masks = sample_mask(spec, width, batch, substream(seed, "mask"))
+        logits, cache = _forward_cached(net, x,
+                                        _block_mults(net, masks, batch))
+        want_logits, want = loop_forward_cached(net, x, masks=masks)
         assert same_bytes(logits, want_logits)
-        assert same_bytes(forward(net, x, masks=masks, scale_spec=scale_spec),
-                          want_logits)
+        assert same_bytes(forward(net, x, masks=masks), want_logits)
         assert same_bytes(cache["x"], want["x"])
         assert same_bytes(cache["head_in"], want["head_in"])
         assert len(cache["blocks"]) == len(want["blocks"]) == n_blocks

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcuq.nn_core import forward, init_net
 from mcuq.rng import substream
 from mcuq.stochastic import (
     KIND_BLOCK,
@@ -241,20 +240,6 @@ class TestPathDrop:
 
 
 class TestDeterministicScaled:
-    def test_endpoints(self):
-        # keep 1 is the plain forward; keep -> 0 approaches the identity
-        # path of the adapted block (its branch zeroed)
-        net = init_net(2, 6, 2, 3, seed=31)
-        x = substream(32).normal(size=(4, 2))
-        full = spec_of(KIND_PATH, 0.0, blocks={1, 2})
-        assert np.array_equal(forward(net, x, scale_spec=full), forward(net, x))
-        tiny = spec_of(KIND_PATH, 1.0 - 2.0 ** -30, blocks={1})
-        scaled = forward(net, x, scale_spec=tiny)
-        for p in net.parameters():
-            if p.id.startswith("block1."):
-                p.value[...] = 0.0
-        assert np.allclose(scaled, forward(net, x), atol=1e-6)
-
     def test_expectation_algebra(self):
         # unnormalized stochastic output averages to the scaled rule;
         # the normalized one averages to the fully active block
@@ -328,7 +313,7 @@ def loop_sample_mask(spec, hidden_width, batch_size, rng):
     """``sample_mask`` before it drew every block at once: one
     ``rng.random`` call per adapted block (block drop: per redraw), in
     block order, into a dict of masks keyed by block."""
-    keep = spec.keep_prob
+    keep = 1.0 - spec.drop_rate
     masks = {}
     for l in sorted(spec.adapted_blocks):
         if spec.kind == KIND_UNIT:
