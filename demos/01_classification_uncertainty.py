@@ -47,8 +47,7 @@ trace = train(net, (X[train_idx], y[train_idx]),
               stochastic=spec)
 print(f"  loss {trace[0]:.3f} -> {trace[-1]:.3f} over {len(trace)} epochs")
 
-summary = mc_predict(net, X[test_idx], spec.with_mode("mc-inference"), T=20,
-                     base_seed=SEED + 1000)
+summary = mc_predict(net, X[test_idx], spec, T=20, base_seed=SEED + 1000)
 print("\nevaluating on 400 held-out points (15% of labels are flipped):")
 for name, probs in [
     ("deterministic pass", deterministic_predict(net, X[test_idx])),

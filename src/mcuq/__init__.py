@@ -22,8 +22,6 @@ from .stochastic import (
     KIND_BLOCK,
     KIND_PATH,
     KIND_UNIT,
-    MODE_MC,
-    MODE_TRAINING,
     MaskSample,
     StochasticSpec,
     sample_mask,

@@ -106,10 +106,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "make-data":
-        files = make_dataset(args.kind, parse_json("--params", args.params),
-                             args.seed, args.out)
-        for f in files:
-            print(f)
+        print(*make_dataset(args.kind, parse_json("--params", args.params),
+                            args.seed, args.out), sep="\n")
         return 0
 
     if args.command == "select":
@@ -138,11 +136,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "eval":
-        if cfg.task == "classification" and args.checkpoint is None:
-            raise ValueError("classification eval needs --checkpoint")
+        if (cfg.task == "classification") != (args.checkpoint is not None):
+            need = "takes no" if args.checkpoint else "needs"
+            raise ValueError(f"{cfg.task} eval {need} --checkpoint")
         data, point = load_task_data(cfg), first_point(cfg)
         net = None  # the synthetic detector never reads a net
-        if cfg.task == "classification":
+        if args.checkpoint:
             net, echo = load_checkpoint(args.checkpoint)
             check_checkpoint(cfg, data, point, echo)
         report, _ = cell_evaluator(cfg, data, net, point.method,
@@ -159,9 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"cell failed: {name}: {message}", file=sys.stderr)
         for f in result.files:
             print(f)
-        if not result.points:
-            return 1
-        return 2 if result.failures else 0
+        return 1 if not result.points else 2 if result.failures else 0
 
     if args.command == "shift":
         shift = ShiftSpec.default_ladder(n_levels=args.levels,

@@ -54,8 +54,6 @@ from .stochastic import (
     KIND_BLOCK,
     KIND_PATH,
     KIND_UNIT,
-    MODE_MC,
-    MODE_TRAINING,
     StochasticSpec,
 )
 
@@ -254,10 +252,10 @@ def _cell_tags(method: str, drop_rate: float, preset: str
 
 
 def _cell_spec(cfg: ExperimentConfig, method: str, drop_rate: float,
-               preset: str, n_blocks: int, mode: str) -> StochasticSpec:
+               preset: str) -> StochasticSpec:
+    blocks = resolve_preset(preset, cfg.arch["n_blocks"])
     return StochasticSpec(kind=METHOD_KINDS[method], drop_rate=drop_rate,
-                          adapted_blocks=resolve_preset(preset, n_blocks),
-                          block_size=cfg.block_size, mode=mode)
+                          adapted_blocks=blocks, block_size=cfg.block_size)
 
 
 def train_cells(cfg: ExperimentConfig, cells: list[tuple[str, float, str]],
@@ -273,8 +271,7 @@ def train_cells(cfg: ExperimentConfig, cells: list[tuple[str, float, str]],
     # the arch keys are init_net's parameters, checked at config load
     nets = [init_net(in_dim=X.shape[1], n_classes=n_classes, seed=seed,
                      **cfg.arch) for seed in seeds]
-    specs = [_cell_spec(cfg, *cell, cfg.arch["n_blocks"], MODE_TRAINING)
-             for cell in cells]
+    specs = [_cell_spec(cfg, *cell) for cell in cells]
     traces = train(nets, (X, y), [TrainConfig(seed=seed, **cfg.train)
                                   for seed in seeds], stochastic=specs)
     return [trace if isinstance(trace, Exception) else (net, trace, spec)
@@ -315,8 +312,8 @@ def check_checkpoint(cfg: ExperimentConfig, data, point: ConfigPoint,
     stochastic cell (every field but the mode) must match ``point``'s.  The
     ``ValueError`` names each mismatched field with both values."""
     (X, _), _, n_classes = data
-    spec = _cell_spec(cfg, point.method, point.drop_rate, point.adapted_blocks,
-                      cfg.arch["n_blocks"], MODE_MC).to_dict()
+    spec = _cell_spec(cfg, point.method, point.drop_rate,
+                      point.adapted_blocks).to_dict()
     expected = {"arch": {**cfg.arch, "in_dim": X.shape[1],
                          "n_classes": n_classes},
                 "stochastic": {k: v for k, v in spec.items() if k != "mode"}}
@@ -347,8 +344,7 @@ def cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
     tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
-        spec = _cell_spec(cfg, method, drop_rate, preset, net.n_blocks,
-                          MODE_MC)
+        spec = _cell_spec(cfg, method, drop_rate, preset)
         eval_seed = _cell_seed(cfg, "eval", *tags)
         return lambda T, conf_threshold: classification_report(
             mc_predict(net, X, spec, T=T, base_seed=eval_seed).mean_probs,

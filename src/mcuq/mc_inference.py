@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
-from .fields import choice, number
+from .fields import number
 from .nn_core import MODE_SOFTMAX, ResidualNet, forward
 from .rng import pass_stream
-from .stochastic import MODE_MC, StochasticSpec, sample_mask
+from .stochastic import StochasticSpec, sample_mask
 
 
 @dataclass
@@ -42,7 +42,6 @@ def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
                       T: int, base_seed: int) -> np.ndarray:
     """Raw logits of T stochastic passes, shape [T, batch, C]."""
     number("T", T, 1, integer=True)
-    choice("spec.mode", spec.mode, (MODE_MC,))
     nn_core.check_blocks(net, spec.adapted_blocks)
     x = nn_core.check_input(net, x)
     batch = x.shape[0]

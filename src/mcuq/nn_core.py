@@ -105,12 +105,19 @@ class ResidualNet:
     def _bind(self, values: np.ndarray | None = None,
               grads: np.ndarray | None = None) -> None:
         """Build the views over ``values`` and ``grads``, of shape [P], or
-        [K, P] for a stack; zero [P] buffers when not given."""
+        [K, P] for a stack; zero [P] buffers, sized first, when not given."""
+        if values is None:
+            w, n = self.width, self.n_blocks
+            size = (self.in_dim + 1 + 2 * n * (w + 1)) * w \
+                + (w + 1) * self.n_classes
+            try:  # an arch too large to hold fails here, before its layout
+                values, grads = np.zeros(size), np.zeros(size)
+            except (ValueError, MemoryError) as exc:
+                raise MemoryError(f"n_blocks {n} and width {w} give {size} "
+                                  f"parameters: {exc}") from None
         layout = _layout(self.in_dim, self.width, self.n_blocks,
                          self.n_classes)
         starts = np.cumsum([0] + [math.prod(s) for _, s in layout]).tolist()
-        if values is None:
-            values, grads = np.zeros(starts[-1]), np.zeros(starts[-1])
         lead = values.shape[:-1]
         self.values, self.grads = values, grads
         self._params = [
@@ -598,6 +605,12 @@ def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
     check_keys("checkpoint config", payload["config"], required=("arch",))
     arch = payload["config"]["arch"]
     check_keys("checkpoint config.arch", arch, ARCH_KEYS, ARCH_KEYS)
+    n_blocks, stored = arch["n_blocks"], payload["shapes"]
+    check_keys("checkpoint shapes", stored)
+    # a block is four parameters: refuse a net too deep for those stored
+    if 4 * number("n_blocks", n_blocks, 1, integer=True) > len(stored):
+        raise ValueError(f"checkpoint config.arch: n_blocks {n_blocks} needs "
+                         f"{4 * n_blocks + 4} parameters, {len(stored)} stored")
     net = ResidualNet(**arch)
     ids = [p.id for p in net.parameters()]
     for section in ("shapes", "data"):

@@ -17,7 +17,7 @@ rescaled factors that the network's forward and backward passes both use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class StochasticSpec:
 
     ``adapted_blocks`` holds 1-based block indices.  ``drop_rate`` is the
     per-unit / per-span / per-path drop probability; the keep (survival)
-    probability is ``1 - drop_rate``.
+    probability is ``1 - drop_rate``.  ``mode`` is a label for checkpoints.
     """
 
     kind: str
@@ -66,9 +66,6 @@ class StochasticSpec:
         self.adapted_blocks = frozenset(
             int(number("adapted_blocks", b, 1, integer=True))
             for b in self.adapted_blocks)
-
-    def with_mode(self, mode: str) -> "StochasticSpec":
-        return replace(self, mode=mode)
 
     def to_dict(self) -> dict:
         return {

@@ -268,8 +268,7 @@ def calibration_run(seed):
     train(net, (X[tr], y[tr]),
           TrainConfig(learning_rate=0.03, weight_decay=1e-4, epochs=60,
                       batch_size=32, seed=seed), stochastic=CALIB_SPEC)
-    mc = mc_predict(net, X[te], CALIB_SPEC.with_mode(MODE_MC), T=20,
-                    base_seed=seed + 1000)
+    mc = mc_predict(net, X[te], CALIB_SPEC, T=20, base_seed=seed + 1000)
     mc_rep, _ = classification_report(mc.mean_probs, y[te], "softmax")
     det_rep, _ = classification_report(
         deterministic_predict(net, X[te]), y[te], "softmax")

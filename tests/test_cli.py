@@ -353,6 +353,18 @@ class TestTrainEval:
         assert main(["eval", "--config", str(write_config(tmp_path))]) == 1
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_detection_eval_refuses_a_checkpoint(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # refused before any data is built, though the file does not exist
+        monkeypatch.setattr(cli, "load_task_data", None)
+        cfg_path = write_config(
+            tmp_path, task="detection",
+            dataset={"kind": "boxes-detection", "n_images": 4})
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint",
+                     str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: detection eval takes no --checkpoint\n")
+
     @pytest.mark.parametrize("failing", ["model.json", "model_trace.csv"])
     def test_failed_save_leaves_neither_file(self, tmp_path, monkeypatch,
                                              capsys, failing):
@@ -469,3 +481,38 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "moons.csv").exists()
+
+
+# Runs ``mcuq`` with its address space capped at 2 GB, a cap that binds
+# this child process only.
+CAPPED_MCUQ = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from mcuq.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("source", ["config", "checkpoint"])
+def test_a_huge_arch_fails_at_once_under_a_memory_cap(tmp_path, source):
+    # 2**70 blocks: neither path may lay out a net that size before it fails
+    huge = {"n_blocks": 2 ** 70, "width": 16}
+    if source == "config":
+        args = ["sweep", "--config", str(write_config(tmp_path, arch=huge))]
+        message = f"error: n_blocks {2 ** 70} and width 16 give "
+    else:
+        cfg_path = write_config(tmp_path, arch={"n_blocks": 1, "width": 16},
+                                train={"learning_rate": 0.05, "epochs": 1})
+        ckpt = tmp_path / "model.json"
+        assert main(["train", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 0
+        payload = json.loads(ckpt.read_text())
+        payload["config"]["arch"]["n_blocks"] = 2 ** 70
+        ckpt.write_text(json.dumps(payload))
+        args = ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
+        message = (f"error: checkpoint config.arch: n_blocks {2 ** 70} needs "
+                   f"{2 ** 72 + 4} parameters, 8 stored\n")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MCUQ, *args],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(message)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -83,10 +84,16 @@ class TestMcPredict:
     def test_rejects_bad_arguments(self, small_net, x):
         with pytest.raises(ValueError):
             mc_predict(small_net, x, mc_spec(KIND_PATH, 0.2), T=0, base_seed=0)
-        training = StochasticSpec(kind=KIND_PATH, drop_rate=0.2,
-                                  adapted_blocks={1}, mode=MODE_TRAINING)
-        with pytest.raises(ValueError):
-            mc_predict(small_net, x, training, T=3, base_seed=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_training_spec_predicts_as_its_mc_label(self, small_net, x,
+                                                       kind):
+        # the mode is a label: the spec a net trained under predicts as is
+        mc = mc_spec(kind, 0.3, {1, 2})
+        training = replace(mc, mode=MODE_TRAINING)
+        got = mc_predict(small_net, x, training, T=5, base_seed=6)
+        want = mc_predict(small_net, x, mc, T=5, base_seed=6)
+        assert got.per_pass_probs.tobytes() == want.per_pass_probs.tobytes()
 
     def test_failed_pass_is_tagged_with_index(self, small_net, x):
         # a head scaled so that every pass's logits overflow

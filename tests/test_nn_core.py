@@ -626,7 +626,6 @@ def loop_train(net, dataset, cfg, stochastic=None):
     X, y = dataset
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    spec = stochastic.with_mode(MODE_TRAINING) if stochastic else None
     trace = []
     for epoch in range(cfg.epochs):
         order = substream(cfg.seed, "shuffle", epoch).permutation(n)
@@ -634,8 +633,8 @@ def loop_train(net, dataset, cfg, stochastic=None):
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             masks = None
-            if spec is not None:
-                masks = sample_mask(spec, net.width, len(idx),
+            if stochastic is not None:
+                masks = sample_mask(stochastic, net.width, len(idx),
                                     substream(cfg.seed, "mask", epoch, bi))
             with np.errstate(over="ignore", invalid="ignore"):
                 value, grads = loop_loss_and_grads(
