@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -32,10 +32,10 @@ class PredictiveSummary:
     per_pass_probs: np.ndarray  # [T, batch, C]
 
 
-def _probs(net: ResidualNet, logits: np.ndarray) -> np.ndarray:
+def _probs(net: ResidualNet, logits: np.ndarray, out=None) -> np.ndarray:
     if net.output_mode == MODE_SOFTMAX:
-        return nn_core.softmax(logits)
-    return nn_core.sigmoid(logits)
+        return nn_core.softmax(logits, out)
+    return nn_core.sigmoid(logits, out)
 
 
 def mc_forward_logits(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
@@ -64,9 +64,12 @@ def mc_predict(net: ResidualNet, x: np.ndarray, spec: StochasticSpec,
 
     Probabilities are taken per pass (softmax or per-class sigmoid of the
     logits) and averaged afterwards; sigmoid entries are never renormalized
-    across classes.
+    across classes.  Each pass's probabilities overwrite its logits, so
+    the passes hold one [T, batch, C] array.
     """
-    per_pass = _probs(net, mc_forward_logits(net, x, spec, T, base_seed))
+    per_pass = mc_forward_logits(net, x, spec, T, base_seed)
+    for logits in per_pass:
+        _probs(net, logits, out=logits)
     return PredictiveSummary(mean_probs=per_pass.mean(axis=0),
                              per_pass_probs=per_pass)
 

@@ -219,19 +219,20 @@ def _block_mults(net: ResidualNet, masks: MaskSample | None,
 
 
 def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
-                    start: tuple | None = None, stop: bool = False):
-    """Forward pass of one net (x [B, in]) or of K stacked nets (x
-    [K, B, in]) under each block's multipliers; the cache keeps what the
-    backward pass reads.  With ``stop`` it returns instead the state before
-    the first multiplier, ``(l, h, part)``: block l (0-based; n_blocks at
-    the head), its input h, and its activation if a unit multiplier
-    follows, else its branch; ``start`` resumes a pass from that state."""
+                    start: tuple | None = None, stop: bool = False,
+                    cache: dict | None = None):
+    """Logits of one net (x [B, in]) or of K stacked nets (x [K, B, in])
+    under each block's multipliers; a ``cache``, passed only by training,
+    keeps what the backward pass reads.  With ``stop`` it returns instead
+    the state before the first multiplier, ``(l, h, part)``: block l
+    (0-based; n_blocks at the head), its input h, and its activation if a
+    unit multiplier follows, else its branch; ``start`` resumes a pass
+    from that state."""
     # Each array is computed in place once allocated, and never written
     # after it enters the cache, whose arrays the backward pass reads; nor
     # is a start state's ``part``, which many passes share.
     # ``branch * row_mult + h`` rounds as ``h + row_mult * branch`` does:
     # IEEE addition and multiplication are commutative.
-    cache = {"x": x, "blocks": []}
     (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
     first, h, part = start or (0, None, None)
     if h is None:
@@ -259,15 +260,17 @@ def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
             branch = np.multiply(branch, row_mult,
                                  out=None if branch is part else branch)
         branch += h
-        cache["blocks"].append({"in": h, "hidden": hidden,
-                                "unit_mult": unit_mult, "row_mult": row_mult})
+        if cache is not None:
+            cache["blocks"].append({"in": h, "hidden": hidden, "unit_mult":
+                                    unit_mult, "row_mult": row_mult})
         h, part = branch, None
     if stop:
         return len(blocks), h, None
     logits = h @ head_w.value
     logits += head_b.value[..., None, :]
-    cache["head_in"] = h
-    return logits, cache
+    if cache is not None:
+        cache["head_in"] = h
+    return logits
 
 
 def forward(net: ResidualNet, x: np.ndarray,
@@ -281,7 +284,7 @@ def forward(net: ResidualNet, x: np.ndarray,
     """
     x = check_input(net, x)
     mults = _block_mults(net, masks, len(x))
-    logits, _ = _forward_cached(net, x, mults, prefix)
+    logits = _forward_cached(net, x, mults, prefix)
     return check_finite(logits, "logits")
 
 
@@ -293,13 +296,13 @@ def forward_prefix(net: ResidualNet, x: np.ndarray, masks: MaskSample):
                            stop=True)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, for any shape.  The row max is taken
-    column by column, which is exact and, for a few classes, far faster
-    than ``max`` over a short last axis; the row sums keep ``sum``'s
-    rounding."""
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis, for any shape, into ``out`` (which may
+    be ``logits``) or a new array.  The row max is taken column by column,
+    which is exact and, for a few classes, far faster than ``max`` over a
+    short last axis; the row sums keep ``sum``'s rounding."""
     logits = np.asarray(logits, dtype=np.float64)
-    e = logits - _row_max(logits)
+    e = np.subtract(logits, _row_max(logits), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -313,8 +316,9 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return top[..., None]
 
 
-def sigmoid(logits: np.ndarray) -> np.ndarray:
-    out = np.empty_like(logits)
+def sigmoid(logits: np.ndarray, out=None) -> np.ndarray:
+    """Per-entry sigmoid into ``out``, which may be ``logits``."""
+    out = np.empty_like(logits) if out is None else out
     pos = logits >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
     ez = np.exp(logits[~pos])
@@ -386,7 +390,8 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
     """Write the loss gradient into ``net.grads`` and return the loss and
     the logits, of one net or, one per cell, of a stack.  Non-finite values
     are left for the caller to find."""
-    logits, cache = _forward_cached(net, x, mults)
+    cache = {"x": x, "blocks": []}
+    logits = _forward_cached(net, x, mults, cache=cache)
     value, dlogits = _task_loss(logits, y, net.output_mode)
     total = value + weight_decay * l2_penalty(net)
 

@@ -208,6 +208,15 @@ def test_every_config_flag_reaches_the_config(tmp_path, monkeypatch,
                    else getattr(default, name))
 
 
+def test_an_exception_without_a_message_is_named_by_type(monkeypatch,
+                                                         capsys):
+    def out_of_memory(args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "_dispatch", out_of_memory)
+    assert main(["select", "--reports", "reports.csv"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def rerun_line(cfg_path):
     """What ``mcuq eval`` prints for the config's first grid point: that
     point's row in a one-point sweep into a fresh directory."""

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -201,10 +202,21 @@ def loop_softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def loop_sigmoid(logits):
+    """The sigmoid before it could write in place: one ``[batch, C]``
+    pass into a fresh array."""
+    out = np.empty_like(logits)
+    pos = logits >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    ez = np.exp(logits[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def loop_per_pass_probs(net, logits):
     """``per_pass_probs`` as it was built before: probabilities pass by
     pass, then stacked."""
-    probs = loop_softmax if net.output_mode == "softmax" else sigmoid
+    probs = loop_softmax if net.output_mode == "softmax" else loop_sigmoid
     return np.stack([probs(logits[t]) for t in range(len(logits))], axis=0)
 
 
@@ -245,10 +257,57 @@ class TestPerPassProbsMatchLoopOracle:
         assert summary.per_pass_probs.tobytes() == expected.tobytes()
         assert summary.mean_probs.tobytes() \
             == expected.mean(axis=0).tobytes()
-        if output_mode == "softmax":  # softmax leaves its input alone
-            before = logits.copy()
-            assert softmax(logits).tobytes() == expected.tobytes()
-            assert logits.tobytes() == before.tobytes()
+        probs = softmax if output_mode == "softmax" else sigmoid
+        before = logits.copy()
+        assert probs(logits).tobytes() == expected.tobytes()
+        assert logits.tobytes() == before.tobytes()  # no ``out``: untouched
+        assert probs(logits, out=logits) is logits
+        assert logits.tobytes() == expected.tobytes()
+
+
+def traced_peak(fn):
+    """The most bytes ``tracemalloc`` sees allocated at once during
+    ``fn()``, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceWorkingSet:
+    """An MC prediction holds its ``[T, n, C]`` buffer and a few
+    ``[n, width]`` arrays at once: each pass's probabilities overwrite its
+    logits, and an inference forward keeps no backward cache."""
+    n, width, T, C = 2000, 16, 50, 3
+
+    def net_and_rows(self, output_mode, n_blocks):
+        net = init_net(4, self.width, n_blocks, self.C,
+                       output_mode=output_mode, seed=41)
+        x = substream(42, "x").normal(size=(self.n, 4))
+        return net, x, self.n * self.width * 8
+
+    @pytest.mark.parametrize("output_mode", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mc_predict_holds_one_pass_stack(self, output_mode, kind):
+        net, x, row_block = self.net_and_rows(output_mode, 2)
+        spec = mc_spec(kind, 0.3, {1, 2})
+        mc_predict(net, x, spec, T=self.T, base_seed=3)  # warm-up
+        peak = traced_peak(lambda: mc_predict(net, x, spec, T=self.T,
+                                              base_seed=3))
+        assert peak <= self.T * self.n * self.C * 8 + 6 * row_block
+
+    @pytest.mark.parametrize("output_mode", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("kind", [None, *KINDS])
+    def test_forward_keeps_no_backward_cache(self, output_mode, kind):
+        net, x, row_block = self.net_and_rows(output_mode, 3)
+        masks = None if kind is None else sample_mask(
+            mc_spec(kind, 0.3, {1, 2, 3}), self.width, self.n,
+            substream(43, "mask"))
+        forward(net, x, masks=masks)  # warm-up
+        assert traced_peak(lambda: forward(net, x, masks=masks)) \
+            <= 4 * row_block
 
 
 class TestExecutionOrderInvariance:

@@ -509,8 +509,9 @@ class TestForwardMatchesLoopOracle:
                 adapted_blocks=range(1, n_blocks + 1), block_size=block_size,
                 mode=MODE_MC)
             masks = sample_mask(spec, width, batch, substream(seed, "mask"))
-        logits, cache = _forward_cached(net, x,
-                                        _block_mults(net, masks, batch))
+        cache = {"x": x, "blocks": []}
+        logits = _forward_cached(net, x, _block_mults(net, masks, batch),
+                                 cache=cache)
         want_logits, want = loop_forward_cached(net, x, masks=masks)
         assert same_bytes(logits, want_logits)
         assert same_bytes(forward(net, x, masks=masks), want_logits)
@@ -581,6 +582,8 @@ def loop_loss_and_grads(net, x, targets, weight_decay, masks=None):
     for p in net.parameters():
         if not np.all(np.isfinite(grads[p.id])):
             raise FloatingPointError(f"non-finite values in grad of {p.id}")
+    if not np.isfinite(total):  # BCE summed over classes can overflow
+        raise FloatingPointError(f"loss is {total}")
     return total, grads
 
 
@@ -858,6 +861,12 @@ class TestTrainMatchesLoopOracle:
              output_mode="softmax", activation="relu", weight_decay=1e-3,
              n_blocks=2, width=4, batch_size=5, n_batches=1, remainder=0,
              epochs=2, block_size=2, seed=6)
+    # a loss that overflows (summed BCE) while the logits and gradients
+    # stay finite: the net stops before that step's update
+    @example(group=[(None, {1}, 0.0, 4_763_938_497_887, 3.0, False)],
+             output_mode="sigmoid", activation="identity", weight_decay=0.0,
+             n_blocks=2, width=7, batch_size=5, n_batches=3, remainder=4,
+             epochs=2, block_size=1, seed=338646)
     def test_lockstep_group_equals_solo_and_oracle(
             self, group, output_mode, activation, weight_decay, n_blocks,
             width, batch_size, n_batches, remainder, epochs, block_size,
