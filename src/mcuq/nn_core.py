@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +42,10 @@ MODE_SIGMOID = "sigmoid"
 # 32 bytes each: whole epochs of them, at least one.
 MASK_WORDS_BLOCK = 4096
 
+# The deepest net accepted: a block costs tens of microseconds of Python per
+# training step, and residual nets with stochastic depth have hundreds.
+MAX_BLOCKS = 100_000
+
 # The keys of ``ResidualNet.arch``, which a checkpoint's config echoes.
 ARCH_KEYS = ("in_dim", "width", "n_blocks", "n_classes", "output_mode",
              "activation")
@@ -57,19 +61,6 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
-def _layout(in_dim: int, width: int, n_blocks: int,
-            n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Every parameter's (id, shape) in buffer order: the stem, each
-    block's fc1 and fc2, then the head, each weight before its bias."""
-    layers = [("stem", in_dim, width),
-              *((f"block{l}.fc{k}", width, width)
-                for l in range(1, n_blocks + 1) for k in (1, 2)),
-              ("head", width, n_classes)]
-    return [entry for name, fan_in, fan_out in layers
-            for entry in ((f"{name}.w", (fan_in, fan_out)),
-                          (f"{name}.b", (fan_out,)))]
-
-
 class ParamView(NamedTuple):
     """A parameter's stable id and its value and grad views."""
 
@@ -80,12 +71,12 @@ class ParamView(NamedTuple):
 
 @dataclass
 class ResidualNet:
-    """The architecture and two flat buffers, ``values`` and ``grads``,
-    laid out by ``_layout``.  Each parameter's value and grad is a reshape
-    view into them, built once; ``layers`` groups the views as stem
-    (w, b), each block (w1, b1, w2, b2) and head (w, b), and every block's
-    flattened w1 and w2 is ``branch_values[l - 1, 0 or 1]``.  Over [K, P]
-    buffers (``_stack``) every view has a leading axis of K nets."""
+    """The architecture and two flat buffers, ``values`` and ``grads``.
+    Each holds the affine layers in order (stem, each block's fc1 and fc2,
+    head), a layer as its fan_in weight rows, then its bias row.  ``stem``
+    [..., in_dim + 1, width], ``blocks`` [..., n_blocks, 2, width + 1,
+    width] and ``head`` [..., width + 1, n_classes] are (values, grads)
+    view pairs, led by an axis of K nets over [K, P] buffers (``_stack``)."""
 
     in_dim: int
     width: int
@@ -104,34 +95,23 @@ class ResidualNet:
 
     def _bind(self, values: np.ndarray | None = None,
               grads: np.ndarray | None = None) -> None:
-        """Build the views over ``values`` and ``grads``, of shape [P], or
-        [K, P] for a stack; zero [P] buffers, sized first, when not given."""
+        """Bind the three views over ``values`` and ``grads``, of shape
+        [P], or [K, P] for a stack; zero [P] buffers when not given."""
+        w, n, c = self.width, self.n_blocks, self.n_classes
+        shapes = (self.in_dim + 1, w), (n, 2, w + 1, w), (w + 1, c)
+        ends = list(accumulate(map(math.prod, shapes)))
         if values is None:
-            w, n = self.width, self.n_blocks
-            size = (self.in_dim + 1 + 2 * n * (w + 1)) * w \
-                + (w + 1) * self.n_classes
-            try:  # an arch too large to hold fails here, before its layout
-                values, grads = np.zeros(size), np.zeros(size)
+            try:  # an arch too large to hold fails here
+                values, grads = np.zeros(ends[-1]), np.zeros(ends[-1])
             except (ValueError, MemoryError) as exc:
-                raise MemoryError(f"n_blocks {n} and width {w} give {size} "
-                                  f"parameters: {exc}") from None
-        layout = _layout(self.in_dim, self.width, self.n_blocks,
-                         self.n_classes)
-        starts = np.cumsum([0] + [math.prod(s) for _, s in layout]).tolist()
+                raise MemoryError(f"n_blocks {n} and width {w} give "
+                                  f"{ends[-1]} parameters: {exc}") from None
         lead = values.shape[:-1]
         self.values, self.grads = values, grads
-        self._params = [
-            ParamView(id, *(buf[..., lo:hi].reshape(*lead, *shape)
-                            for buf in (values, grads)))
-            for (id, shape), lo, hi in zip(layout, starts, starts[1:])]
-        self.layers = [tuple(views) for _, views in
-                       groupby(self._params, lambda p: p.id.split(".")[0])]
-        # the blocks fill [block1.fc1.w, head.w), each as fc1 then fc2
-        offset = dict(zip((id for id, _ in layout), starts))
-        self.branch_values, self.branch_grads = (
-            buf[..., offset["block1.fc1.w"]:offset["head.w"]].reshape(
-                *lead, self.n_blocks, 2, -1)[..., :self.width ** 2]
-            for buf in (values, grads))
+        self.stem, self.blocks, self.head = (
+            tuple(buf[..., lo:hi].reshape(*lead, *shape)
+                  for buf in (values, grads))
+            for shape, lo, hi in zip(shapes, [0, *ends], ends))
 
     def __deepcopy__(self, memo):
         twin = ResidualNet(**self.arch())
@@ -139,7 +119,18 @@ class ResidualNet:
         return twin
 
     def parameters(self) -> list[ParamView]:
-        return list(self._params)
+        """Every parameter's id and views in buffer order, built on demand:
+        a layer's weight is all its rows but the last, its bias the last."""
+        values, grads = self.blocks
+        layers = [("stem", *self.stem),
+                  *((f"block{l + 1}.fc{j + 1}", values[..., l, j, :, :],
+                     grads[..., l, j, :, :])
+                    for l, j in product(range(self.n_blocks), (0, 1))),
+                  ("head", *self.head)]
+        return [ParamView(f"{name}.{kind}", value[..., rows, :],
+                          grad[..., rows, :])
+                for name, value, grad in layers
+                for kind, rows in (("w", slice(-1)), ("b", -1))]
 
     def arch(self) -> dict:
         return {key: getattr(self, key) for key in ARCH_KEYS}
@@ -165,7 +156,8 @@ def check_arch(n_blocks: int, width: int, output_mode: str = MODE_SOFTMAX,
                activation: str = ACT_RELU) -> dict:
     """Reject an architecture ``init_net`` cannot build, naming the key;
     return it as a dict with every key, defaults filled in."""
-    number("n_blocks", n_blocks, 1, integer=True)
+    if number("n_blocks", n_blocks, 1, integer=True) > MAX_BLOCKS:
+        raise ValueError(f"n_blocks {n_blocks} is over the cap of {MAX_BLOCKS}")
     number("width", width, 1, integer=True)
     choice("output_mode", output_mode, (MODE_SOFTMAX, MODE_SIGMOID))
     choice("activation", activation, (ACT_RELU, ACT_IDENTITY))
@@ -233,17 +225,15 @@ def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
     # is a start state's ``part``, which many passes share.
     # ``branch * row_mult + h`` rounds as ``h + row_mult * branch`` does:
     # IEEE addition and multiplication are commutative.
-    (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
+    blocks = net.blocks[0]
     first, h, part = start or (0, None, None)
     if h is None:
-        h = x @ stem_w.value
-        h += stem_b.value[..., None, :]
-    for l in range(first, len(blocks)):
-        (w1, b1, w2, b2), (unit_mult, row_mult) = blocks[l], mults[l]
+        h = _affine(x, net.stem[0])
+    for l in range(first, net.n_blocks):
+        unit_mult, row_mult = mults[l]
         hidden, branch = (None, part) if unit_mult is None else (part, None)
         if part is None:
-            hidden = h @ w1.value
-            hidden += b1.value[..., None, :]
+            hidden = _affine(h, blocks[..., l, 0, :, :])
             if net.activation == ACT_RELU:
                 np.maximum(hidden, 0.0, out=hidden)
         if unit_mult is not None:
@@ -252,8 +242,7 @@ def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
             hidden = np.multiply(hidden, unit_mult,
                                  out=None if hidden is part else hidden)
         if branch is None:
-            branch = hidden @ w2.value
-            branch += b2.value[..., None, :]
+            branch = _affine(hidden, blocks[..., l, 1, :, :])
         if row_mult is not None:
             if stop:
                 return l, h, branch
@@ -265,12 +254,24 @@ def _forward_cached(net: ResidualNet, x: np.ndarray, mults: list,
                                     unit_mult, "row_mult": row_mult})
         h, part = branch, None
     if stop:
-        return len(blocks), h, None
-    logits = h @ head_w.value
-    logits += head_b.value[..., None, :]
+        return net.n_blocks, h, None
+    logits = _affine(h, net.head[0])
     if cache is not None:
         cache["head_in"] = h
     return logits
+
+
+def _affine(x: np.ndarray, layer: np.ndarray) -> np.ndarray:
+    """``x`` times ``layer``'s weight rows, plus its bias row."""
+    out = x @ layer[..., :-1, :]
+    out += layer[..., -1:, :]
+    return out
+
+
+def _affine_grads(x: np.ndarray, dout: np.ndarray, grad: np.ndarray) -> None:
+    """Write ``_affine(x, layer)``'s gradient, given ``dout``, to ``grad``."""
+    np.matmul(x.swapaxes(-1, -2), dout, out=grad[..., :-1, :])
+    dout.sum(axis=-2, out=grad[..., -1, :])
 
 
 def forward(net: ResidualNet, x: np.ndarray,
@@ -330,7 +331,7 @@ def l2_penalty(net: ResidualNet) -> float:
     """Sum of squared residual-branch weight matrices (biases, stem and
     head excluded; the penalty regularizes the branch weights only), one
     per cell of a stack."""
-    sums = np.add.reduce(np.square(net.branch_values), axis=-1)
+    sums = np.square(net.blocks[0][..., :-1, :]).sum(axis=(-2, -1))
     return sum(sums[..., l, 0] + sums[..., l, 1] for l in range(net.n_blocks))
 
 
@@ -395,17 +396,15 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
     value, dlogits = _task_loss(logits, y, net.output_mode)
     total = value + weight_decay * l2_penalty(net)
 
-    (stem_w, stem_b), *blocks, (head_w, head_b) = net.layers
-    np.matmul(cache["head_in"].swapaxes(-1, -2), dlogits, out=head_w.grad)
-    dlogits.sum(axis=-2, out=head_b.grad)
-    g = dlogits @ head_w.value.swapaxes(-1, -2)
+    (blocks, block_grads), (head, head_grad) = net.blocks, net.head
+    _affine_grads(cache["head_in"], dlogits, head_grad)
+    g = dlogits @ head[..., :-1, :].swapaxes(-1, -2)
 
-    for (w1, b1, w2, b2), c in zip(reversed(blocks),
-                                   reversed(cache["blocks"])):
+    for l in reversed(range(net.n_blocks)):
+        c = cache["blocks"][l]
         dbranch = g if c["row_mult"] is None else g * c["row_mult"]
-        np.matmul(c["hidden"].swapaxes(-1, -2), dbranch, out=w2.grad)
-        dbranch.sum(axis=-2, out=b2.grad)
-        dpre = dbranch @ w2.value.swapaxes(-1, -2)
+        _affine_grads(c["hidden"], dbranch, block_grads[..., l, 1, :, :])
+        dpre = dbranch @ blocks[..., l, 1, :-1, :].swapaxes(-1, -2)
         if c["unit_mult"] is not None:
             dpre *= c["unit_mult"]
         if net.activation == ACT_RELU:
@@ -414,15 +413,13 @@ def _loss_and_grads(net: ResidualNet, x: np.ndarray, y: np.ndarray,
             # dropped unit's gradient is already a signed zero (or NaN),
             # which times 0.0 or 1.0 leaves unchanged.
             dpre *= c["hidden"] > 0.0
-        np.matmul(c["in"].swapaxes(-1, -2), dpre, out=w1.grad)
-        dpre.sum(axis=-2, out=b1.grad)
-        g = g + dpre @ w1.value.swapaxes(-1, -2)
+        _affine_grads(c["in"], dpre, block_grads[..., l, 0, :, :])
+        g = g + dpre @ blocks[..., l, 0, :-1, :].swapaxes(-1, -2)
 
-    np.matmul(cache["x"].swapaxes(-1, -2), g, out=stem_w.grad)
-    g.sum(axis=-2, out=stem_b.grad)
+    _affine_grads(cache["x"], g, net.stem[1])
 
     if weight_decay != 0.0:
-        net.branch_grads += 2.0 * weight_decay * net.branch_values
+        block_grads[..., :-1, :] += 2.0 * weight_decay * blocks[..., :-1, :]
     return total, logits
 
 
@@ -588,10 +585,10 @@ def save_checkpoint(net: ResidualNet, path: str | Path,
                     config_echo: dict | None = None) -> None:
     """Self-describing checkpoint: shapes first, then row-major parameter
     data, then the config echo."""
+    params = net.parameters()
     payload = {
-        "shapes": {p.id: list(p.value.shape) for p in net.parameters()},
-        "data": {p.id: p.value.ravel(order="C").tolist()
-                 for p in net.parameters()},
+        "shapes": {p.id: list(p.value.shape) for p in params},
+        "data": {p.id: p.value.ravel(order="C").tolist() for p in params},
         "config": {"arch": net.arch(), **(config_echo or {})},
     }
     atomic_write(path, lambda tmp: tmp.write_text(json.dumps(payload)))

@@ -502,13 +502,17 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("source", ["config", "checkpoint"])
+@pytest.mark.parametrize("source", ["config", "width", "checkpoint"])
 def test_a_huge_arch_fails_at_once_under_a_memory_cap(tmp_path, source):
-    # 2**70 blocks: neither path may lay out a net that size before it fails
-    huge = {"n_blocks": 2 ** 70, "width": 16}
-    if source == "config":
+    # 2**70 blocks, or 2**40 units in one block: no path may lay out a net
+    # that size before it fails
+    configs = {"config": ({"n_blocks": 2 ** 70, "width": 16}, "error: arch: "
+                          f"n_blocks {2 ** 70} is over the cap of 100000\n"),
+               "width": ({"n_blocks": 1, "width": 2 ** 40},
+                         f"error: n_blocks 1 and width {2 ** 40} give ")}
+    if source in configs:
+        huge, message = configs[source]
         args = ["sweep", "--config", str(write_config(tmp_path, arch=huge))]
-        message = f"error: n_blocks {2 ** 70} and width 16 give "
     else:
         cfg_path = write_config(tmp_path, arch={"n_blocks": 1, "width": 16},
                                 train={"learning_rate": 0.05, "epochs": 1})

@@ -144,6 +144,8 @@ class TestConfig:
          "unknown keys ['depth']"),
         ("arch", {"n_blocks": 0, "width": 8},
          "n_blocks 0 is not a positive integer"),
+        ("arch", {"n_blocks": 2_000_000, "width": 1},
+         "n_blocks 2000000 is over the cap of 100000"),
         ("arch", {"n_blocks": 2, "width": 8, "output_mode": "tanh"},
          "output_mode 'tanh' is not one of"),
         ("arch", {"n_blocks": 2, "width": 8, "activation": "gelu"},
@@ -230,6 +232,19 @@ class TestConfig:
                       tmp_path / f"{name}.csv")
             echoes.append(json.loads(ckpt.read_text())["config"])
         assert echoes[0] == echoes[1]
+
+    def test_smallest_block_size_and_ece_bins_are_accepted(self, tmp_path):
+        cfg = small_cfg(tmp_path, block_size=1, ece_bins=1)
+        assert (cfg.block_size, cfg.ece_bins) == (1, 1)
+
+    @pytest.mark.parametrize("test_fraction,n_test", [(0.025, 1),
+                                                      (0.975, 39)])
+    def test_a_split_may_leave_one_row_on_a_side(self, tmp_path,
+                                                 test_fraction, n_test):
+        cfg = small_cfg(tmp_path, test_fraction=test_fraction, dataset={
+            "kind": "blobs-classification", "n": 40})
+        train, test, _ = harness.load_task_data(cfg)
+        assert (len(test[1]), len(train[1])) == (n_test, 40 - n_test)
 
 
 def failing_block_drop(nets, data, cfgs, stochastic):
@@ -416,6 +431,30 @@ class TestSweep:
 
 
 class TestDetectionSweep:
+    def test_detector_miss_probability_caps_at_095(self, tmp_path,
+                                                  monkeypatch):
+        # miss_prob 0.5 plus drop rate 0.6 runs the detector at 0.95: the
+        # cell's rows are those of the detector given 0.95 outright
+        cfg = det_cfg(tmp_path, drop_rates=[0.6], dataset={
+            "kind": "boxes-detection", "n_images": 4, "boxes_per_image": 2,
+            "n_classes": 3, "miss_prob": 0.5})
+        detect, seen = harness.synth_detector, []
+
+        def recording(gts, noise, **kwargs):
+            seen.append(noise.miss_prob)
+            return detect(gts, noise, **kwargs)
+
+        def at_095(gts, noise, **kwargs):
+            return detect(gts, replace(noise, miss_prob=0.95), **kwargs)
+
+        monkeypatch.setattr(harness, "synth_detector", recording)
+        got = run_sweep(cfg)
+        monkeypatch.setattr(harness, "synth_detector", at_095)
+        want = run_sweep(replace(cfg, out_dir=str(tmp_path / "want")))
+        assert seen == [0.95]
+        assert got.failures == want.failures == []
+        assert got.points == want.points and len(got.points) == 4
+
     def test_detection_task_produces_reports(self, tmp_path):
         cfg = ExperimentConfig.from_dict(dict(
             task="detection",

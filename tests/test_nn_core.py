@@ -1,6 +1,8 @@
 import copy
 import json
+import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +21,7 @@ from mcuq.nn_core import (
     TrainingDivergedError,
     _block_mults,
     _forward_cached,
-    _layout,
+    _stack,
     backward,
     check_finite,
     forward,
@@ -650,6 +652,20 @@ def loop_train(net, dataset, cfg, stochastic=None):
 
 
 class TestFlatBuffers:
+    def test_a_deep_net_costs_its_buffers_alone(self):
+        # three stacks per buffer, whatever the depth: building 100,000
+        # blocks allocates little beyond the two buffers
+        tracemalloc.start()
+        try:
+            net = ResidualNet(1, 1, 100_000, 2)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live - net.values.nbytes - net.grads.nbytes < 10 * 2 ** 20
+        with pytest.raises(ValueError, match="^n_blocks 100001 is over the "
+                           "cap of 100000$"):
+            ResidualNet(1, 1, 100_001, 2)
+
     def test_parameters_are_views_in_order(self):
         net = init_net(3, 5, 2, 4, seed=30)
         params = net.parameters()
@@ -698,42 +714,58 @@ class TestFlatBuffers:
 
     def test_branch_views_share_the_flat_buffers(self, tmp_path):
         def check(net):
-            assert net.branch_values.shape == net.branch_grads.shape \
-                == (net.n_blocks, 2, net.width ** 2)
-            assert np.shares_memory(net.branch_values, net.values)
-            assert np.shares_memory(net.branch_grads, net.grads)
+            (values, grads), w = net.blocks, net.width
+            assert values.shape == grads.shape \
+                == (net.n_blocks, 2, w + 1, w)
+            assert np.shares_memory(values, net.values)
+            assert np.shares_memory(grads, net.grads)
             for l in range(1, net.n_blocks + 1):
                 for j in (0, 1):
-                    p = views(net)[f"block{l}.fc{j + 1}.w"]
-                    p.value[...] = 1.0 + p.value
-                    p.grad[...] = 2.0 + p.value
-                    assert np.array_equal(net.branch_values[l - 1, j],
-                                          p.value.ravel())
-                    assert np.array_equal(net.branch_grads[l - 1, j],
-                                          p.grad.ravel())
+                    for kind, rows in (("w", slice(-1)), ("b", -1)):
+                        p = views(net)[f"block{l}.fc{j + 1}.{kind}"]
+                        p.value[...] = 1.0 + p.value
+                        p.grad[...] = 2.0 + p.value
+                        assert np.array_equal(values[l - 1, j, rows], p.value)
+                        assert np.array_equal(grads[l - 1, j, rows], p.grad)
 
         net = init_net(3, 5, 3, 4, seed=37)
         check(net)
         clone = copy.deepcopy(net)
         check(clone)
-        assert not np.shares_memory(clone.branch_values, net.values)
+        assert not np.shares_memory(clone.blocks[0], net.values)
         save_checkpoint(net, tmp_path / "model.json")
         check(load_checkpoint(tmp_path / "model.json")[0])
 
 
     def test_views_sit_at_their_layout_offsets(self, tmp_path):
         def check(net):
-            layout = _layout(net.in_dim, net.width, net.n_blocks,
-                             net.n_classes)
-            assert [p.id for p in net.parameters()] == [i for i, _ in layout]
+            # a stack's views lead with its axis of nets, each net's row
+            # laid out as a single net's buffer is
+            lead = net.values.shape[:-1]
+            params = net.parameters()
+            assert [p.id for p in params] == [i for i, _ in layout(net)]
             offset = 0
-            for p, (_, shape) in zip(net.parameters(), layout):
+            for p, (_, shape) in zip(params, layout(net)):
                 for view, buf in ((p.value, net.values), (p.grad, net.grads)):
-                    assert view.shape == shape
+                    assert view.shape == (*lead, *shape)
                     assert np.shares_memory(view, buf)
-                    assert view.ctypes.data == buf.ctypes.data + 8 * offset
-                offset += p.value.size
-            assert net.values.size == net.grads.size == offset
+                    for k in np.ndindex(lead):
+                        assert view[k].ctypes.data \
+                            == buf[k].ctypes.data + 8 * offset
+                offset += math.prod(shape)
+            assert net.values.shape[-1] == net.grads.shape[-1] == offset
+            # each affine stack starts at its first weight
+            first = views(net)
+            for (values, grads), id in ((net.stem, "stem.w"),
+                                        (net.blocks, "block1.fc1.w"),
+                                        (net.head, "head.w")):
+                assert values.ctypes.data == first[id].value.ctypes.data
+                assert grads.ctypes.data == first[id].grad.ctypes.data
+            w, d, c = net.width, net.in_dim, net.n_classes
+            assert [pair[0].shape for pair in (net.stem, net.blocks,
+                                               net.head)] == [
+                (*lead, d + 1, w), (*lead, net.n_blocks, 2, w + 1, w),
+                (*lead, w + 1, c)]
 
         net = init_net(3, 5, 2, 4, seed=38)
         check(net)
@@ -751,6 +783,36 @@ class TestFlatBuffers:
         check(again)
         assert [p.id for p in again.parameters()] \
             == list(json.loads(path.read_text())["shapes"])
+        # a stack of one net, then of three, each rebound to its row
+        check(_stack([clone]))
+        nets = [clone, again, init_net(3, 5, 2, 4, seed=40)]
+        stack = _stack(nets)
+        check(stack)
+        for k, net in enumerate(nets):
+            check(net)
+            assert net.values.ctypes.data == stack.values[k].ctypes.data
+
+
+def layout(net: ResidualNet) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's (id, shape) in buffer order: the stem, each
+    block's fc1 and fc2, then the head, each weight before its bias."""
+    layers = [("stem", net.in_dim, net.width),
+              *((f"block{l}.fc{k}", net.width, net.width)
+                for l in range(1, net.n_blocks + 1) for k in (1, 2)),
+              ("head", net.width, net.n_classes)]
+    return [entry for name, fan_in, fan_out in layers
+            for entry in ((f"{name}.w", (fan_in, fan_out)),
+                          (f"{name}.b", (fan_out,)))]
+
+
+def flat_l2_penalty(net: ResidualNet):
+    """``l2_penalty`` with each weight matrix's squares reduced as one flat
+    run of width**2 values, then summed over the blocks in order."""
+    lead = net.values.shape[:-1]
+    sums = [np.add.reduce(np.square(views(net)[f"block{l}.fc{k}.w"].value)
+                          .reshape(*lead, -1), axis=-1)
+            for l in range(1, net.n_blocks + 1) for k in (1, 2)]
+    return sum(sums[i] + sums[i + 1] for i in range(0, len(sums), 2))
 
 
 def loop_l2_penalty(net) -> float:
@@ -761,6 +823,20 @@ def loop_l2_penalty(net) -> float:
 
 
 class TestL2MatchesPerMatrixLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(n_blocks=st.integers(1, 4), width=st.integers(1, 64),
+           n_nets=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+    def test_l2_penalty_equals_a_flat_reduce(self, n_blocks, width, n_nets,
+                                             seed):
+        nets = [init_net(2, width, n_blocks, 3, seed=seed + k)
+                for k in range(n_nets)]
+        for net in nets:
+            assert np.asarray(l2_penalty(net)).tobytes() \
+                == np.asarray(flat_l2_penalty(net)).tobytes()
+        stack = _stack(nets)
+        assert l2_penalty(stack).shape == (n_nets,)
+        assert l2_penalty(stack).tobytes() == flat_l2_penalty(stack).tobytes()
+
     @settings(max_examples=120, deadline=None)
     @given(n_blocks=st.integers(1, 4), width=st.integers(1, 40),
            log_scale=st.floats(-3, 3), weight_decay=st.floats(1e-6, 1.0),
@@ -1095,7 +1171,7 @@ class TestLockstepFailures:
         # weights of the first net overflow the L2 penalty
         X, y = np.zeros((20, 2)), np.arange(20) % 3
         nets = [init_net(2, 4, 2, 3, seed=k) for k in range(2)]
-        nets[0].branch_values[...] = 1e154
+        nets[0].blocks[0][..., :-1, :] = 1e154
         solos = [copy.deepcopy(net) for net in nets]
         cfgs = [TrainConfig(learning_rate=0.1, weight_decay=1e-4, epochs=2,
                             batch_size=8, seed=k) for k in range(2)]
