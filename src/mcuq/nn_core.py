@@ -76,7 +76,8 @@ class ResidualNet:
     head), a layer as its fan_in weight rows, then its bias row.  ``stem``
     [..., in_dim + 1, width], ``blocks`` [..., n_blocks, 2, width + 1,
     width] and ``head`` [..., width + 1, n_classes] are (values, grads)
-    view pairs, led by an axis of K nets over [K, P] buffers (``_stack``)."""
+    view pairs, led by an axis of K nets over [K, P] buffers (``_stack``).
+    A float64 ``values`` given to the constructor becomes the buffer."""
 
     in_dim: int
     width: int
@@ -84,19 +85,20 @@ class ResidualNet:
     n_classes: int
     output_mode: str = MODE_SOFTMAX
     activation: str = ACT_RELU
-    values: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         number("in_dim", self.in_dim, 1, integer=True)
         number("n_classes", self.n_classes, 1, integer=True)
         check_arch(self.n_blocks, self.width, self.output_mode,
                    self.activation)
-        self._bind()
+        self._bind(self.values)
 
     def _bind(self, values: np.ndarray | None = None,
               grads: np.ndarray | None = None) -> None:
         """Bind the three views over ``values`` and ``grads``, of shape
-        [P], or [K, P] for a stack; zero [P] buffers when not given."""
+        [P], or [K, P] for a stack; zero buffers where not given.  Given
+        values must hold the P the arch lays out, checked first."""
         w, n, c = self.width, self.n_blocks, self.n_classes
         shapes = (self.in_dim + 1, w), (n, 2, w + 1, w), (w + 1, c)
         ends = list(accumulate(map(math.prod, shapes)))
@@ -106,6 +108,10 @@ class ResidualNet:
             except (ValueError, MemoryError) as exc:
                 raise MemoryError(f"n_blocks {n} and width {w} give "
                                   f"{ends[-1]} parameters: {exc}") from None
+        elif values.shape[-1] != ends[-1]:
+            raise ValueError(f"values: {values.shape[-1]} given, the arch "
+                             f"lays out {ends[-1]}")
+        grads = np.zeros_like(values) if grads is None else grads
         lead = values.shape[:-1]
         self.values, self.grads = values, grads
         self.stem, self.blocks, self.head = (
@@ -583,53 +589,35 @@ def train(net: ResidualNet | list, dataset: tuple[np.ndarray, np.ndarray],
 
 def save_checkpoint(net: ResidualNet, path: str | Path,
                     config_echo: dict | None = None) -> None:
-    """Self-describing checkpoint: shapes first, then row-major parameter
-    data, then the config echo."""
-    params = net.parameters()
-    payload = {
-        "shapes": {p.id: list(p.value.shape) for p in params},
-        "data": {p.id: p.value.ravel(order="C").tolist() for p in params},
-        "config": {"arch": net.arch(), **(config_echo or {})},
-    }
+    """Self-describing checkpoint: the config echo, its arch first, then
+    the net's ``values`` buffer as a list."""
+    payload = {"config": {"arch": net.arch(), **(config_echo or {})},
+               "values": net.values.tolist()}
     atomic_write(path, lambda tmp: tmp.write_text(json.dumps(payload)))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ResidualNet, dict]:
     """Rebuild a net from ``save_checkpoint`` output.
 
-    Every section and arch key must be present, the stored parameter ids
-    must equal the net's, and each stored shape and data length must equal
-    the shape ``arch`` implies; every value must be a finite number.
-    Errors name the offending section, key or parameter id.
+    Both sections and every arch key must be present, and ``values`` must
+    be a list of finite numbers (JSON ints or floats), as many as ``arch``
+    lays out, which is checked before the net's buffers are allocated.
+    Errors name the offending section, key or ``values``.
     """
     payload = parse_json(f"checkpoint {path}", Path(path).read_bytes())
-    check_keys("checkpoint", payload, required=("shapes", "data", "config"))
+    check_keys("checkpoint", payload, required=("config", "values"))
     check_keys("checkpoint config", payload["config"], required=("arch",))
-    arch = payload["config"]["arch"]
+    arch, values = payload["config"]["arch"], payload["values"]
     check_keys("checkpoint config.arch", arch, ARCH_KEYS, ARCH_KEYS)
-    n_blocks, stored = arch["n_blocks"], payload["shapes"]
-    check_keys("checkpoint shapes", stored)
-    # a block is four parameters: refuse a net too deep for those stored
-    if 4 * number("n_blocks", n_blocks, 1, integer=True) > len(stored):
-        raise ValueError(f"checkpoint config.arch: n_blocks {n_blocks} needs "
-                         f"{4 * n_blocks + 4} parameters, {len(stored)} stored")
-    net = ResidualNet(**arch)
-    ids = [p.id for p in net.parameters()]
-    for section in ("shapes", "data"):
-        check_keys(f"checkpoint {section}", payload[section], ids, ids)
-    for p in net.parameters():
-        shape = payload["shapes"][p.id]
-        try:
-            flat = np.asarray(payload["data"][p.id], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"checkpoint parameter {p.id}: data is not a "
-                             "list of numbers") from None
-        if shape != list(p.value.shape) or flat.shape != (p.value.size,):
-            raise ShapeMismatchError(
-                f"checkpoint parameter {p.id}: stored shape {shape!r} "
-                f"with {flat.size} values, arch implies {list(p.value.shape)}")
-        check_finite(flat, f"checkpoint parameter {p.id}")
-        p.value[...] = flat.reshape(p.value.shape)
+    if not (isinstance(values, list)
+            and all(type(v) in (int, float) for v in values)):
+        raise ValueError("checkpoint values: not a list of numbers")
+    try:
+        values = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int past float64's range
+        raise FloatingPointError("non-finite values in checkpoint values") \
+            from None
+    net = ResidualNet(**arch, values=check_finite(values, "checkpoint values"))
     return net, payload["config"]
 
 

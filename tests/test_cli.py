@@ -502,7 +502,8 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("source", ["config", "width", "checkpoint"])
+@pytest.mark.parametrize("source", ["config", "width", "checkpoint",
+                                    "checkpoint-width"])
 def test_a_huge_arch_fails_at_once_under_a_memory_cap(tmp_path, source):
     # 2**70 blocks, or 2**40 units in one block: no path may lay out a net
     # that size before it fails
@@ -520,11 +521,19 @@ def test_a_huge_arch_fails_at_once_under_a_memory_cap(tmp_path, source):
         assert main(["train", "--config", str(cfg_path),
                      "--checkpoint", str(ckpt)]) == 0
         payload = json.loads(ckpt.read_text())
-        payload["config"]["arch"]["n_blocks"] = 2 ** 70
+        arch = payload["config"]["arch"]
+        if source == "checkpoint":
+            arch["n_blocks"] = 2 ** 70
+            message = (f"error: n_blocks {2 ** 70} is over the cap of "
+                       "100000\n")
+        else:  # the stored count is compared before a buffer is allocated
+            arch["width"] = w = 2 ** 40
+            count = (arch["in_dim"] + 1) * w + 2 * (w + 1) * w \
+                + (w + 1) * arch["n_classes"]
+            message = (f"error: values: {len(payload['values'])} given, "
+                       f"the arch lays out {count}\n")
         ckpt.write_text(json.dumps(payload))
         args = ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
-        message = (f"error: checkpoint config.arch: n_blocks {2 ** 70} needs "
-                   f"{2 ** 72 + 4} parameters, 8 stored\n")
     proc = subprocess.run([sys.executable, "-c", CAPPED_MCUQ, *args],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")

@@ -655,18 +655,14 @@ REPORT_HEADER = (b"method,drop_rate,T,conf_threshold,adapted_blocks,"
                  b"map_50_95,brier,ece,auarc,mean_entropy")
 # Every public writer, as (write(out_dir, monkeypatch), the bytes of each
 # file it writes), the bytes those writers produced before they shared
-# mcuq.files.
+# mcuq.files; the checkpoint's are those of the format that stores the
+# values buffer whole, its config (the arch first) before it.
 WRITERS = {
     "checkpoint": (write_checkpoint, {"model.json": (
-        b'{"shapes": {"stem.w": [1, 1], "stem.b": [1], "block1.fc1.w": '
-        b'[1, 1], "block1.fc1.b": [1], "block1.fc2.w": [1, 1], '
-        b'"block1.fc2.b": [1], "head.w": [1, 2], "head.b": [2]}, "data": '
-        b'{"stem.w": [0.0], "stem.b": [0.25], "block1.fc1.w": [0.5], '
-        b'"block1.fc1.b": [0.75], "block1.fc2.w": [1.0], "block1.fc2.b": '
-        b'[1.25], "head.w": [1.5, 1.75], "head.b": [2.0, 2.25]}, "config": '
-        b'{"arch": {"in_dim": 1, "width": 1, "n_blocks": 1, "n_classes": 2, '
-        b'"output_mode": "softmax", "activation": "relu"}, '
-        b'"method": "MCSD"}}')}),
+        b'{"config": {"arch": {"in_dim": 1, "width": 1, "n_blocks": 1, '
+        b'"n_classes": 2, "output_mode": "softmax", "activation": "relu"}, '
+        b'"method": "MCSD"}, "values": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, '
+        b'1.5, 1.75, 2.0, 2.25]}')}),
     "loss_trace": (
         lambda out, _: save_loss_trace([0.5, 0.25], out / "trace.csv"),
         {"trace.csv": b"epoch,mean_loss\n0,0.5\n1,0.25\n"}),

@@ -781,8 +781,9 @@ class TestFlatBuffers:
         save_checkpoint(net, path)
         again, _ = load_checkpoint(path)
         check(again)
-        assert [p.id for p in again.parameters()] \
-            == list(json.loads(path.read_text())["shapes"])
+        # the stored list is the buffer, in the layout checked above
+        assert np.array(json.loads(path.read_text())["values"]).tobytes() \
+            == net.values.tobytes()
         # a stack of one net, then of three, each rebound to its row
         check(_stack([clone]))
         nets = [clone, again, init_net(3, 5, 2, 4, seed=40)]
@@ -1242,12 +1243,13 @@ class TestCheckpointAndTrace:
         path = tmp_path / "model.json"
         save_checkpoint(net, path, config_echo={"note": "unit"})
         again, config = load_checkpoint(path)
-        for p, q in zip(net.parameters(), again.parameters()):
-            assert p.id == q.id
-            assert np.array_equal(p.value, q.value)
+        assert again.values.tobytes() == net.values.tobytes()
         assert again.output_mode == "sigmoid"
         assert config["note"] == "unit"
         assert config["arch"]["n_blocks"] == 2
+        # the arch heads the file, the buffer follows it
+        assert path.read_text().startswith('{"config": {"arch": {"in_dim": 3')
+        assert list(json.loads(path.read_text())) == ["config", "values"]
 
     @staticmethod
     def _tampered(tmp_path, edit):
@@ -1258,52 +1260,70 @@ class TestCheckpointAndTrace:
         path.write_text(json.dumps(payload))
         return path
 
-    def test_unknown_parameter_rejected(self, tmp_path):
-        def edit(payload):
-            payload["shapes"]["block9.fc1.w"] = [1]
-            payload["data"]["block9.fc1.w"] = [0.0]
-        with pytest.raises(ValueError, match="block9.fc1.w"):
-            load_checkpoint(self._tampered(tmp_path, edit))
+    # init_net(2, 16, 2, 3) lays out 3 * 16 + 2 * 2 * 17 * 16 + 17 * 3 values
+    @pytest.mark.parametrize("edit,count", [
+        (lambda values: values.pop(), 1186),
+        (lambda values: values.append(0.5), 1188),
+        (lambda values: values.clear(), 0),
+    ], ids=["one-too-few", "one-too-many", "empty"])
+    def test_values_count_must_match_arch(self, tmp_path, edit, count):
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(self._tampered(
+                tmp_path, lambda payload: edit(payload["values"])))
+        assert str(err.value) \
+            == f"values: {count} given, the arch lays out 1187"
 
-    def test_missing_parameter_rejected(self, tmp_path):
+    @pytest.mark.parametrize("index,bad", [
+        (5, [0.5]), (5, "0.5"), (5, True), (5, False), (5, None), (5, {}),
+        (None, {"stem.w": [0.0]}), (None, "0.5"), (None, 0.5), (None, None),
+    ], ids=["nested-list", "string", "true", "false", "null", "object",
+            "whole-object", "whole-string", "whole-number", "whole-null"])
+    def test_values_must_be_a_list_of_json_numbers(self, tmp_path, index,
+                                                   bad):
+        # np.asarray would read "0.5" and true as numbers, and a nested
+        # list as a second axis; each entry must be a JSON int or float
         def edit(payload):
-            del payload["shapes"]["head.b"], payload["data"]["head.b"]
-        with pytest.raises(ValueError, match="head.b"):
+            if index is None:
+                payload["values"] = bad
+            else:
+                payload["values"][index] = bad
+        with pytest.raises(ValueError) as err:
             load_checkpoint(self._tampered(tmp_path, edit))
+        assert str(err.value) == "checkpoint values: not a list of numbers"
 
-    def test_shape_must_match_arch(self, tmp_path):
-        # a [1]-shaped bias must not broadcast into all 16 units
+    def test_json_ints_load_as_floats(self, tmp_path):
         def edit(payload):
-            payload["shapes"]["block1.fc1.b"] = [1]
-            payload["data"]["block1.fc1.b"] = [0.5]
-        with pytest.raises(ShapeMismatchError, match="block1.fc1.b"):
-            load_checkpoint(self._tampered(tmp_path, edit))
-
-    def test_data_length_must_match_shape(self, tmp_path):
-        def edit(payload):
-            payload["data"]["stem.b"] = payload["data"]["stem.b"][:-1]
-        with pytest.raises(ShapeMismatchError, match="stem.b"):
-            load_checkpoint(self._tampered(tmp_path, edit))
+            payload["values"] = [int(v) for v in payload["values"]]
+        net, _ = load_checkpoint(self._tampered(tmp_path, edit))
+        assert net.values.dtype == np.float64
+        assert net.values.tolist() == [float(int(v)) for v in
+                                       init_net(2, 16, 2, 3, seed=8).values]
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda payload: payload.pop("shapes"),
-         "checkpoint: missing key 'shapes'"),
-        (lambda payload: payload.pop("data"),
-         "checkpoint: missing key 'data'"),
+        (lambda payload: payload.pop("values"),
+         "checkpoint: missing key 'values'"),
         (lambda payload: payload.pop("config"),
          "checkpoint: missing key 'config'"),
         (lambda payload: payload["config"].pop("arch"),
          "checkpoint config: missing key 'arch'"),
         (lambda payload: payload["config"]["arch"].pop("width"),
          "checkpoint config.arch: missing key 'width'"),
-        (lambda payload: payload["data"]["stem.w"].__setitem__(0, "x"),
-         "checkpoint parameter stem.w: data is not a list of numbers"),
-    ], ids=["shapes", "data", "config", "arch", "arch-width", "stem.w-data"])
-    def test_missing_section_or_key_and_bad_data_are_named(self, tmp_path,
-                                                          edit, message):
+    ], ids=["values", "config", "arch", "arch-width"])
+    def test_missing_section_or_key_is_named(self, tmp_path, edit, message):
         with pytest.raises(ValueError) as err:
             load_checkpoint(self._tampered(tmp_path, edit))
         assert str(err.value) == message
+
+    def test_a_checkpoint_of_the_per_parameter_format_is_refused(self,
+                                                                 tmp_path):
+        # the format before the buffer was stored whole, which no reader
+        # loads now
+        def edit(payload):
+            payload["shapes"] = {"stem.w": [2, 16]}
+            payload["data"] = {"stem.w": payload.pop("values")[:32]}
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(self._tampered(tmp_path, edit))
+        assert str(err.value) == "checkpoint: missing key 'values'"
 
     @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
     @pytest.mark.parametrize("key", ["in_dim", "n_classes"])
@@ -1321,11 +1341,32 @@ class TestCheckpointAndTrace:
             load_checkpoint(self._tampered(tmp_path, edit))
         assert str(err.value) == message
 
-    def test_non_finite_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"),
+                                       -float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "int-past-float64"])
+    def test_non_finite_value_rejected(self, tmp_path, entry):
         def edit(payload):
-            payload["data"]["block2.fc2.w"][3] = float("nan")
-        with pytest.raises(FloatingPointError, match="block2.fc2.w"):
+            payload["values"][3] = entry
+        with pytest.raises(FloatingPointError) as err:
             load_checkpoint(self._tampered(tmp_path, edit))
+        assert str(err.value) == "non-finite values in checkpoint values"
+
+    def test_a_deep_arch_is_refused_before_its_buffers_exist(self, tmp_path):
+        # 50,000 blocks lay out 27.2 M values, 218 MB a buffer: the count
+        # is compared before either buffer is allocated
+        def edit(payload):
+            payload["config"]["arch"]["n_blocks"] = 50_000
+        path = self._tampered(tmp_path, edit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) \
+            == "values: 1187 given, the arch lays out 27200099"
+        assert peak < 1 << 20
 
     @settings(max_examples=30, deadline=None)
     @given(in_dim=st.integers(1, 4), width=st.integers(1, 8),
