@@ -258,6 +258,13 @@ def _cell_spec(cfg: ExperimentConfig, method: str, drop_rate: float,
                           adapted_blocks=blocks, block_size=cfg.block_size)
 
 
+def _mean_probs(cfg: ExperimentConfig, net: ResidualNet, *cell):
+    """``(X, T) -> mean probabilities`` of a cell's MC run on its eval stream."""
+    spec = _cell_spec(cfg, *cell)
+    seed = _cell_seed(cfg, "eval", *_cell_tags(*cell))
+    return lambda X, T: mc_predict(net, X, spec, T=T, base_seed=seed).mean_probs
+
+
 def train_cells(cfg: ExperimentConfig, cells: list[tuple[str, float, str]],
                 train_data, n_classes: int) -> list:
     """Train the (method, drop rate, preset) cells' models in lockstep;
@@ -341,16 +348,14 @@ def cell_evaluator(cfg: ExperimentConfig, data, net: ResidualNet | None,
     run.  One fusion walk cuts every T's prefix, and each T's
     ``threshold_scorer`` is built the first time that T is evaluated.  A
     detector or fusion error is raised by each T it fails."""
-    tags = _cell_tags(method, drop_rate, preset)
     if cfg.task == "classification":
         X, labels = data[1]
-        spec = _cell_spec(cfg, method, drop_rate, preset)
-        eval_seed = _cell_seed(cfg, "eval", *tags)
+        predict = _mean_probs(cfg, net, method, drop_rate, preset)
         return lambda T, conf_threshold: classification_report(
-            mc_predict(net, X, spec, T=T, base_seed=eval_seed).mean_probs,
-            labels, mode=net.output_mode, ece_bins=cfg.ece_bins)
+            predict(X, T), labels, mode=net.output_mode, ece_bins=cfg.ece_bins)
 
     gts, noise, n_classes = data
+    tags = _cell_tags(method, drop_rate, preset)
     # there is no trained vision model for detection; the drop rate instead
     # raises the synthetic detector's miss probability, playing the role a
     # stronger stochastic mechanism would
@@ -483,15 +488,13 @@ def run_shift(cfg: ExperimentConfig, shift: ShiftSpec
     net, _, _ = train_cell(cfg, point, data)
     rows = []
     noise_seed = _cell_seed(cfg, "shift-noise")
+    # the sweep's eval stream: level 0 reproduces its in-distribution row
+    predict = _mean_probs(cfg, net, point.method, point.drop_rate,
+                          point.adapted_blocks)
     for level in shift.levels:
-        Xc = corrupt(X, labels, level, seed=noise_seed)
-        # the same eval substream as the sweep, so the zero-corruption level
-        # reproduces the in-distribution report exactly
-        evaluate = cell_evaluator(cfg, (data[0], (Xc, labels), data[2]), net,
-                                  point.method, point.drop_rate,
-                                  point.adapted_blocks, [point.T])
-        report, _ = evaluate(point.T, point.conf_threshold)
-        rows.append((level.name, report.map_50_95, report.mean_entropy))
+        probs = predict(corrupt(X, labels, level, seed=noise_seed), point.T)
+        rows.append((level.name, float(np.mean(probs.argmax(axis=1) == labels)),
+                     float(np.mean(M.entropies(probs, net.output_mode)))))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "shift.csv", ["level", "performance", "mean_entropy"],

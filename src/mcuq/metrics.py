@@ -91,16 +91,38 @@ def mean_binary_entropy(probs: np.ndarray) -> float:
     p = np.asarray(probs, dtype=np.float64)
     if not ((p >= 0) & (p <= 1)).all():  # NaN fails both comparisons
         raise ValueError("entries must lie in [0, 1]")
+    return float(_binary_terms(p).mean())
+
+
+def _binary_terms(p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(p > 0, p * np.log2(p), 0.0) \
+        return -np.where(p > 0, p * np.log2(p), 0.0) \
             - np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0)
-    return float(h.mean())
 
 
 def entropy_for_mode(probs: np.ndarray, mode: str) -> float:
     if mode == "softmax":
         return shannon_entropy(probs)
     return mean_binary_entropy(probs)
+
+
+def entropies(probs: np.ndarray, mode: str) -> np.ndarray:
+    """``entropy_for_mode`` of each row of ``probs``, bit for bit, refusals too."""
+    p = np.asarray(probs, dtype=np.float64)
+    if mode != "softmax":
+        _first_bad(~((p >= 0) & (p <= 1)).all(axis=1), "entries must lie in [0, 1]")
+        return _binary_terms(p).mean(axis=1)
+    total = p.sum(axis=1)
+    _first_bad((p < 0).any(axis=1) | ~(abs(total - 1.0) <= SUM_TOL),
+               "probabilities must be non-negative and sum to 1")
+    p = p / np.where(abs(total - 1.0) > 1e-13, total, 1.0)[:, None]
+    # zeros would move a row's pairwise sum: group rows by nonzero count
+    nz = p > 0
+    count, out = nz.sum(axis=1), np.empty(len(p))
+    for k in np.unique(count):
+        q = p[nz & (count == k)[:, None]].reshape(-1, k)
+        out[count == k] = -(q * np.log2(q)).sum(axis=1)
+    return out
 
 
 def _first_bad(mask: np.ndarray, what: str) -> None:

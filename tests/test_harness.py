@@ -2,6 +2,7 @@ import csv
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -641,11 +642,16 @@ def write_checkpoint(out, monkeypatch):
 
 
 def write_shift(out, monkeypatch):
-    # fixed metrics per level, so the bytes pin the writer, not training
-    report = EvalReport(0.75, 0.125, 0.0625, 0.5, 0.25)
-    monkeypatch.setattr(harness, "train_cell", lambda *a: (None, None, None))
-    monkeypatch.setattr(harness, "cell_evaluator",
-                        lambda *a: lambda T, conf_threshold: (report, []))
+    # fixed MC averages per level, so the bytes pin the writer, not
+    # training: 3 of 4 rows right, with entropies 0, 1, 0 and 0 bits
+    labels = np.array([0, 0, 1, 1])
+    probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(harness, "load_task_data",
+                        lambda cfg: (None, (np.zeros((4, 2)), labels), 2))
+    monkeypatch.setattr(harness, "train_cell", lambda *a: (
+        SimpleNamespace(output_mode="softmax"), None, None))
+    monkeypatch.setattr(harness, "mc_predict",
+                        lambda *a, **kw: SimpleNamespace(mean_probs=probs))
     cfg = ExperimentConfig(dataset={"kind": "blobs-classification", "n": 10},
                            out_dir=str(out))
     run_shift(cfg, ShiftSpec.default_ladder(n_levels=2))
@@ -865,6 +871,26 @@ class TestShift:
         # full-precision repr floats, e.g. "level0,0.95,0.1"
         assert lines[1:] == [f"{name},{float(perf)!r},{float(ent)!r}"
                              for name, perf, ent in rows]
+
+    def test_ladder_derives_its_eval_seed_once_and_scores_no_report(
+            self, tmp_path, monkeypatch):
+        tags = []
+        cell_seed = harness._cell_seed
+
+        def counting(cfg, *tag):
+            tags.append(tag[0])
+            return cell_seed(cfg, *tag)
+
+        def no_report(*a, **kw):
+            raise AssertionError("run_shift built a full report")
+
+        monkeypatch.setattr(harness, "_cell_seed", counting)
+        monkeypatch.setattr(harness, "classification_report", no_report)
+        rows = run_shift(small_cfg(tmp_path),
+                         ShiftSpec.default_ladder(n_levels=3))
+        assert len(rows) == 3
+        assert tags.count("eval") == 1
+        assert tags.count("shift-noise") == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         # criterion 9 compares run_sweep's directory only

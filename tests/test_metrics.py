@@ -16,6 +16,7 @@ from mcuq.metrics import (
     auarc,
     brier,
     ece,
+    entropies,
     entropy_for_mode,
     ipp_distance,
     ipp_select,
@@ -314,6 +315,68 @@ scored_inputs = st.builds(
     levels=st.sampled_from([0, 1, 2, 5]))
 
 
+def entropy_rows(seed, n, n_classes, mode, zero_frac):
+    """(probs [n, C], mode) that ``entropy_for_mode`` accepts on every row.
+    Exact zeros at about ``zero_frac`` (a softmax row keeps one nonzero
+    entry); softmax rows sum to 1, about a third of them scaled by 1 + d
+    with |d| in (1e-13, 1e-6], so they are renormalized; sigmoid entries of
+    exactly 1 at about ``zero_frac`` too."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, n_classes))
+    p[rng.random((n, n_classes)) < zero_frac] = 0.0
+    if mode != "softmax":
+        p[rng.random((n, n_classes)) < zero_frac] = 1.0
+        return p, mode
+    empty = ~p.any(axis=1)
+    p[empty, rng.integers(n_classes, size=int(empty.sum()))] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    d = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-12.9, -6.0, n)
+    off = rng.random(n) < 1 / 3
+    p[off] *= (1.0 + d[off])[:, None]
+    return p, mode
+
+
+def spoil_rows(seed, probs, what):
+    """``probs`` with about a quarter of its rows spoiled by ``what``: a
+    negative entry (most too small to move the sum), a -0.0 entry (which
+    both functions accept), the row scaled by 1 + d with d in [5e-7, 2e-6]
+    (sums on both sides of the 1e-6 tolerance), an entry above 1, a NaN or
+    an inf."""
+    rng = np.random.default_rng(seed)
+    p = probs.copy()
+    n, c = p.shape
+    rows = np.flatnonzero(rng.random(n) < 0.25)
+    cols = rng.integers(c, size=len(rows))
+    if what == "sum":
+        p[rows] *= 1.0 + rng.uniform(5e-7, 2e-6, (len(rows), 1))
+    else:
+        p[rows, cols] = {"negative": -10.0 ** rng.uniform(-300, 0, len(rows)),
+                         "negative zero": -0.0,
+                         "above one": 1.0 + rng.uniform(1e-15, 1.0, len(rows)),
+                         "nan": np.nan, "inf": np.inf}[what]
+    return p
+
+
+def refused(row, mode):
+    try:
+        entropy_for_mode(row, mode)
+    except ValueError:
+        return True
+    return False
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+entropy_inputs = st.builds(
+    entropy_rows, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
+    n_classes=st.sampled_from([2, 3, 8, 9, 17]),
+    mode=st.sampled_from(["softmax", "sigmoid"]),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+
+
 class TestExactOracles:
     @settings(max_examples=200, deadline=None)
     @given(scored_inputs)
@@ -342,6 +405,29 @@ class TestExactOracles:
                  for _ in range(n)]
         assert accuracy_rejection_curve(preds) == arc_loop_oracle(preds)
         assert auarc(preds) == auarc_loop_oracle(preds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entropy_inputs)
+    def test_entropies_equal_the_row_function_bit_for_bit(self, inputs):
+        probs, mode = inputs
+        assert_same_bits(entropies(probs, mode), np.array(
+            [entropy_for_mode(row, mode) for row in probs]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(entropy_inputs, st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["negative", "negative zero", "sum", "above one",
+                            "nan", "inf"]))
+    def test_entropies_refuse_the_rows_the_row_function_refuses(
+            self, inputs, seed, what):
+        probs, mode = inputs
+        probs = spoil_rows(seed, probs, what)
+        bad = [refused(row, mode) for row in probs]
+        if not any(bad):
+            assert_same_bits(entropies(probs, mode), np.array(
+                [entropy_for_mode(row, mode) for row in probs]))
+            return
+        with pytest.raises(ValueError, match=rf"^row {bad.index(True)}: "):
+            entropies(probs, mode)
 
     def test_rows_carry_python_scalars(self):
         probs, labels, mode = random_scores(0, 40, 3, "softmax", np.int32, 0)
