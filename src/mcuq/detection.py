@@ -19,7 +19,8 @@ import numpy as np
 
 from .fields import number
 from .files import write_csv
-from .metrics import ScoredPrediction, entropy_for_mode
+from .metrics import ScoredPrediction, entropies
+from .metrics import entropy_for_mode  # noqa: F401 -- bench/tracing.py counts it
 from .rng import substream
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
@@ -47,7 +48,7 @@ class Box:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     box: Box
     probs: np.ndarray
@@ -70,7 +71,7 @@ class GroundTruth:
     image_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusteredObservation:
     """A fused group of detections: running means of box and probabilities."""
 
@@ -146,6 +147,9 @@ def _bsas_walk(dets: list[Detection], theta_iou: float, cuts: list):
     boxes: list[tuple[float, float, float, float, float]] = []  # corners, area
     means: list[list[float]] = []
     classes: list[int] = []
+    # id(row) -> (row, floats, argmax), read once; the held row keeps its id
+    # unique.  A founder's mean is the cached list: replace means, never edit
+    rows: dict[int, tuple] = {}
 
     def held() -> list[ClusteredObservation]:
         return [ClusteredObservation(
@@ -164,8 +168,10 @@ def _bsas_walk(dets: list[Detection], theta_iou: float, cuts: list):
             cut = next(cuts, math.inf)
         x1, y1, x2, y2 = det.box.x1, det.box.y1, det.box.x2, det.box.y2
         area = (x2 - x1) * (y2 - y1)
-        probs = np.asarray(det.probs, dtype=np.float64).tolist()
-        class_id = _argmax(probs)
+        if id(det.probs) not in rows:
+            probs = np.asarray(det.probs, dtype=np.float64).tolist()
+            rows[id(det.probs)] = (det.probs, probs, _argmax(probs))
+        _, probs, class_id = rows[id(det.probs)]
         for ci, (cx1, cy1, cx2, cy2, carea) in enumerate(boxes):
             # iou(mean box, det.box): max/min keep the mean's value on a tie
             iw = ((x2 if x2 < cx2 else cx2) - (x1 if x1 > cx1 else cx1))
@@ -415,11 +421,11 @@ def _scored(probs: np.ndarray, is_tp: np.ndarray,
     if not len(probs):  # [0, 0] probs have no maximum
         return []
     return [ScoredPrediction(probs=p, confidence=conf, correct=tp,
-                             uncertainty=entropy_for_mode(p, mode),
-                             true_label=cls if tp else None)
-            for p, conf, tp, cls in zip(probs, probs.max(axis=1).tolist(),
-                                        is_tp.tolist(),
-                                        np.argmax(probs, axis=1).tolist())]
+                             uncertainty=unc, true_label=cls if tp else None)
+            for p, conf, tp, unc, cls in zip(
+                probs, probs.max(axis=1).tolist(), is_tp.tolist(),
+                entropies(probs, mode).tolist(),
+                np.argmax(probs, axis=1).tolist())]
 
 
 @dataclass
@@ -475,7 +481,7 @@ def synth_detector(scene: list[GroundTruth], noise: NoiseSpec, T: int,
     """
     dets: list[Detection] = []
     W, H = IMAGE_SIZE
-    peaked = _peaked_probs(n_classes, noise.sharpness, mode)
+    peaked = list(_peaked_probs(n_classes, noise.sharpness, mode))
     image_ids = sorted({gt.image_id for gt in scene})
     for t in range(T):
         rng = substream(seed, "synth", t)

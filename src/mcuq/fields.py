@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,8 @@ def number(name: str, value, lo=None, hi=None, *, integer: bool = False,
     an int only, if ``integer``), never a bool, NaN or infinite, and within
     the bounds, which are closed unless opened; ``hi`` needs a ``lo``."""
     is_int = isinstance(value, _INTEGERS) and not isinstance(value, bool)
+    if is_int and not integer:  # a number's int must fit a float64
+        is_int = abs(value) <= sys.float_info.max
     is_float = isinstance(value, _FLOATS) and math.isfinite(value)
     if ((is_int or (is_float and not integer))
             and (lo is None or (value > lo if open_lo else value >= lo))

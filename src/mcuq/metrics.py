@@ -20,7 +20,7 @@ from .files import write_csv
 SUM_TOL = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredPrediction:
     """One prediction with everything the calibration metrics need."""
 

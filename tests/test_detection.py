@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcuq import detection, harness, metrics
 from mcuq.detection import (
     IOU_THRESHOLDS,
     RECALL_LEVELS,
@@ -28,7 +29,9 @@ from mcuq.detection import (
     synth_detector,
     threshold_scorer,
 )
+from mcuq.harness import ExperimentConfig, run_sweep
 from mcuq.metrics import entropy_for_mode
+from test_metrics import entropy_rows, refused
 
 
 def det(box, probs, pass_index=0, image_id=0):
@@ -220,30 +223,49 @@ BSAS_THETAS = (0.0, 0.3, 0.5, 1.0)
 
 @st.composite
 def pass_scenes(draw, n_images=1):
-    """Detections of several passes, drawn from one shared pool of boxes."""
+    """Detections of several passes, drawn from one shared pool of boxes.
+    A detection takes its probabilities as a fresh array or as one of a
+    pool of row objects that other detections share, as the synthetic
+    detector's rows are shared."""
     pool = draw(st.lists(BSAS_BOXES, min_size=1, max_size=5))
+    shared = [np.array(p) for p in BSAS_PROBS]
+    fresh = st.sampled_from(BSAS_PROBS).map(np.array)
     return draw(st.lists(
-        st.builds(det, st.sampled_from(pool), st.sampled_from(BSAS_PROBS),
+        st.builds(Detection, st.sampled_from(pool).map(lambda b: Box(*b)),
+                  st.one_of(st.sampled_from(shared), fresh),
                   pass_index=st.integers(0, 3),
                   image_id=st.integers(0, n_images - 1)),
         max_size=16))
+
+
+def row_snapshot(dets):
+    """Each detection's probability row object with a copy of its bytes."""
+    return [(d.probs, d.probs.tobytes()) for d in dets]
+
+
+def assert_rows_unchanged(snapshot):
+    assert all(row.tobytes() == data for row, data in snapshot)
 
 
 class TestBsasAgainstLoopOracle:
     @settings(max_examples=400, deadline=None, database=None)
     @given(pass_scenes(), st.sampled_from(BSAS_THETAS))
     def test_clusters_equal(self, dets, theta_iou):
+        rows = row_snapshot(dets)
         assert_same_clusters(bsas_cluster(dets, theta_iou),
                              loop_bsas_cluster(dets, theta_iou))
+        assert_rows_unchanged(rows)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(pass_scenes(n_images=3), st.sampled_from(BSAS_THETAS))
     def test_cluster_all_equals_oracle_per_image(self, dets, theta_iou):
+        rows = row_snapshot(dets)
         want = []
         for image_id in sorted({d.image_id for d in dets}):
             want += loop_bsas_cluster(
                 [d for d in dets if d.image_id == image_id], theta_iou)
         assert_same_clusters(cluster_all(dets, theta_iou), want)
+        assert_rows_unchanged(rows)
 
     def test_zero_theta_joins_a_disjoint_cluster_of_its_class(self):
         first = det((0, 0, 1, 1), [0.9, 0.1], pass_index=0)
@@ -771,6 +793,33 @@ class TestSynthDetector:
         clusters = cluster_all(dets)
         assert map_50_95(clusters, self.SCENE) == 1.0
 
+    @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+    def test_a_true_class_shares_one_read_only_row(self, mode):
+        # without jitter a detection of an object keeps its box, so the
+        # hallucinated ones are those on no ground-truth box of their image
+        scene = self.SCENE + [gt((10, 10, 30, 30), class_id=0, image_id=1),
+                              gt((40, 5, 60, 25), class_id=2, image_id=1)]
+        truth = {(g.image_id, g.box): g.class_id for g in scene}
+        noise = NoiseSpec(miss_prob=0.2, halluc_rate=1.0, sharpness=0.7)
+        dets = synth_detector(scene, noise, T=6, seed=4, n_classes=3,
+                              mode=mode)
+        rows = {}
+        for d in dets:
+            if (d.image_id, d.box) in truth:
+                rows.setdefault(truth[d.image_id, d.box], []).append(d.probs)
+        assert sorted(rows) == [0, 1, 2]
+        hallucinated = [d.probs for d in dets
+                        if (d.image_id, d.box) not in truth]
+        assert hallucinated
+        for cls, shared in rows.items():
+            assert len(shared) > 2
+            assert all(row is shared[0] for row in shared)
+            assert not shared[0].flags.writeable
+            off = (1 - 0.7) / (1 if mode == "sigmoid" else 2)
+            assert shared[0].tolist() == [0.7 if c == cls else off
+                                          for c in range(3)]
+            assert all(row is not shared[0] for row in hallucinated)
+
 
 class TestRecordFiles:
     def test_ground_truth_roundtrip(self, tmp_path):
@@ -782,3 +831,115 @@ class TestRecordFiles:
         assert rows == [["7", "2", "1.5", "2.25", "9.75", "12.125"]]
         box = Box(*(float(v) for v in rows[0][2:]))
         assert box == gts[0].box
+
+
+def scored_scene(seed, n, n_classes, mode, zero_frac):
+    """(items, ground truths, mode): items over two images on a small box
+    grid, carrying the rows of ``entropy_rows`` (exact zeros, softmax rows
+    that are renormalized, sigmoid entries of exactly 1)."""
+    probs, mode = entropy_rows(seed, n, n_classes, mode, zero_frac)
+    rng = np.random.default_rng([seed, 1])
+    corners = rng.integers(0, 8, size=(n + 4, 2))
+    sides = rng.integers(1, 6, size=(n + 4, 2))
+    boxes = np.concatenate([corners, corners + sides], axis=1).tolist()
+    image_ids = rng.integers(2, size=n + 4).tolist()
+    items = [det(boxes[i], row, image_id=image_ids[i])
+             for i, row in enumerate(probs)]
+    gts = [gt(boxes[n + j], class_id=int(rng.integers(n_classes)),
+              image_id=image_ids[n + j]) for j in range(4)]
+    return items, gts, mode
+
+
+scored_scenes = st.builds(
+    scored_scene, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+    n_classes=st.sampled_from([2, 3, 8, 9, 17]),
+    mode=st.sampled_from(["softmax", "sigmoid"]),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestCutUncertaintyEqualsTheRowEntropy:
+    """A cut's uncertainties come from one array entropy over the rows that
+    ``_item_arrays`` stacks: each equals ``entropy_for_mode`` of its row bit
+    for bit, and a row that function refuses still fails its T."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(scored_scenes, st.sampled_from(MATCH_TAUS),
+           st.lists(st.floats(0, 1), min_size=1, max_size=3))
+    def test_scorers_give_each_row_its_entropy(self, scene, tau, thresholds):
+        items, gts, mode = scene
+        want = [entropy_for_mode(it.probs, mode) for it in items]
+        preds = label_tp_fp(items, gts, tau, mode)
+        assert bits([p.uncertainty for p in preds]) == bits(want)
+        assert all(type(p.uncertainty) is float for p in preds)
+        score = threshold_scorer(items, gts, tau, mode)
+        for thr in thresholds:
+            kept = [u for it, u in zip(items, want) if it.confidence >= thr]
+            assert bits([p.uncertainty for p in score(thr)[1]]) == bits(kept)
+
+    @pytest.mark.parametrize("mode, spoiled", [
+        ("softmax", [0.75, 0.5, 0.0]),    # sums to 1.25
+        ("softmax", [1.2, -0.2, 0.0]),    # sums to 1 with a negative entry
+        ("sigmoid", [1.5, 0.2, 0.2]),     # an entry above 1
+    ])
+    def test_a_refused_row_fails_its_T_naming_the_row(self, tmp_path,
+                                                      monkeypatch, mode,
+                                                      spoiled):
+        # image 1's detections of pass 2 carry the spoiled row: T=2 scores,
+        # and each row of T=4 fails naming the first refused observation,
+        # which follows image 0's observations
+        detect, seen = harness.synth_detector, []
+
+        def spoiling(gts, noise, **kwargs):
+            dets = detect(gts, noise, **kwargs)
+            for d in dets:
+                if (d.image_id, d.pass_index) == (1, 2):
+                    d.probs = np.array(spoiled)
+            seen.append(dets)
+            return dets
+
+        monkeypatch.setattr(harness, "synth_detector", spoiling)
+        cfg = ExperimentConfig.from_dict(dict(
+            task="detection", out_dir=str(tmp_path),
+            dataset={"kind": "boxes-detection", "n_images": 3,
+                     "boxes_per_image": 2, "n_classes": 3, "box_jitter": 0.0,
+                     "miss_prob": 0.0, "halluc_rate": 0.0},
+            arch={"n_blocks": 2, "width": 4, "output_mode": mode},
+            methods=["MCD"], drop_rates=[0.0], Ts=[2, 4],
+            conf_thresholds=[0.0, 0.5]))
+        result = run_sweep(cfg)
+        fused = cluster_all([d for d in seen[0] if d.pass_index < 4])
+        bad = [refused(c.mean_probs, mode) for c in fused]
+        row = bad.index(True)
+        assert row > 0 and fused[row].image_id == 1
+        what = ("entries must lie in [0, 1]" if mode == "sigmoid" else
+                "probabilities must be non-negative and sum to 1")
+        assert result.failures == [
+            (f"MCD/rate=0.0/blocks=all/T=4/conf={c}", f"row {row}: {what}")
+            for c in (0.0, 0.5)]
+        assert [p.T for p, _ in result.points] == [2, 2]
+
+    @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+    def test_scoring_a_cut_calls_no_row_entropy(self, monkeypatch, mode):
+        scene = [gt((10, 10, 30, 30), class_id=0), gt((50, 50, 70, 80), 1),
+                 gt((5, 60, 25, 90), class_id=2, image_id=1)]
+        noise = NoiseSpec(box_jitter=1.5, miss_prob=0.2, halluc_rate=0.8)
+        dets = synth_detector(scene, noise, T=5, seed=9, n_classes=3,
+                              mode=mode)
+        cuts = cluster_all(dets, Ts=[2, 5])
+        want = {T: [entropy_for_mode(c.mean_probs, mode) for c in cuts[T]]
+                for T in cuts}
+
+        def row_entropy(*args):
+            raise AssertionError("entropy_for_mode called")
+
+        monkeypatch.setattr(detection, "entropy_for_mode", row_entropy)
+        monkeypatch.setattr(metrics, "entropy_for_mode", row_entropy)
+        for T, clusters in cuts.items():
+            preds = label_tp_fp(clusters, scene, 0.5, mode)
+            assert bits([p.uncertainty for p in preds]) == bits(want[T])
+            _, preds = threshold_scorer(clusters, scene, 0.5, mode)(0.0)
+            assert bits([p.uncertainty for p in preds]) == bits(want[T])

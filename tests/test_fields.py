@@ -49,6 +49,13 @@ def detection_config(**noise):
                                         {"noise": -0.5}),
                  "dataset: noise -0.5 is not a non-negative number",
                  id="moons-noise-minus-0.5"),
+    pytest.param(lambda: dataset_params("moons-classification",
+                                        {"noise": 10 ** 400}),
+                 f"dataset: noise {10 ** 400} is not a non-negative number",
+                 id="moons-noise-past-float64"),
+    pytest.param(lambda: detection_config(halluc_rate=10 ** 400),
+                 f"dataset: halluc_rate {10 ** 400} is not a non-negative "
+                 "number", id="halluc_rate-past-float64"),
     pytest.param(lambda: ExperimentConfig(seed=1.5),
                  "seed: 1.5 is not an integer", id="seed-1.5"),
     pytest.param(lambda: ExperimentConfig(seed="x"),
@@ -93,9 +100,15 @@ def plain_accepts(value, lo, hi, integer, open_lo, open_hi) -> bool:
         return False
     if not isinstance(value, (int, float, np.integer, np.floating)):
         return False
-    x = float(value)
-    if math.isnan(x) or math.isinf(x):
-        return False
+    if integer:
+        x = value  # compared exactly: an int past float64's range is one
+    else:
+        try:
+            x = float(value)
+        except OverflowError:  # an int past float64's range
+            return False
+        if math.isnan(x) or math.isinf(x):
+            return False
     if lo is not None and (x <= lo if open_lo else x < lo):
         return False
     if hi is not None and (x >= hi if open_hi else x > hi):
@@ -106,6 +119,7 @@ def plain_accepts(value, lo, hi, integer, open_lo, open_hi) -> bool:
 SPECIAL = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, NAN, INF, -INF])
 VALUES = st.one_of(
     st.booleans(), st.integers(-3, 3), SPECIAL, st.floats(-3, 3),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024]),
     st.builds(np.int64, st.integers(-3, 3)),
     st.builds(np.float64, SPECIAL), st.builds(np.float32, st.floats(-3, 3)),
     st.builds(np.bool_, st.booleans()), st.text(max_size=2), st.none())
